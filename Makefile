@@ -3,7 +3,7 @@
 # detector (the parallel EPPP engine is exercised with forced worker
 # counts even on single-core hosts).
 
-.PHONY: check check-race lint artifact-check fmt-check pkgdoc-check docs-check server-smoke jobs-crash-smoke bench-eppp bench-cover bench bench-serve bench-serve-smoke bench-delta bench-delta-smoke bench-jobs bench-jobs-smoke bench-forms bench-forms-smoke bench-overload bench-overload-smoke bench-smoke fuzz-smoke fuzz-delta-smoke
+.PHONY: check check-race lint artifact-check fmt-check pkgdoc-check docs-check server-smoke jobs-crash-smoke bench-eppp bench-cover bench bench-serve bench-serve-smoke bench-delta bench-delta-smoke bench-jobs bench-jobs-smoke bench-forms bench-forms-smoke bench-overload bench-overload-smoke bench-smoke bench-module-check fuzz-smoke fuzz-delta-smoke
 
 # Pinned linter versions, fetched on demand by `go run` (network
 # required; CI runs these in the `lint` job, they are not part of the
@@ -138,13 +138,21 @@ bench-overload-smoke:
 		-out /tmp/bench_overload_smoke.json
 
 # CI smoke tiers: every benchmark once (compile + one iteration catches
-# bit-rot without benchmarking anything), and a short fuzz run of the
-# exact-cover round-trip property.
+# bit-rot without benchmarking anything), and short fuzz runs of the
+# exact-cover round-trip property and of the allocation-free union
+# against Union and the union recomputed from points.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzExactRoundTrip$$' -fuzztime 20s ./internal/cover
+	go test -run '^$$' -fuzz '^FuzzUnionInto$$' -fuzztime 20s ./internal/pcube
+
+# The repository benchmark (sppbench/) is a Go module of its own, so
+# the root `go build ./...` never compiles it: vet and test it in place,
+# so an API change in core/pcube/ptrie that breaks it fails CI.
+bench-module-check:
+	cd sppbench && go vet ./... && go test ./...
 
 # Short fuzz of delta-vs-cold byte identity: random function + edit
 # script, resumed result must match a cold warm-engine run exactly.

@@ -48,6 +48,17 @@ func (k CostKind) of(c *pcube.CEX) int {
 	}
 }
 
+// ofFactors is of for a pseudoproduct still held as factors, such as
+// a union in pcube.UnionInto scratch that has no CEX yet.
+func (k CostKind) ofFactors(fs []pcube.Factor) int {
+	switch k {
+	case CostFactors:
+		return len(fs)
+	default:
+		return pcube.FactorLiterals(fs)
+	}
+}
+
 // ErrBudget is returned when a limit in Options is exceeded before the
 // computation finishes, mirroring the paper's "did not terminate after
 // 2 days" stars.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/bfunc"
@@ -69,6 +70,79 @@ type EPPPSet struct {
 	Stats      BuildStats
 }
 
+// unifier runs Algorithm 2's step-2 pair loop for every partition-trie
+// engine: the serial and parallel BuildEPPP, the heuristic's ascent and
+// the warm capture. Each union is computed into one reused scratch
+// slice (pcube.UnionInto), the discard rule takes its cost from the
+// scratch, and the scratch is probed against the next-level trie
+// (ptrie.InsertFactors). A CEX is allocated only when the union is
+// fresh there — about a third of the unions on the Table 1 functions,
+// because a degree-(m+1) pseudocube is the union of up to 2^(m+1)−1
+// same-structure pairs.
+type unifier struct {
+	cost   CostKind
+	b      *budget
+	buf    []pcube.Factor
+	unions int64 // union operations performed
+	fresh  int64 // unions fresh in their destination trie
+}
+
+// group unifies es[i] with every es[j], j > i, for the first indices i
+// in [lo, hi), inserting each union into next. mark(k) is called once
+// per pair whose union costs no more than es[k] (the discard rule). It
+// charges the budget for every fresh union and reports false, stopping
+// early, when the budget is exhausted.
+func (u *unifier) group(es []*ptrie.Entry, lo, hi int, next *ptrie.Trie, mark func(k int)) bool {
+	for i := lo; i < hi; i++ {
+		ci := u.cost.of(es[i].CEX)
+		for j := i + 1; j < len(es); j++ {
+			// Same-group entries share a structure and differ in their
+			// complement vectors, so the union always exists.
+			fs, canon, _ := pcube.UnionInto(u.buf, es[i].CEX, es[j].CEX)
+			u.buf = fs
+			u.unions++
+			h := u.cost.ofFactors(fs)
+			if h <= ci {
+				mark(i)
+			}
+			if h <= u.cost.of(es[j].CEX) {
+				mark(j)
+			}
+			if _, fresh := next.InsertFactors(canon, fs); fresh {
+				u.fresh++
+				if !u.b.spend(1) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// keySet deduplicates pseudoproducts held as factors by their Key
+// bytes, for the engines that group without a partition trie. The
+// probe reuses one buffer, so a repeat costs no allocation; only a new
+// key is materialized as a string.
+type keySet struct {
+	seen map[string]bool
+	buf  []byte
+}
+
+// add reports whether fs is new to the set and, if so, returns its Key,
+// whose first 8·len(fs) bytes are its StructureKey.
+func (s *keySet) add(fs []pcube.Factor) (string, bool) {
+	s.buf = pcube.AppendKey(s.buf[:0], fs)
+	if s.seen[string(s.buf)] {
+		return "", false
+	}
+	if s.seen == nil {
+		s.seen = map[string]bool{}
+	}
+	k := string(s.buf)
+	s.seen[k] = true
+	return k, true
+}
+
 // BuildEPPP constructs the extended prime pseudoproduct set of f with
 // the paper's Algorithm 2 (steps 1 and 2): degree-0 pseudoproducts (the
 // care minterms) are inserted in a partition trie; at each step all
@@ -102,6 +176,7 @@ func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		return nil, b.failure()
 	}
 
+	u := unifier{cost: opts.Cost, b: b}
 	var candidates []*pcube.CEX
 	for level := 0; cur.Len() > 0; level++ {
 		if err := opts.ctxErr(); err != nil {
@@ -113,30 +188,12 @@ func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 			opts.Stats.Add(stats.CtrTrieNodes, int64(cur.NumInternalNodes()))
 		}
 		next := ptrie.New(n)
-		overBudget := false
+		ok := true
 		cur.Groups(func(entries []*ptrie.Entry) bool {
-			for i := 0; i < len(entries); i++ {
-				for j := i + 1; j < len(entries); j++ {
-					u := pcube.Union(entries[i].CEX, entries[j].CEX)
-					bst.Unions++
-					h := opts.Cost.of(u)
-					if h <= opts.Cost.of(entries[i].CEX) {
-						entries[i].Mark = true
-					}
-					if h <= opts.Cost.of(entries[j].CEX) {
-						entries[j].Mark = true
-					}
-					if _, fresh := next.Insert(u); fresh {
-						if !b.spend(1) {
-							overBudget = true
-							return false
-						}
-					}
-				}
-			}
-			return true
+			ok = u.group(entries, 0, len(entries), next, func(k int) { entries[k].Mark = true })
+			return ok
 		})
-		if overBudget {
+		if !ok {
 			return nil, b.failure()
 		}
 		// Retain the unmarked pseudoproducts of this level.
@@ -147,9 +204,9 @@ func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 			return true
 		})
 		bst.Candidates += cur.Len()
-		bst.Fresh += int64(next.Len())
 		cur = next
 	}
+	bst.Unions, bst.Fresh = u.unions, u.fresh
 	bst.EPPP = len(candidates)
 	bst.BuildTime = time.Since(start)
 	recordBuild(opts.Stats, &bst)
@@ -184,15 +241,12 @@ func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 	}
 	cur := map[string][]*entry{}
 	curLen := 0
-	seen := map[string]bool{}
+	var seen keySet
 	for _, p := range f.Care() {
 		c := pcube.FromPoint(n, p)
-		// Key and StructureKey are cached on the CEX at construction, so
-		// the repeated lookups here and in the union loop below cost a
-		// pointer read, not a re-serialization.
-		if k := c.Key(); !seen[k] {
-			seen[k] = true
-			cur[c.StructureKey()] = append(cur[c.StructureKey()], &entry{cex: c})
+		if k, fresh := seen.add(c.Factors); fresh {
+			skey := k[:8*len(c.Factors)]
+			cur[skey] = append(cur[skey], &entry{cex: c})
 			curLen++
 		}
 	}
@@ -200,6 +254,10 @@ func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		return nil, b.failure()
 	}
 
+	// Unions are probed by key straight from scratch, like the trie
+	// engine's InsertFactors, so the two variants differ only in the
+	// grouping index, not in how often they allocate.
+	var buf []pcube.Factor
 	var candidates []*pcube.CEX
 	for level := 0; curLen > 0; level++ {
 		if err := opts.ctxErr(); err != nil {
@@ -208,24 +266,24 @@ func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		bst.LevelSizes = append(bst.LevelSizes, curLen)
 		bst.Groups = append(bst.Groups, len(cur))
 		next := map[string][]*entry{}
-		nextSeen := map[string]bool{}
+		var nextSeen keySet
 		nextLen := 0
 		for _, group := range cur {
 			for i := 0; i < len(group); i++ {
 				for j := i + 1; j < len(group); j++ {
-					u := pcube.Union(group[i].cex, group[j].cex)
+					fs, canon, _ := pcube.UnionInto(buf, group[i].cex, group[j].cex)
+					buf = fs
 					bst.Unions++
-					h := opts.Cost.of(u)
+					h := opts.Cost.ofFactors(fs)
 					if h <= opts.Cost.of(group[i].cex) {
 						group[i].mark = true
 					}
 					if h <= opts.Cost.of(group[j].cex) {
 						group[j].mark = true
 					}
-					k := u.Key()
-					if !nextSeen[k] {
-						nextSeen[k] = true
-						next[u.StructureKey()] = append(next[u.StructureKey()], &entry{cex: u})
+					if k, fresh := nextSeen.add(fs); fresh {
+						skey := k[:8*len(fs)]
+						next[skey] = append(next[skey], &entry{cex: pcube.NewCEX(n, canon, slices.Clone(fs))})
 						nextLen++
 						if !b.spend(1) {
 							return nil, b.failure()

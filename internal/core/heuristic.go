@@ -119,6 +119,7 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 
 	// Step 3: ascendant phase (Algorithm 2 step 2 over the merged pool).
 	stop = rec.Phase(stats.PhaseAscend)
+	u := unifier{cost: opts.Cost, b: b}
 	var candidates []*pcube.CEX
 	for d := 0; d < n; d++ {
 		if err := opts.ctxErr(); err != nil {
@@ -145,31 +146,12 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 			}
 			bst.Fresh += int64(mergeIntoTrie(tries[d+1], locals, b))
 		} else {
-			overBudget := false
+			ok := true
 			cur.Groups(func(entries []*ptrie.Entry) bool {
-				for i := 0; i < len(entries); i++ {
-					for j := i + 1; j < len(entries); j++ {
-						u := pcube.Union(entries[i].CEX, entries[j].CEX)
-						bst.Unions++
-						h := opts.Cost.of(u)
-						if h <= opts.Cost.of(entries[i].CEX) {
-							entries[i].Mark = true
-						}
-						if h <= opts.Cost.of(entries[j].CEX) {
-							entries[j].Mark = true
-						}
-						if _, fresh := tries[d+1].Insert(u); fresh {
-							bst.Fresh++
-							if !b.spend(1) {
-								overBudget = true
-								return false
-							}
-						}
-					}
-				}
-				return true
+				ok = u.group(entries, 0, len(entries), tries[d+1], func(k int) { entries[k].Mark = true })
+				return ok
 			})
-			if overBudget {
+			if !ok {
 				stop()
 				return nil, b.failure()
 			}
@@ -193,6 +175,8 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 		bst.Candidates += tries[n].Len()
 	}
 	stop()
+	bst.Unions += u.unions
+	bst.Fresh += u.fresh
 	bst.EPPP = len(candidates)
 	bst.BuildTime = time.Since(start)
 	recordBuild(rec, &bst)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/bfunc"
@@ -27,11 +28,10 @@ func BuildEPPPNaive(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		mark bool
 	}
 	var cur []*entry
-	seen := map[string]bool{}
+	var seen keySet
 	for _, p := range f.Care() {
 		c := pcube.FromPoint(n, p)
-		if !seen[c.Key()] {
-			seen[c.Key()] = true
+		if _, fresh := seen.add(c.Factors); fresh {
 			cur = append(cur, &entry{cex: c})
 		}
 	}
@@ -39,6 +39,10 @@ func BuildEPPPNaive(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		return nil, b.failure()
 	}
 
+	// Unions are computed into scratch and probed by key, allocating
+	// only for fresh results — the same allocation profile as the trie
+	// engine, so Table 2 compares the algorithms, not their allocators.
+	var buf []pcube.Factor
 	var candidates []*pcube.CEX
 	for level := 0; len(cur) > 0; level++ {
 		if err := opts.ctxErr(); err != nil {
@@ -46,7 +50,7 @@ func BuildEPPPNaive(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		}
 		bst.LevelSizes = append(bst.LevelSizes, len(cur))
 		var next []*entry
-		nextSeen := map[string]bool{}
+		var nextSeen keySet
 		for i := 0; i < len(cur); i++ {
 			for j := i + 1; j < len(cur); j++ {
 				// The baseline pays a comparison for every pair; most
@@ -55,19 +59,18 @@ func BuildEPPPNaive(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 				if !cur[i].cex.SameStructure(cur[j].cex) {
 					continue
 				}
-				u := pcube.Union(cur[i].cex, cur[j].cex)
+				fs, canon, _ := pcube.UnionInto(buf, cur[i].cex, cur[j].cex)
+				buf = fs
 				bst.Unions++
-				h := opts.Cost.of(u)
+				h := opts.Cost.ofFactors(fs)
 				if h <= opts.Cost.of(cur[i].cex) {
 					cur[i].mark = true
 				}
 				if h <= opts.Cost.of(cur[j].cex) {
 					cur[j].mark = true
 				}
-				k := u.Key()
-				if !nextSeen[k] {
-					nextSeen[k] = true
-					next = append(next, &entry{cex: u})
+				if _, fresh := nextSeen.add(fs); fresh {
+					next = append(next, &entry{cex: pcube.NewCEX(n, canon, slices.Clone(fs))})
 					bst.Fresh++
 					if !b.spend(1) {
 						return nil, b.failure()

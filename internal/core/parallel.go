@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -146,30 +147,15 @@ func expandLevel(n int, groups []pgroup, opts Options, b *budget, unions *int64,
 			defer wg.Done()
 			opts.Stats.Do(phase, func() {
 				local := ptrie.New(n)
-				var count int64
-				defer func() { atomic.AddInt64(unions, count) }()
+				u := unifier{cost: opts.Cost, b: b}
+				defer func() { atomic.AddInt64(unions, u.unions) }()
 				for _, t := range shards[s] {
 					if over.Load() {
 						return
 					}
-					es := groups[t.g].entries
-					for i := t.lo; i < t.hi; i++ {
-						ci := opts.Cost.of(es[i].CEX)
-						for j := i + 1; j < len(es); j++ {
-							u := pcube.Union(es[i].CEX, es[j].CEX)
-							count++
-							h := opts.Cost.of(u)
-							if h <= ci {
-								t.mark(i)
-							}
-							if h <= opts.Cost.of(es[j].CEX) {
-								t.mark(j)
-							}
-							if _, fresh := local.Insert(u); fresh && !b.spend(1) {
-								over.Store(true)
-								return
-							}
-						}
+					if !u.group(groups[t.g].entries, t.lo, t.hi, local, t.mark) {
+						over.Store(true)
+						return
 					}
 				}
 				locals[s] = local
@@ -434,8 +420,12 @@ func buildEPPPHashGroupedParallel(f *bfunc.Func, opts Options) (*EPPPSet, error)
 	b := newBudget(opts)
 	bst := BuildStats{}
 
+	// key is the entry's Key (its first 8·len(Factors) bytes are the
+	// structure key), kept because the reduction regroups by both and a
+	// CEX builds its keys on demand.
 	type hentry struct {
 		cex  *pcube.CEX
+		key  string
 		mark bool
 	}
 	type hgroup struct {
@@ -451,12 +441,12 @@ func buildEPPPHashGroupedParallel(f *bfunc.Func, opts Options) (*EPPPSet, error)
 	curLen := 0
 	{
 		bySkey := map[string][]*hentry{}
-		seen := map[string]bool{}
+		var seen keySet
 		for _, p := range f.Care() {
 			c := pcube.FromPoint(n, p)
-			if k := c.Key(); !seen[k] {
-				seen[k] = true
-				bySkey[c.StructureKey()] = append(bySkey[c.StructureKey()], &hentry{cex: c})
+			if k, fresh := seen.add(c.Factors); fresh {
+				skey := k[:8*len(c.Factors)]
+				bySkey[skey] = append(bySkey[skey], &hentry{cex: c, key: k})
 				curLen++
 			}
 		}
@@ -513,7 +503,8 @@ func buildEPPPHashGroupedParallel(f *bfunc.Func, opts Options) (*EPPPSet, error)
 				opts.Stats.Do(stats.PhaseEPPP, func() {
 					var count int64
 					defer func() { atomic.AddInt64(&bst.Unions, count) }()
-					seen := map[string]bool{}
+					var seen keySet
+					var buf []pcube.Factor
 					for _, g := range cur[bounds[s]:bounds[s+1]] {
 						if over.Load() {
 							return
@@ -521,18 +512,19 @@ func buildEPPPHashGroupedParallel(f *bfunc.Func, opts Options) (*EPPPSet, error)
 						es := g.entries
 						for i := 0; i < len(es); i++ {
 							for j := i + 1; j < len(es); j++ {
-								u := pcube.Union(es[i].cex, es[j].cex)
+								fs, canon, _ := pcube.UnionInto(buf, es[i].cex, es[j].cex)
+								buf = fs
 								count++
-								h := opts.Cost.of(u)
+								h := opts.Cost.ofFactors(fs)
 								if h <= opts.Cost.of(es[i].cex) {
 									es[i].mark = true
 								}
 								if h <= opts.Cost.of(es[j].cex) {
 									es[j].mark = true
 								}
-								if k := u.Key(); !seen[k] {
-									seen[k] = true
-									outs[s].fresh = append(outs[s].fresh, &hentry{cex: u})
+								if k, fresh := seen.add(fs); fresh {
+									c := pcube.NewCEX(n, canon, slices.Clone(fs))
+									outs[s].fresh = append(outs[s].fresh, &hentry{cex: c, key: k})
 									if !b.spend(1) {
 										over.Store(true)
 										return
@@ -565,13 +557,13 @@ func buildEPPPHashGroupedParallel(f *bfunc.Func, opts Options) (*EPPPSet, error)
 		nextLen := 0
 		for _, out := range outs {
 			for _, e := range out.fresh {
-				if k := e.cex.Key(); seen[k] {
+				if seen[e.key] {
 					b.refund(1)
 					continue
-				} else {
-					seen[k] = true
 				}
-				bySkey[e.cex.StructureKey()] = append(bySkey[e.cex.StructureKey()], e)
+				seen[e.key] = true
+				skey := e.key[:8*len(e.cex.Factors)]
+				bySkey[skey] = append(bySkey[skey], e)
 				nextLen++
 			}
 		}

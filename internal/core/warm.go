@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -316,6 +317,7 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 		return nil, nil, b.failure()
 	}
 
+	u := unifier{cost: opts.Cost, b: b}
 	var candidates []*pcube.CEX
 	var pts []uint64
 	for level := 0; cur.Len() > 0; level++ {
@@ -329,26 +331,10 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 		}
 		next := ptrie.New(n)
 		wl := warmLevel{}
-		overBudget := false
+		ok := true
 		cur.PathGroups(func(path []byte, entries []*ptrie.Entry) bool {
-			for i := 0; i < len(entries); i++ {
-				for j := i + 1; j < len(entries); j++ {
-					u := pcube.Union(entries[i].CEX, entries[j].CEX)
-					bst.Unions++
-					h := opts.Cost.of(u)
-					if h <= opts.Cost.of(entries[i].CEX) {
-						entries[i].MarkCnt++
-					}
-					if h <= opts.Cost.of(entries[j].CEX) {
-						entries[j].MarkCnt++
-					}
-					if _, fresh := next.Insert(u); fresh {
-						if !b.spend(1) {
-							overBudget = true
-							return false
-						}
-					}
-				}
+			if ok = u.group(entries, 0, len(entries), next, func(k int) { entries[k].MarkCnt++ }); !ok {
+				return false
 			}
 			// Capture the group canonically: entries by complement
 			// vector, with point signatures for delta invalidation.
@@ -368,7 +354,7 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 			wl.groups = append(wl.groups, g)
 			return true
 		})
-		if overBudget {
+		if !ok {
 			return nil, nil, b.failure()
 		}
 		ws.levels = append(ws.levels, wl)
@@ -380,9 +366,9 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 			}
 		}
 		bst.Candidates += cur.Len()
-		bst.Fresh += int64(next.Len())
 		cur = next
 	}
+	bst.Unions, bst.Fresh = u.unions, u.fresh
 	bst.EPPP = len(candidates)
 	bst.BuildTime = time.Since(start)
 	recordBuild(opts.Stats, &bst)
@@ -433,6 +419,7 @@ func ResumeExact(ws *WarmState, d Delta, opts Options) (*Result, *WarmState, err
 
 // resumer carries the per-resume state threaded through group patching.
 type resumer struct {
+	n          int
 	opts       Options
 	b          *budget
 	bst        *BuildStats
@@ -442,7 +429,8 @@ type resumer struct {
 	// deduped by full CEX key. Every fresh union contains an added care
 	// point, so it can never collide with a surviving old entry.
 	nextIncoming map[string][]*pcube.CEX
-	nextSeen     map[string]bool
+	nextSeen     keySet
+	unionBuf     []pcube.Factor // pcube.UnionInto scratch
 	pathBuf      []byte
 	ptsBuf       []uint64
 	overBudget   bool
@@ -457,14 +445,24 @@ func (r *resumer) sigOf(c *pcube.CEX) uint64 {
 	return sig
 }
 
-// emit routes a fresh union to its next-level structure group. Reports
-// false when the generation budget is exhausted.
-func (r *resumer) emit(u *pcube.CEX) bool {
-	k := u.Key()
-	if r.nextSeen[k] {
+// union computes the union of two same-group entries into the
+// resumer's scratch and returns its factors, canonical mask and cost.
+func (r *resumer) union(a, b *pcube.CEX) ([]pcube.Factor, uint64, int) {
+	fs, canon, _ := pcube.UnionInto(r.unionBuf, a, b)
+	r.unionBuf = fs
+	r.bst.Unions++
+	return fs, canon, r.opts.Cost.ofFactors(fs)
+}
+
+// emit routes a union, given as scratch factors, to its next-level
+// structure group; only a union not seen before at that level is
+// copied into a CEX. Reports false when the generation budget is
+// exhausted.
+func (r *resumer) emit(canon uint64, fs []pcube.Factor) bool {
+	if _, fresh := r.nextSeen.add(fs); !fresh {
 		return true
 	}
-	r.nextSeen[k] = true
+	u := pcube.NewCEX(r.n, canon, slices.Clone(fs))
 	r.pathBuf = ptrie.PathKey(u, r.pathBuf[:0])
 	path := string(r.pathBuf)
 	r.nextIncoming[path] = append(r.nextIncoming[path], u)
@@ -509,9 +507,7 @@ func (r *resumer) patchGroup(g *warmGroup, news []*pcube.CEX) *warmGroup {
 	}
 	for _, d := range dead {
 		for i := range entries {
-			u := pcube.Union(entries[i].cex, d.cex)
-			r.bst.Unions++
-			if r.opts.Cost.of(u) <= r.opts.Cost.of(entries[i].cex) {
+			if _, _, h := r.union(entries[i].cex, d.cex); h <= r.opts.Cost.of(entries[i].cex) {
 				entries[i].markCnt--
 			}
 		}
@@ -520,16 +516,14 @@ func (r *resumer) patchGroup(g *warmGroup, news []*pcube.CEX) *warmGroup {
 		xe := warmEntry{cex: x, sig: r.sigOf(x)}
 		hx := r.opts.Cost.of(x)
 		for i := range entries {
-			u := pcube.Union(entries[i].cex, x)
-			r.bst.Unions++
-			h := r.opts.Cost.of(u)
+			fs, canon, h := r.union(entries[i].cex, x)
 			if h <= r.opts.Cost.of(entries[i].cex) {
 				entries[i].markCnt++
 			}
 			if h <= hx {
 				xe.markCnt++
 			}
-			if !r.emit(u) {
+			if !r.emit(canon, fs) {
 				return nil
 			}
 		}
@@ -573,6 +567,7 @@ func resumeEPPP(ws *WarmState, edited *bfunc.Func, opts Options) (*EPPPSet, *War
 	n := ws.n
 	bst := BuildStats{}
 	r := &resumer{
+		n:       n,
 		opts:    opts,
 		b:       newBudget(opts),
 		bst:     &bst,
@@ -619,7 +614,7 @@ func resumeEPPP(ws *WarmState, edited *bfunc.Func, opts Options) (*EPPPSet, *War
 			return nil, nil, nil, err
 		}
 		r.nextIncoming = map[string][]*pcube.CEX{}
-		r.nextSeen = map[string]bool{}
+		r.nextSeen = keySet{}
 
 		// New-group paths in canonical order, merged against the (path
 		// sorted) old groups below.
@@ -770,9 +765,10 @@ func (ws *WarmState) computeBytes() {
 		for _, g := range wl.groups {
 			b += 64 + int64(len(g.path))
 			for i := range g.entries {
-				c := g.entries[i].cex
-				// entry + CEX header + factors + key/skey strings.
-				b += 32 + 96 + int64(len(c.Factors))*25
+				// entry (24 B) + CEX header (56 B, in the 64 B size
+				// class) + 16 B per factor. A CEX carries no key
+				// strings; those are built on demand.
+				b += 24 + 64 + int64(len(g.entries[i].cex.Factors))*16
 			}
 		}
 	}

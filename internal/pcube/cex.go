@@ -13,12 +13,11 @@ import (
 // CEX is the canonical expression of a pseudocube of degree m in B^n
 // (paper Definition 1): a product of EXOR factors, one per non-canonical
 // variable, sorted by increasing non-canonical variable index. Canon is
-// the mask of canonical variables (|Canon| = m); each factor's variables
-// are its own non-canonical variable plus a subset of canonical
-// variables of smaller index... of canonical variables (pivots precede
-// their dependents under the RREF-with-leftmost-pivots convention: every
-// canonical variable in a factor has an index smaller than the factor's
-// non-canonical variable).
+// the mask of canonical variables (|Canon| = m). Each factor holds its
+// own non-canonical variable plus a subset of the canonical variables,
+// and every canonical variable in a factor has a smaller index than the
+// factor's non-canonical variable (pivots precede their dependents under
+// the RREF-with-leftmost-pivots convention).
 //
 // A CEX value is immutable after construction; Factors must not be
 // modified by callers.
@@ -34,40 +33,45 @@ type CEX struct {
 	// which keeps concurrent reads race-free.
 	lits int
 	cvec uint64
-	key  string // skey is key[:8*len(Factors)]
-	skey string
 }
 
-// NewCEX builds a sealed CEX: the literal count, complement vector and
-// the Key/StructureKey strings are computed once here, making the
-// accessors O(1) on the minimization hot paths. Every constructor in
-// this package funnels through it; callers handing in factors transfer
-// ownership of the slice.
+// NewCEX builds a sealed CEX: the literal count and complement vector
+// are computed once here, making those accessors O(1) on the
+// minimization hot paths. The Key/StructureKey strings are not cached;
+// they are built on demand (AppendKey writes the same bytes into a
+// caller-owned buffer). Every constructor in this package funnels
+// through it; callers handing in factors transfer ownership of the
+// slice.
 func NewCEX(n int, canon uint64, factors []Factor) *CEX {
 	c := &CEX{N: n, Canon: canon, Factors: factors}
 	c.seal()
 	return c
 }
 
-// seal computes the cached derived values. The full key is the
-// structure bytes followed by one complement byte per factor, so the
-// structure key is a prefix of it and the two share one allocation.
+// seal computes the cached derived values.
 func (c *CEX) seal() {
+	c.lits = FactorLiterals(c.Factors) + 1
+	c.cvec = CompVectorOf(c.Factors)
+}
+
+// FactorLiterals returns the literal count of a product of factors: the
+// paper's cost of the pseudoproduct they form.
+func FactorLiterals(fs []Factor) int {
 	total := 0
-	var cv uint64
-	for i, f := range c.Factors {
+	for _, f := range fs {
 		total += f.Literals()
-		cv |= uint64(f.Comp) << uint(i)
 	}
-	buf := c.structureBytes(make([]byte, 0, 9*len(c.Factors)))
-	for _, f := range c.Factors {
-		buf = append(buf, f.Comp)
+	return total
+}
+
+// CompVectorOf packs the complement bits of the factors into a mask
+// (factor i → bit i), the value CompVector caches on a sealed CEX.
+func CompVectorOf(fs []Factor) uint64 {
+	var v uint64
+	for i, f := range fs {
+		v |= uint64(f.Comp) << uint(i)
 	}
-	key := string(buf)
-	c.lits = total + 1
-	c.cvec = cv
-	c.key = key
-	c.skey = key[:8*len(c.Factors)]
+	return v
 }
 
 // Degree returns the pseudocube's degree m (it has 2^m points).
@@ -78,11 +82,7 @@ func (c *CEX) Literals() int {
 	if c.lits != 0 {
 		return c.lits - 1
 	}
-	total := 0
-	for _, f := range c.Factors {
-		total += f.Literals()
-	}
-	return total
+	return FactorLiterals(c.Factors)
 }
 
 // CompVector packs the complement bits of the factors into a mask
@@ -93,11 +93,7 @@ func (c *CEX) CompVector() uint64 {
 	if c.lits != 0 {
 		return c.cvec
 	}
-	var v uint64
-	for i, f := range c.Factors {
-		v |= uint64(f.Comp) << uint(i)
-	}
-	return v
+	return CompVectorOf(c.Factors)
 }
 
 // NCVar returns the non-canonical variable index of factor i.
@@ -273,38 +269,44 @@ func (c *CEX) Affine() (uint64, *bitvec.Basis) {
 	return off, basis
 }
 
-// structureBytes encodes the sequence of factor variable masks; two CEX
-// have equal structure iff these bytes are equal (the factors are sorted
-// by non-canonical variable, which is determined by the masks).
-func (c *CEX) structureBytes(buf []byte) []byte {
-	for _, f := range c.Factors {
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], f.Vars)
-		buf = append(buf, w[:]...)
+// AppendKey appends the key bytes of the product fs to dst and returns
+// the extended slice: each factor's variable mask as 8 little-endian
+// bytes, then one complement byte per factor. Within one space B^n the
+// bytes identify the pseudoproduct — the masks fix the structure (a
+// factor's non-canonical variable is its highest-index one) and the
+// complement bytes the member of the structure group — and the first
+// 8·len(fs) bytes are its structure key. Hot paths probe maps with
+// string(AppendKey(buf[:0], fs)), which Go performs without allocating.
+func AppendKey(dst []byte, fs []Factor) []byte {
+	dst = appendStructure(dst, fs)
+	for _, f := range fs {
+		dst = append(dst, f.Comp)
 	}
-	return buf
+	return dst
+}
+
+// appendStructure appends the factor variable masks, little-endian;
+// two CEX have equal structure iff these bytes are equal (the factors
+// are sorted by non-canonical variable, which the masks determine).
+func appendStructure(dst []byte, fs []Factor) []byte {
+	for _, f := range fs {
+		dst = binary.LittleEndian.AppendUint64(dst, f.Vars)
+	}
+	return dst
 }
 
 // StructureKey returns a map key identifying STR(c), the structure of
 // the pseudocube (paper Definition 2): the CEX without complementations.
+// It is the 8·len(Factors)-byte prefix of Key.
 func (c *CEX) StructureKey() string {
-	if c.lits != 0 {
-		return c.skey
-	}
-	return string(c.structureBytes(make([]byte, 0, 8*len(c.Factors))))
+	return string(appendStructure(make([]byte, 0, 8*len(c.Factors)), c.Factors))
 }
 
 // Key returns a map key identifying the full CEX (structure plus
-// complementations): equal keys mean equal pseudocubes.
+// complementations): equal keys mean equal pseudocubes. Its layout is
+// AppendKey's.
 func (c *CEX) Key() string {
-	if c.lits != 0 {
-		return c.key
-	}
-	buf := c.structureBytes(make([]byte, 0, 9*len(c.Factors)))
-	for _, f := range c.Factors {
-		buf = append(buf, f.Comp)
-	}
-	return string(buf)
+	return string(AppendKey(make([]byte, 0, 9*len(c.Factors)), c.Factors))
 }
 
 // SameStructure reports STR(c) == STR(d) (Theorem 1's precondition).

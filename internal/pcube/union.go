@@ -17,8 +17,22 @@ import (
 //	factors of variables in α\{x_k} become NORM_EXOR(f_j, f_k);
 //	factors of variables outside α are unchanged.
 func Union(a, b *CEX) *CEX {
-	if !a.SameStructure(b) {
+	fs, canon, ok := UnionInto(nil, a, b)
+	if !ok {
 		return nil
+	}
+	return NewCEX(a.N, canon, fs)
+}
+
+// UnionInto is Union without the allocation: it writes the union's
+// factors into dst (reusing its backing array when the capacity
+// suffices) and returns them with the union's canonical mask. ok is
+// false exactly when Union would return nil. The factors are in CEX
+// order, so FactorLiterals, CompVectorOf and AppendKey apply to them
+// directly; a caller that keeps the result copies it into a NewCEX.
+func UnionInto(dst []Factor, a, b *CEX) ([]Factor, uint64, bool) {
+	if !a.SameStructure(b) {
+		return dst[:0], 0, false
 	}
 	// Locate the differing factors and the minimum one.
 	k := -1
@@ -29,23 +43,26 @@ func Union(a, b *CEX) *CEX {
 		}
 	}
 	if k == -1 {
-		return nil // identical pseudocubes
+		return dst[:0], 0, false // identical pseudocubes
 	}
 	fk := a.Factors[k] // f_k of P1 (the paper's f^1_{i_k})
 	xk := fk.Vars &^ a.Canon
 
-	fs := make([]Factor, 0, len(a.Factors)-1)
-	for i := range a.Factors {
-		if i == k {
-			continue
-		}
+	// A nil dst gets a fresh slice too, so the result is never nil, even
+	// for the union that fills B^n and has no factors.
+	if dst == nil || cap(dst) < len(a.Factors)-1 {
+		dst = make([]Factor, 0, len(a.Factors)-1)
+	}
+	// Factors before k agree in complementation: copied unchanged.
+	dst = append(dst[:0], b.Factors[:k]...)
+	for i := k + 1; i < len(a.Factors); i++ {
 		if a.Factors[i].Comp != b.Factors[i].Comp {
-			fs = append(fs, NormExor(b.Factors[i], fk))
+			dst = append(dst, NormExor(b.Factors[i], fk))
 		} else {
-			fs = append(fs, b.Factors[i])
+			dst = append(dst, b.Factors[i])
 		}
 	}
-	return NewCEX(a.N, a.Canon|xk, fs)
+	return dst, a.Canon | xk, true
 }
 
 // Alpha returns the mask of non-canonical variables whose factors differ

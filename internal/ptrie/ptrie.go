@@ -11,6 +11,7 @@
 package ptrie
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitvec"
@@ -113,30 +114,23 @@ func (nd *node) findChild(k kind, label int) *node {
 	return nil
 }
 
-// compVector packs the complement bits of the CEX factors into a mask
-// (factor i → bit i): the leaf vector L of the paper, with L[i]=1
-// meaning "not complemented"... the paper stores L[i]=0 for
-// complemented; we store Comp directly (bit set = complemented), which
-// is the same information. Sealed CEX carry it precomputed.
-func compVector(c *pcube.CEX) uint64 {
-	return c.CompVector()
-}
-
-// walk descends the structure path of c, creating nodes if create is
-// set; it returns the group node, or nil when absent and !create.
-func (t *Trie) walk(c *pcube.CEX, create bool) *node {
+// walk descends the structure path of the product fs with canonical
+// mask canon, creating nodes if create is set; it returns the group
+// node, or nil when absent and !create. Each factor contributes its
+// NC-node, then its canonical variables in increasing index order —
+// under the bitvec packing (x_0 most significant) the lowest variable
+// of a mask is its highest set bit, so the loop peels bits from the top
+// instead of materializing a variable list.
+func (t *Trie) walk(canon uint64, fs []pcube.Factor, create bool) *node {
 	nd := &t.root
-	for _, f := range c.Factors {
-		ncVar := bitvec.LowestVar(f.Vars&^c.Canon, t.n)
-		if create {
-			nd = t.child(nd, ncNode, ncVar)
-		} else if nd = nd.findChild(ncNode, ncVar); nd == nil {
+	for _, f := range fs {
+		if nd = t.step(nd, ncNode, bitvec.LowestVar(f.Vars&^canon, t.n), create); nd == nil {
 			return nil
 		}
-		for _, v := range bitvec.Vars(f.Vars&c.Canon, t.n) {
-			if create {
-				nd = t.child(nd, cNode, v)
-			} else if nd = nd.findChild(cNode, v); nd == nil {
+		for m := f.Vars & canon; m != 0; {
+			v := bitvec.LowestVar(m, t.n)
+			m &^= bitvec.VarMask(t.n, v)
+			if nd = t.step(nd, cNode, v, create); nd == nil {
 				return nil
 			}
 		}
@@ -144,19 +138,50 @@ func (t *Trie) walk(c *pcube.CEX, create bool) *node {
 	return nd
 }
 
+// step moves from nd to its (k, label) child, creating it if create is
+// set; it returns nil when the child is absent and !create.
+func (t *Trie) step(nd *node, k kind, label int, create bool) *node {
+	if create {
+		return t.child(nd, k, label)
+	}
+	return nd.findChild(k, label)
+}
+
 // Insert adds the pseudoproduct to the trie. If an identical CEX is
 // already present it returns the existing entry and false; otherwise it
-// returns the new entry and true.
+// stores c itself and returns the new entry and true.
 func (t *Trie) Insert(c *pcube.CEX) (*Entry, bool) {
 	if c.N != t.n {
 		panic("ptrie: CEX dimension mismatch")
 	}
-	grp := t.walk(c, true)
-	cv := compVector(c)
+	return t.insert(c.Canon, c.Factors, c)
+}
+
+// InsertFactors is Insert for a pseudoproduct given as its canonical
+// mask and CEX-ordered factors, typically pcube.UnionInto's scratch
+// output. The walk and the duplicate test read fs in place; only a
+// fresh insert copies it into a new sealed CEX, so a duplicate costs no
+// allocation and the caller may reuse fs as soon as the call returns.
+func (t *Trie) InsertFactors(canon uint64, fs []pcube.Factor) (*Entry, bool) {
+	return t.insert(canon, fs, nil)
+}
+
+// insert files (canon, fs) under its structure group and stores c, or a
+// fresh CEX copied from fs when c is nil. Members of a group share the
+// structure (paper Property 1), so the complement vector alone tells
+// them apart: it is the paper's leaf vector L, stored as the complement
+// bits (bit i set = factor i complemented) rather than L's
+// "not complemented" bits.
+func (t *Trie) insert(canon uint64, fs []pcube.Factor, c *pcube.CEX) (*Entry, bool) {
+	grp := t.walk(canon, fs, true)
+	cv := pcube.CompVectorOf(fs)
 	for _, e := range grp.entries {
-		if compVector(e.CEX) == cv {
+		if e.CEX.CompVector() == cv {
 			return e, false
 		}
+	}
+	if c == nil {
+		c = pcube.NewCEX(t.n, canon, slices.Clone(fs))
 	}
 	e := &Entry{CEX: c}
 	if len(grp.entries) == 0 {
@@ -169,13 +194,13 @@ func (t *Trie) Insert(c *pcube.CEX) (*Entry, bool) {
 
 // Search returns the entry with CEX equal to c, or nil.
 func (t *Trie) Search(c *pcube.CEX) *Entry {
-	grp := t.walk(c, false)
+	grp := t.walk(c.Canon, c.Factors, false)
 	if grp == nil {
 		return nil
 	}
-	cv := compVector(c)
+	cv := c.CompVector()
 	for _, e := range grp.entries {
-		if compVector(e.CEX) == cv {
+		if e.CEX.CompVector() == cv {
 			return e
 		}
 	}
@@ -242,7 +267,9 @@ func PathKey(c *pcube.CEX, dst []byte) []byte {
 	n := c.N
 	for _, f := range c.Factors {
 		dst = append(dst, byte(ncNode), byte(bitvec.LowestVar(f.Vars&^c.Canon, n)))
-		for _, v := range bitvec.Vars(f.Vars&c.Canon, n) {
+		for m := f.Vars & c.Canon; m != 0; {
+			v := bitvec.LowestVar(m, n)
+			m &^= bitvec.VarMask(n, v)
 			dst = append(dst, byte(cNode), byte(v))
 		}
 	}

@@ -2,6 +2,7 @@ package ptrie
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -197,4 +198,149 @@ func TestDimensionMismatchPanics(t *testing.T) {
 		}
 	}()
 	New(4).Insert(pcube.FromPoint(5, 0))
+}
+
+// pathGroupsDump renders a trie's PathGroups output — path keys and the
+// member keys in stored order — for byte comparison.
+func pathGroupsDump(tr *Trie) string {
+	var sb strings.Builder
+	tr.PathGroups(func(path []byte, es []*Entry) bool {
+		sb.Write(path)
+		sb.WriteByte('|')
+		for _, e := range es {
+			sb.WriteString(e.CEX.Key())
+			sb.WriteByte(';')
+		}
+		sb.WriteByte('\n')
+		return true
+	})
+	return sb.String()
+}
+
+func TestInsertFactorsMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	n := 7
+	viaCEX, viaFactors := New(n), New(n)
+	scratch := make([]pcube.Factor, 0, n)
+	for i := 0; i < 600; i++ {
+		c := randomCEX(rng, n, rng.Intn(n))
+		e1, fresh1 := viaCEX.Insert(c)
+		scratch = append(scratch[:0], c.Factors...)
+		e2, fresh2 := viaFactors.InsertFactors(c.Canon, scratch)
+		// The trie must have copied the scratch on a fresh insert.
+		for j := range scratch {
+			scratch[j] = pcube.Factor{Vars: ^uint64(0), Comp: 1}
+		}
+		if fresh1 != fresh2 {
+			t.Fatalf("insert %d: Insert fresh=%v, InsertFactors fresh=%v", i, fresh1, fresh2)
+		}
+		if !e1.CEX.Equal(e2.CEX) || e2.CEX.Literals() != c.Literals() || e2.CEX.CompVector() != c.CompVector() {
+			t.Fatalf("insert %d: entries differ: %v vs %v", i, e1.CEX, e2.CEX)
+		}
+	}
+	if viaCEX.Len() != viaFactors.Len() || viaCEX.NumGroups() != viaFactors.NumGroups() ||
+		viaCEX.NumInternalNodes() != viaFactors.NumInternalNodes() {
+		t.Fatalf("trie shapes differ: len %d/%d groups %d/%d nodes %d/%d",
+			viaCEX.Len(), viaFactors.Len(), viaCEX.NumGroups(), viaFactors.NumGroups(),
+			viaCEX.NumInternalNodes(), viaFactors.NumInternalNodes())
+	}
+	if a, b := pathGroupsDump(viaCEX), pathGroupsDump(viaFactors); a != b {
+		t.Fatal("PathGroups output differs between Insert and InsertFactors")
+	}
+}
+
+func TestPathKeyMatchesPathGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	n := 8
+	tr := New(n)
+	for i := 0; i < 300; i++ {
+		tr.Insert(randomCEX(rng, n, rng.Intn(n)))
+	}
+	tr.PathGroups(func(path []byte, es []*Entry) bool {
+		for _, e := range es {
+			if got := PathKey(e.CEX, nil); string(got) != string(path) {
+				t.Fatalf("PathKey(%v) = %v, group path %v", e.CEX, got, path)
+			}
+		}
+		return true
+	})
+}
+
+// TestDuplicateUnionAllocFree pins the kernel's contract: a union that
+// the next-level trie has already seen — two thirds of all unions on
+// the Table 1 functions — allocates nothing.
+func TestDuplicateUnionAllocFree(t *testing.T) {
+	n := 8
+	a := randomCEX(rand.New(rand.NewSource(23)), n, 3)
+	b := a.Transform(bitvec.SpaceMask(n) &^ a.Canon)
+	tr := New(n)
+	buf := make([]pcube.Factor, 0, n)
+	fs, canon, ok := pcube.UnionInto(buf, a, b)
+	if !ok {
+		t.Fatal("no union")
+	}
+	if _, fresh := tr.InsertFactors(canon, fs); !fresh {
+		t.Fatal("first insert must be fresh")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		fs, canon, _ := pcube.UnionInto(buf, a, b)
+		if _, fresh := tr.InsertFactors(canon, fs); fresh {
+			t.Fatal("duplicate reported fresh")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("duplicate UnionInto+InsertFactors allocates %.1f times, want 0", allocs)
+	}
+}
+
+// unionLevel is a level of Algorithm 2 with many duplicate unions: the
+// degree-1 pseudocubes of B^n (every pair of points), so each
+// degree-2 union below arises from three same-structure pairs.
+func unionLevel(n int) *Trie {
+	pts := New(n)
+	for p := uint64(0); p < 1<<uint(n); p++ {
+		pts.Insert(pcube.FromPoint(n, p))
+	}
+	lvl := New(n)
+	var buf []pcube.Factor
+	pts.Groups(func(es []*Entry) bool {
+		for i := range es {
+			for j := i + 1; j < len(es); j++ {
+				var canon uint64
+				buf, canon, _ = pcube.UnionInto(buf, es[i].CEX, es[j].CEX)
+				lvl.InsertFactors(canon, buf)
+			}
+		}
+		return true
+	})
+	return lvl
+}
+
+// BenchmarkUnionInsert measures one Algorithm 2 level step on the
+// kernel: UnionInto into scratch plus InsertFactors into a fresh trie,
+// over the 2016 degree-1 pseudocubes of B^6 (31248 unions, 10416
+// fresh). allocs/op counts only the fresh pseudoproducts and the trie
+// nodes and slices they need.
+func BenchmarkUnionInsert(b *testing.B) {
+	n := 6
+	lvl := unionLevel(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var buf []pcube.Factor
+	for i := 0; i < b.N; i++ {
+		next := New(n)
+		lvl.Groups(func(es []*Entry) bool {
+			for x := range es {
+				for y := x + 1; y < len(es); y++ {
+					var canon uint64
+					buf, canon, _ = pcube.UnionInto(buf, es[x].CEX, es[y].CEX)
+					next.InsertFactors(canon, buf)
+				}
+			}
+			return true
+		})
+		if next.Len() != 10416 {
+			b.Fatalf("next level has %d pseudoproducts, want 10416", next.Len())
+		}
+	}
 }
