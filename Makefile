@@ -78,16 +78,18 @@ bench-cover:
 bench:
 	go test -run '^$$' -bench . -benchmem .
 
-# Closed-loop serving benchmark: current hot path (coalescing, sharded
-# cache, slot-free hits) vs the LegacySerial baseline under stampede
-# and drifting-zipf mixes; writes BENCH_serve.json.
+# Closed-loop serving benchmark: the hot path (coalescing, sharded
+# cache, slot-free hits) under stampede and drifting-zipf mixes;
+# replaces the current rows of BENCH_serve.json, whose speedups compare
+# against the recorded pre-coalescing baseline rows.
 bench-serve:
 	go run ./cmd/sppload -out BENCH_serve.json
 
-# Small fast sppload run for CI: exercises both modes end to end.
-# Throughput ratios are not asserted (shared runners are too noisy),
-# but duplicate computes are load-independent: the run is gated against
-# the checked-in baseline, failing if the coalescing path regresses.
+# Small fast sppload run for CI, end to end. Throughput ratios are not
+# asserted (shared runners are too noisy), but duplicate computes are
+# load-independent: the run is gated against the checked-in report,
+# failing if the coalescing path regresses. Any non-200 response fails
+# it too.
 bench-serve-smoke:
 	go run ./cmd/sppload -quick -out /tmp/bench_serve_smoke.json \
 		-baseline BENCH_serve.json -assert-dup-computes

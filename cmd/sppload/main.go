@@ -1,28 +1,28 @@
 // Command sppload is a closed-loop load benchmark for the minimization
 // service: it drives an in-process httptest server with concurrent
-// clients and compares the current serving path (request coalescing,
-// sharded cache, slot-free hits, concurrent batch items) against the
-// pre-coalescing baseline (service.Config.LegacySerial) at equal
-// admission width.
+// clients through the serving path (request coalescing, sharded cache,
+// slot-free hits, concurrent batch items).
 //
-// Two scenarios run in both modes:
+// The default scenario, serve, runs two mixes:
 //
 //	stampede — every client requests the same cold key at once, for a
 //	           series of fresh keys: the pathological thundering herd.
 //	           The headline number is duplicate_computes: identical
 //	           concurrent requests that each ran the engines. Coalescing
-//	           drives it to 0; the baseline computes once per client.
+//	           drives it to 0.
 //	zipf     — a zipf-distributed repeat-heavy key mix, the steady-state
 //	           shape of real traffic. The headline number is
 //	           throughput_rps: slot-free cache hits and coalesced
 //	           waiters let hot keys be served at client concurrency
 //	           instead of admission width.
 //
-// Results are written as JSON (default BENCH_serve.json) with per-run
-// throughput, p50/p99 latency, coalesce rate and duplicate-compute
-// counts, plus baseline-vs-current speedup summaries.
+// Their per-run throughput, p50/p99 latency, coalesce rate and
+// duplicate-compute counts replace the "current" rows of the report at
+// -out (default BENCH_serve.json). The pre-coalescing "baseline" rows
+// recorded there are kept as they are, and the speedup summaries
+// compare against them. Any non-200 response fails the run.
 //
-// A third scenario, selected with -scenario edit-loop, benchmarks the
+// A second scenario, selected with -scenario edit-loop, benchmarks the
 // incremental re-minimization path instead: every client owns a
 // distinct base function and random-walks it, changing -edit-k minterms
 // per step. Warm mode chains delta requests ({"base": ..., "add": ...,
@@ -32,14 +32,14 @@
 // BENCH_delta.json (spp-bench-delta/v1) with an edit_loop_speedup
 // summary.
 //
-// A fourth scenario, -scenario jobs, drives the async job tier: each
+// A third scenario, -scenario jobs, drives the async job tier: each
 // closed-loop client owns a priority class, submits jobs through POST
 // /v1/jobs and long-polls each to a terminal state, recording
 // submit-to-done latency per class. The results merge into the
 // existing BENCH_serve.json (a "jobs" section plus jobs_* summary
 // keys) rather than replacing the serve results.
 //
-// A fifth scenario, -scenario form-mix, measures the portfolio engine
+// A fourth scenario, -scenario form-mix, measures the portfolio engine
 // (docs/forms.md): every function is minimized once per explicit form
 // (spp, sop, esop, dsop) on one server, then raced with form=auto on a
 // fresh server. Per-form win rates (from /statsz engine_wins_by_form),
@@ -48,7 +48,7 @@
 // "form_mix" section, and every auto cost is checked against the
 // minimum explicit cost (the determinism contract).
 //
-// A sixth scenario, -scenario overload, measures the adaptive
+// A fifth scenario, -scenario overload, measures the adaptive
 // admission layer: phase 1 runs distinct cold computes with clients ==
 // admission width (the at-capacity goodput baseline), phase 2 re-runs
 // identical work on a fresh server at several times capacity with
@@ -63,7 +63,7 @@
 //
 // With -baseline pointing at a checked-in report, sppload doubles as a
 // CI regression gate: -assert-dup-computes fails the serve scenario if
-// the current mode's duplicate computes exceed the baseline's, and
+// its duplicate computes exceed the report's current rows, and
 // -assert-cover-split additionally fails the edit-loop if the warm
 // covering speedup collapses below a third of the baseline's.
 package main
@@ -116,6 +116,9 @@ type runResult struct {
 	CacheMisses     int64 `json:"cache_misses"`
 	CoalesceWaiters int64 `json:"coalesce_waiters"`
 	Errors          int64 `json:"errors"`
+	// Non200 counts the responses that were not 200, by HTTP status (0
+	// for a request that got no response). Any entry fails the run.
+	Non200 map[int]int `json:"non_200,omitempty"`
 }
 
 type report struct {
@@ -212,12 +215,12 @@ type jobRunResult struct {
 
 func main() {
 	out := flag.String("out", "", "output JSON path (- for stdout; default BENCH_serve.json, or BENCH_delta.json for -scenario edit-loop)")
-	scenario := flag.String("scenario", "serve", "benchmark scenario: serve (stampede+zipf), edit-loop (delta vs cold re-submits), jobs (async tier) or form-mix (portfolio race win rates and overhead)")
+	scenario := flag.String("scenario", "serve", "benchmark scenario: serve (stampede+zipf), edit-loop (delta vs cold re-submits), jobs (async tier), form-mix (portfolio race win rates and overhead) or overload (adaptive admission at 4x capacity)")
 	clients := flag.Int("clients", 8, "concurrent closed-loop clients")
 	keys := flag.Int("keys", 40, "distinct functions in the zipf mix")
 	requests := flag.Int("requests", 400, "total requests in the zipf scenario")
 	rounds := flag.Int("rounds", 10, "cold keys in the stampede scenario")
-	maxConcurrent := flag.Int("max-concurrent", 8, "zipf-scenario admission width, equal for both modes")
+	maxConcurrent := flag.Int("max-concurrent", 8, "zipf-scenario admission width")
 	zipfS := flag.Float64("zipf-s", 1.2, "zipf skew (s > 1)")
 	nvars := flag.Int("nvars", 9, "variables per benchmark function")
 	onBase := flag.Int("on-base", 128, "smallest ON-set size")
@@ -227,7 +230,7 @@ func main() {
 	quick := flag.Bool("quick", false, "small fast run for CI smoke")
 	assertCoverSplit := flag.Bool("assert-cover-split", false, "edit-loop only: exit 1 unless the warm per-run covering time beats cold (CI regression gate)")
 	baseline := flag.String("baseline", "", "checked-in report to gate against (BENCH_serve.json for serve, BENCH_delta.json for edit-loop)")
-	assertDup := flag.Bool("assert-dup-computes", false, "serve only: exit 1 if current-mode duplicate computes exceed the -baseline report's (CI regression gate)")
+	assertDup := flag.Bool("assert-dup-computes", false, "serve only: exit 1 if duplicate computes exceed the -baseline report's current rows (CI regression gate)")
 	assertFlat := flag.Bool("assert-goodput-flat", false, "overload only: exit 1 unless goodput at 4x capacity stays within 10% of at-capacity, every 429 carries Retry-After and shed p50 < 10ms (CI regression gate)")
 	flag.Parse()
 
@@ -300,84 +303,63 @@ func main() {
 	if *out == "" {
 		*out = "BENCH_serve.json"
 	}
-
 	if *quick {
 		*clients, *keys, *requests, *rounds, *window = 4, 10, 64, 3, 16
 	}
 
+	rep := openServeReport(*out)
+	for k, v := range map[string]any{
+		"clients":        *clients,
+		"keys":           *keys,
+		"requests":       *requests,
+		"rounds":         *rounds,
+		"max_concurrent": *maxConcurrent,
+		"zipf_s":         *zipfS,
+		"window":         *window,
+		"nvars":          *nvars,
+		"on_base":        *onBase,
+		"quick":          *quick,
+	} {
+		rep.Config[k] = v
+	}
+
 	bodies := makeBodies(max(*keys, *rounds), *nvars, *onBase, 2)
-	modes := []struct {
-		name   string
-		legacy bool
-	}{
-		{"baseline", true},
-		{"current", false},
+	runs := []runResult{
+		// The stampede runs at admission width == clients, so duplicate
+		// computes measure coalescing rather than admission-gate
+		// serialization.
+		runStampede(*clients, *clients, *rounds, bodies),
+		runZipf(*maxConcurrent, *clients, *requests, *keys, *window, *zipfS, bodies),
 	}
-
-	rep := report{
-		Schema:    "spp-bench-serve/v1",
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Config: map[string]any{
-			"clients":        *clients,
-			"keys":           *keys,
-			"requests":       *requests,
-			"rounds":         *rounds,
-			"max_concurrent": *maxConcurrent,
-			"zipf_s":         *zipfS,
-			"window":         *window,
-			"nvars":          *nvars,
-			"on_base":        *onBase,
-			"quick":          *quick,
-		},
-		Summary: map[string]string{},
-	}
-
-	for _, m := range modes {
-		// The stampede runs at admission width == clients in both
-		// modes, so duplicate computes measure coalescing rather than
-		// admission-gate serialization.
-		res := runStampede(m.name, m.legacy, *clients, *clients, *rounds, bodies)
-		rep.Results = append(rep.Results, res)
+	non200 := 0
+	for _, res := range runs {
 		fmt.Printf("%-9s %-8s  %7.1f req/s  p50 %6.2fms  p99 %7.2fms  dup-computes %3d  coalesce %4.0f%%\n",
 			res.Scenario, res.Mode, res.ThroughputRPS, res.P50MS, res.P99MS,
 			res.DuplicateComputes, 100*res.CoalesceRate)
+		for code, n := range res.Non200 {
+			fmt.Fprintf(os.Stderr, "sppload: %s: %d responses with status %d\n", res.Scenario, n, code)
+			non200 += n
+		}
+		if cur := find(rep.Results, res.Scenario, "current"); cur != nil {
+			*cur = res
+		} else {
+			rep.Results = append(rep.Results, res)
+		}
+		if base := find(rep.Results, res.Scenario, "baseline"); base != nil && base.ThroughputRPS > 0 {
+			rep.Summary[res.Scenario+"_speedup"] = fmt.Sprintf("%.2fx", res.ThroughputRPS/base.ThroughputRPS)
+			rep.Summary[res.Scenario+"_duplicate_computes"] = fmt.Sprintf("%d -> %d", base.DuplicateComputes, res.DuplicateComputes)
+		}
 	}
-	for _, m := range modes {
-		res := runZipf(m.name, m.legacy, *maxConcurrent, *clients, *requests, *keys, *window, *zipfS, bodies)
-		rep.Results = append(rep.Results, res)
-		fmt.Printf("%-9s %-8s  %7.1f req/s  p50 %6.2fms  p99 %7.2fms  dup-computes %3d  coalesce %4.0f%%\n",
-			res.Scenario, res.Mode, res.ThroughputRPS, res.P50MS, res.P99MS,
-			res.DuplicateComputes, 100*res.CoalesceRate)
-	}
-
+	writeReport(*out, rep)
 	for _, scenario := range []string{"stampede", "zipf"} {
-		base, cur := find(rep.Results, scenario, "baseline"), find(rep.Results, scenario, "current")
-		if base != nil && cur != nil && base.ThroughputRPS > 0 {
-			rep.Summary[scenario+"_speedup"] = fmt.Sprintf("%.2fx", cur.ThroughputRPS/base.ThroughputRPS)
-			rep.Summary[scenario+"_duplicate_computes"] = fmt.Sprintf("%d -> %d", base.DuplicateComputes, cur.DuplicateComputes)
+		for _, k := range []string{scenario + "_speedup", scenario + "_duplicate_computes"} {
+			if v, ok := rep.Summary[k]; ok {
+				fmt.Printf("summary %s = %s\n", k, v)
+			}
 		}
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sppload:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "sppload:", err)
-		os.Exit(1)
-	}
-	for k, v := range rep.Summary {
-		fmt.Printf("summary %s = %s\n", k, v)
-	}
-
+	failed := non200 > 0
 	if *assertDup {
 		if *baseline == "" {
 			fmt.Fprintln(os.Stderr, "sppload: -assert-dup-computes needs -baseline")
@@ -388,22 +370,17 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sppload: baseline:", err)
 			os.Exit(1)
 		}
-		failed := false
-		for _, scenario := range []string{"stampede", "zipf"} {
-			want := find(base.Results, scenario, "current")
-			got := find(rep.Results, scenario, "current")
-			if want == nil || got == nil {
-				continue
-			}
-			if got.DuplicateComputes > want.DuplicateComputes {
-				fmt.Fprintf(os.Stderr, "sppload: dup-computes assertion failed: %s current %d > baseline %d\n",
-					scenario, got.DuplicateComputes, want.DuplicateComputes)
+		for _, got := range runs {
+			want := find(base.Results, got.Scenario, "current")
+			if want != nil && got.DuplicateComputes > want.DuplicateComputes {
+				fmt.Fprintf(os.Stderr, "sppload: dup-computes assertion failed: %s %d > baseline %d\n",
+					got.Scenario, got.DuplicateComputes, want.DuplicateComputes)
 				failed = true
 			}
 		}
-		if failed {
-			os.Exit(1)
-		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 
@@ -421,6 +398,45 @@ func loadServeReport(path string) (*report, error) {
 		return nil, fmt.Errorf("%s: schema %q, want spp-bench-serve/v1", path, rep.Schema)
 	}
 	return &rep, nil
+}
+
+// openServeReport loads the serve report at out for a scenario to merge
+// its own sections into, or starts a fresh one when there is no usable
+// report there (or out is stdout).
+func openServeReport(out string) *report {
+	rep, err := loadServeReport(out)
+	if err != nil {
+		rep = &report{Schema: "spp-bench-serve/v1"}
+	}
+	if rep.Config == nil {
+		rep.Config = map[string]any{}
+	}
+	if rep.Summary == nil {
+		rep.Summary = map[string]string{}
+	}
+	rep.Generated = time.Now().UTC().Format(time.RFC3339)
+	return rep
+}
+
+// writeReport writes v as indented JSON to out ("-" for stdout),
+// exiting on failure.
+func writeReport(out string, v any) {
+	var w io.Writer = os.Stdout
+	if out != "-" {
+		f, err := os.Create(out)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sppload:", err)
+			os.Exit(1)
+		}
+		defer f.Close()
+		w = f
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fmt.Fprintln(os.Stderr, "sppload:", err)
+		os.Exit(1)
+	}
 }
 
 // makeBodies builds count distinct request bodies whose functions are
@@ -452,12 +468,11 @@ func makeBodies(count, nvars, onBase, onStep int) []string {
 	return bodies
 }
 
-func newServer(legacy bool, maxConcurrent int) (*httptest.Server, func() service.Statsz) {
+func newServer(maxConcurrent int) (*httptest.Server, func() service.Statsz) {
 	cfg := service.Config{
 		Core:          harness.DefaultConfig(),
 		MaxConcurrent: maxConcurrent,
 		CacheSize:     1024,
-		LegacySerial:  legacy,
 	}
 	srv := service.New(cfg)
 	ts := httptest.NewServer(srv.Handler())
@@ -476,26 +491,29 @@ func newServer(legacy bool, maxConcurrent int) (*httptest.Server, func() service
 	return ts, statsz
 }
 
-func post(client *http.Client, url, body string) (time.Duration, bool) {
+// post sends one minimize body and returns its latency and HTTP status
+// (0 when the request never got a response).
+func post(client *http.Client, url, body string) (time.Duration, int) {
 	start := time.Now()
 	resp, err := client.Post(url+"/v1/minimize", "application/json", strings.NewReader(body))
 	if err != nil {
-		return time.Since(start), false
+		return time.Since(start), 0
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	return time.Since(start), resp.StatusCode == http.StatusOK
+	return time.Since(start), resp.StatusCode
 }
 
 // runStampede fires all clients at the same cold key simultaneously,
 // once per round with a fresh key each round.
-func runStampede(mode string, legacy bool, maxConcurrent, clients, rounds int, bodies []string) runResult {
-	ts, statsz := newServer(legacy, maxConcurrent)
+func runStampede(maxConcurrent, clients, rounds int, bodies []string) runResult {
+	ts, statsz := newServer(maxConcurrent)
 	defer ts.Close()
 	client := &http.Client{}
 
 	var mu sync.Mutex
 	var lats []time.Duration
+	codes := map[int]int{}
 	start := time.Now()
 	for r := 0; r < rounds; r++ {
 		body := bodies[r]
@@ -506,9 +524,10 @@ func runStampede(mode string, legacy bool, maxConcurrent, clients, rounds int, b
 			go func() {
 				defer wg.Done()
 				<-begin
-				d, _ := post(client, ts.URL, body)
+				d, code := post(client, ts.URL, body)
 				mu.Lock()
 				lats = append(lats, d)
+				codes[code]++
 				mu.Unlock()
 			}()
 		}
@@ -518,7 +537,7 @@ func runStampede(mode string, legacy bool, maxConcurrent, clients, rounds int, b
 	elapsed := time.Since(start)
 
 	st := statsz()
-	return summarize("stampede", mode, clients, rounds, lats, elapsed, st)
+	return summarize("stampede", clients, rounds, lats, codes, elapsed, st)
 }
 
 // runZipf is the steady-state closed loop: each client draws its next
@@ -526,17 +545,17 @@ func runStampede(mode string, legacy bool, maxConcurrent, clients, rounds int, b
 // completes. The hot set drifts — every window requests the whole key
 // distribution shifts by one — so the mix stays repeat-heavy while new
 // hot keys keep arriving cold at all clients at once, the way real
-// traffic rolls its working set. (On every shift, the baseline computes
-// the new hot key once per concurrent client; coalescing computes it
-// once.)
-func runZipf(mode string, legacy bool, maxConcurrent, clients, requests, keys, window int, s float64, bodies []string) runResult {
-	ts, statsz := newServer(legacy, maxConcurrent)
+// traffic rolls its working set. (On every shift, coalescing computes
+// the new hot key once, not once per concurrent client.)
+func runZipf(maxConcurrent, clients, requests, keys, window int, s float64, bodies []string) runResult {
+	ts, statsz := newServer(maxConcurrent)
 	defer ts.Close()
 	client := &http.Client{}
 
 	perClient := requests / clients
 	var mu sync.Mutex
 	var lats []time.Duration
+	codes := map[int]int{}
 	touched := make(map[int]bool)
 	var total int
 	start := time.Now()
@@ -555,9 +574,10 @@ func runZipf(mode string, legacy bool, maxConcurrent, clients, requests, keys, w
 				// Hot key (draw 0) is the newest key; larger draws walk
 				// back into older, already-warm keys.
 				k := ((shift-int(zipf.Uint64()))%len(bodies) + len(bodies)) % len(bodies)
-				d, _ := post(client, ts.URL, bodies[k])
+				d, code := post(client, ts.URL, bodies[k])
 				mu.Lock()
 				lats = append(lats, d)
+				codes[code]++
 				touched[k] = true
 				mu.Unlock()
 			}
@@ -567,10 +587,12 @@ func runZipf(mode string, legacy bool, maxConcurrent, clients, requests, keys, w
 	elapsed := time.Since(start)
 
 	st := statsz()
-	return summarize("zipf", mode, clients, len(touched), lats, elapsed, st)
+	return summarize("zipf", clients, len(touched), lats, codes, elapsed, st)
 }
 
-func summarize(scenario, mode string, clients, uniqueKeys int, lats []time.Duration, elapsed time.Duration, st service.Statsz) runResult {
+// summarize turns one run into its "current" report row; codes counts
+// the responses by HTTP status.
+func summarize(scenario string, clients, uniqueKeys int, lats []time.Duration, codes map[int]int, elapsed time.Duration, st service.Statsz) runResult {
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	pct := func(p float64) float64 {
 		if len(lats) == 0 {
@@ -583,9 +605,13 @@ func summarize(scenario, mode string, clients, uniqueKeys int, lats []time.Durat
 	if st.Served > 0 {
 		rate = float64(st.CoalesceWaiters) / float64(st.Served)
 	}
+	delete(codes, http.StatusOK)
+	if len(codes) == 0 {
+		codes = nil
+	}
 	return runResult{
 		Scenario:          scenario,
-		Mode:              mode,
+		Mode:              "current",
 		Clients:           clients,
 		Requests:          len(lats),
 		UniqueKeys:        uniqueKeys,
@@ -599,6 +625,7 @@ func summarize(scenario, mode string, clients, uniqueKeys int, lats []time.Durat
 		CacheMisses:       st.CacheMisses,
 		CoalesceWaiters:   st.CoalesceWaiters,
 		Errors:            st.Errors,
+		Non200:            codes,
 	}
 }
 
@@ -693,13 +720,7 @@ func runJobsScenario(out string, clients, totalJobs, workers, nvars, onBase int,
 		os.Exit(1)
 	}
 
-	rep, err := loadServeReport(out)
-	if err != nil {
-		// No (usable) prior serve report: start a fresh one that carries
-		// only the jobs section.
-		rep = &report{Schema: "spp-bench-serve/v1", Config: map[string]any{}, Summary: map[string]string{}}
-	}
-	rep.Generated = time.Now().UTC().Format(time.RFC3339)
+	rep := openServeReport(out)
 	rep.Config["jobs_clients"] = clients
 	rep.Config["jobs_total"] = totalJobs
 	rep.Config["jobs_workers"] = workers
@@ -747,22 +768,7 @@ func runJobsScenario(out string, clients, totalJobs, workers, nvars, onBase int,
 			prio, res.JobsPerS, res.P50MS, res.P99MS, res.MeanMS, res.Failed)
 	}
 
-	var w io.Writer = os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sppload:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "sppload:", err)
-		os.Exit(1)
-	}
+	writeReport(out, rep)
 	for _, prio := range priorities {
 		if v, ok := rep.Summary["jobs_p50_"+prio]; ok {
 			fmt.Printf("summary jobs_p50_%s = %s\n", prio, v)
@@ -870,9 +876,9 @@ func runOverloadScenario(out string, total, nvars, onBase int, quick, assertFlat
 	// round bills server or connection setup to its timed window. All
 	// bodies are distinct, so the shared result cache never short-cuts
 	// a compute.
-	baseTS, _ := newServer(false, gate)
+	baseTS, _ := newServer(gate)
 	defer baseTS.Close()
-	overTS, overStatsz := newServer(false, gate)
+	overTS, overStatsz := newServer(gate)
 	defer overTS.Close()
 
 	// runBase is one at-capacity round: a single closed-loop client on
@@ -881,8 +887,8 @@ func runOverloadScenario(out string, total, nvars, onBase int, quick, assertFlat
 	runBase := func(pool []string) {
 		start := time.Now()
 		for _, b := range pool {
-			d, ok := post(client, baseTS.URL, b)
-			if !ok {
+			d, code := post(client, baseTS.URL, b)
+			if code != http.StatusOK {
 				fmt.Fprintln(os.Stderr, "sppload: overload at-capacity request failed")
 				os.Exit(1)
 			}
@@ -1057,13 +1063,7 @@ func runOverloadScenario(out string, total, nvars, onBase int, quick, assertFlat
 	overRes.SuccessP50MS = pctMS(okLats, 0.50)
 	overRes.ShedP50MS = pctMS(shedLats, 0.50)
 
-	rep, err := loadServeReport(out)
-	if err != nil {
-		// No (usable) prior serve report: start a fresh one that
-		// carries only the overload section.
-		rep = &report{Schema: "spp-bench-serve/v1", Config: map[string]any{}, Summary: map[string]string{}}
-	}
-	rep.Generated = time.Now().UTC().Format(time.RFC3339)
+	rep := openServeReport(out)
 	rep.Config["overload_total"] = total
 	rep.Config["overload_gate"] = gate
 	rep.Config["overload_patient_timeout_ms"] = patientMS
@@ -1101,22 +1101,7 @@ func runOverloadScenario(out string, total, nvars, onBase int, quick, assertFlat
 			r.Phase, r.Clients, r.Gate, r.GoodputRPS, r.SuccessP50MS, r.Shed429, r.ShedP50MS, r.Timeouts)
 	}
 
-	var w io.Writer = os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sppload:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "sppload:", err)
-		os.Exit(1)
-	}
+	writeReport(out, rep)
 	fmt.Printf("summary overload_goodput = %s\n", rep.Summary["overload_goodput"])
 	fmt.Printf("summary overload_sheds = %s\n", rep.Summary["overload_sheds"])
 
@@ -1220,7 +1205,7 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 	}
 
 	// Phase 1: explicit forms, serially for clean latencies.
-	ts, _ := newServer(false, maxConcurrent)
+	ts, _ := newServer(maxConcurrent)
 	client := &http.Client{}
 	lat := make(map[string][]time.Duration, len(forms))
 	cost := make(map[string][]int, len(forms))
@@ -1241,7 +1226,7 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 	ts.Close()
 
 	// Phase 2: auto races on a fresh server.
-	ts, statsz := newServer(false, maxConcurrent)
+	ts, statsz := newServer(maxConcurrent)
 	defer ts.Close()
 	autoLat := make([]time.Duration, keys)
 	autoCost := make([]int, keys)
@@ -1275,11 +1260,7 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 	}
 	st := statsz()
 
-	rep, err := loadServeReport(out)
-	if err != nil {
-		rep = &report{Schema: "spp-bench-serve/v1", Config: map[string]any{}, Summary: map[string]string{}}
-	}
-	rep.Generated = time.Now().UTC().Format(time.RFC3339)
+	rep := openServeReport(out)
 	rep.Config["form_mix_keys"] = keys
 	rep.Config["form_mix_nvars"] = nvars
 	rep.Config["form_mix_on_base"] = onBase
@@ -1339,22 +1320,7 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 	}
 	rep.Summary["form_mix_wins"] = strings.Join(winParts, ", ")
 
-	var w io.Writer = os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sppload:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "sppload:", err)
-		os.Exit(1)
-	}
+	writeReport(out, rep)
 	for _, k := range []string{"form_mix_wins", "form_mix_race_overhead", "form_mix_best_cost"} {
 		fmt.Printf("summary %s = %s\n", k, rep.Summary[k])
 	}
@@ -1446,22 +1412,7 @@ func runEditLoopScenario(out string, clients, edits, editK, nvars, onBase int, q
 		rep.Summary["edit_loop_cover_split"] = fmt.Sprintf("%.3fms -> %.3fms per run", cold.CoverMSMean, warm.CoverMSMean)
 	}
 
-	var w io.Writer = os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sppload:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "sppload:", err)
-		os.Exit(1)
-	}
+	writeReport(out, rep)
 	for k, v := range rep.Summary {
 		fmt.Printf("summary %s = %s\n", k, v)
 	}

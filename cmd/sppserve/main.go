@@ -43,7 +43,7 @@ func main() {
 		maxConc     = flag.Int("max-concurrent", 2, "admission gate width: engine computes in flight at once (cache hits and coalesced waiters are not gated)")
 		batchWork   = flag.Int("batch-workers", 4, "batch items processed concurrently per request (1 = serial)")
 		cacheSize   = flag.Int("cache-size", 256, "canonical-function result cache capacity (entries)")
-		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "result cache capacity in payload bytes (warm states charge their real footprint; 0 = unbounded)")
+		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "result cache capacity in payload bytes (warm states charge their real footprint; 0 or less means the 256 MiB default)")
 		cacheShards = flag.Int("cache-shards", 0, "result cache shard count, rounded to a power of two (0 = automatic)")
 		warmCache   = flag.Bool("warm-cache", false, "retain warm EPPP state for exact runs and accept delta requests against it")
 		maxDirty    = flag.Float64("delta-max-dirty", 0.25, "delta requests whose churn exceeds this fraction of the base care set fall back to a cold run")

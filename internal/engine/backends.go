@@ -26,9 +26,9 @@ type sppBackend struct{}
 func (sppBackend) Name() string     { return "spp" }
 func (sppBackend) SupportsDC() bool { return true }
 
-// Salt reproduces the service's historical SPP option tag byte for
-// byte, so pre-portfolio cache keys, warm pointers and journaled jobs
-// stay valid across the upgrade. Do not reformat.
+// Salt is the SPP option tag: the service keys every SPP result, warm
+// state and warm pointer by it. Do not reformat; journaled keys and
+// base_keys depend on it.
 func (sppBackend) Salt(opts Options) string {
 	alg := opts.Algorithm
 	if alg == "" {

@@ -22,11 +22,12 @@ import (
 func derivedKey(t *testing.T, s *Server, f *bfunc.Func, q Request) fcache.Key {
 	t.Helper()
 	key, _, _ := fcache.Canonicalize(f)
-	alg, err := normalizeAlgorithm(q, f.N())
+	q, err := s.normalizeForm(q, f.N())
 	if err != nil {
-		t.Fatalf("normalizeAlgorithm: %v", err)
+		t.Fatalf("normalizeForm: %v", err)
 	}
-	return key.Derive(s.optionTag(q, alg))
+	spp, _ := s.registry.Get("spp")
+	return key.Derive(spp.Salt(s.engineOptions(t.Context(), q)))
 }
 
 func statszOf(t *testing.T, h http.Handler) Statsz {
@@ -443,40 +444,6 @@ func TestBatchWorkersConcurrent(t *testing.T) {
 			t.Errorf("results[%d].Literals = %d, want %d (results out of order?)",
 				i, br.Results[i].Literals, wantLits)
 		}
-	}
-}
-
-// TestLegacySerialMode: the A/B baseline keeps the old semantics —
-// single-shard cache, no coalescing, serial batch items that hit the
-// cache rather than join flights.
-func TestLegacySerialMode(t *testing.T) {
-	cfg := testConfig()
-	cfg.LegacySerial = true
-	s := New(cfg)
-	h := s.Handler()
-	on := pointsJSON(oddParity(3))
-
-	code, out := post(t, h, fmt.Sprintf(`{"requests":[{"n":3,"on":%s},{"n":3,"on":%s}]}`, on, on))
-	if code != http.StatusOK {
-		t.Fatalf("legacy batch: status %d: %s", code, out)
-	}
-	var br batchResponse
-	if err := json.Unmarshal([]byte(out), &br); err != nil {
-		t.Fatalf("bad batch JSON: %v", err)
-	}
-	if br.Results[0].Cached || br.Results[0].Coalesced {
-		t.Errorf("legacy first item: %+v, want fresh", br.Results[0])
-	}
-	if !br.Results[1].Cached || br.Results[1].Coalesced {
-		t.Errorf("legacy duplicate item: cached=%v coalesced=%v, want serial cache hit",
-			br.Results[1].Cached, br.Results[1].Coalesced)
-	}
-	st := statszOf(t, h)
-	if st.CacheShards != 1 {
-		t.Errorf("legacy cache shards = %d, want 1", st.CacheShards)
-	}
-	if st.CoalesceWaiters != 0 || st.Served != 2 || st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Errorf("legacy statsz = %+v", st)
 	}
 }
 

@@ -11,11 +11,10 @@ package service
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/bfunc"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fcache"
 	"repro/internal/stats"
@@ -24,195 +23,147 @@ import (
 // normalizeForm resolves the request's form field and enforces the
 // option matrix: algorithm/k and factor_cost belong to the SPP
 // backend, exact_cover to the covering backends (spp, sop, and auto —
-// which races both), accept_literals to the auto race.
-func (s *Server) normalizeForm(q Request) (string, error) {
-	form := q.Form
-	if form == "" {
-		form = "spp"
+// which races both), accept_literals to the auto race. It returns q
+// with the form and the SPP engine spelled the way the spp salt keys
+// them: no algorithm is exact, spp_k is sppk, and exact and naive
+// ignore k (keyed k=0); sppk needs k in [0, n-1].
+func (s *Server) normalizeForm(q Request, n int) (Request, error) {
+	if q.Form == "" {
+		q.Form = "spp"
 	}
-	switch form {
+	switch q.Form {
 	case "spp":
 		if q.AcceptLiterals != 0 {
-			return "", fmt.Errorf("accept_literals applies only to form \"auto\"")
+			return Request{}, fmt.Errorf("accept_literals applies only to form \"auto\"")
 		}
 	case "sop", "esop", "dsop":
 		if q.Algorithm != "" || q.K != 0 {
-			return "", fmt.Errorf("algorithm/k apply only to form \"spp\", not %q", form)
+			return Request{}, fmt.Errorf("algorithm/k apply only to form \"spp\", not %q", q.Form)
 		}
 		if q.FactorCost {
-			return "", fmt.Errorf("factor_cost applies only to form \"spp\", not %q", form)
+			return Request{}, fmt.Errorf("factor_cost applies only to form \"spp\", not %q", q.Form)
 		}
-		if q.ExactCover && form != "sop" {
-			return "", fmt.Errorf("exact_cover applies to forms \"spp\" and \"sop\", not %q", form)
+		if q.ExactCover && q.Form != "sop" {
+			return Request{}, fmt.Errorf("exact_cover applies to forms \"spp\" and \"sop\", not %q", q.Form)
 		}
 		if q.AcceptLiterals != 0 {
-			return "", fmt.Errorf("accept_literals applies only to form \"auto\"")
+			return Request{}, fmt.Errorf("accept_literals applies only to form \"auto\"")
 		}
 	case "auto":
 		if q.Algorithm != "" || q.K != 0 {
-			return "", fmt.Errorf("algorithm/k apply only to form \"spp\"; auto races the default engines")
+			return Request{}, fmt.Errorf("algorithm/k apply only to form \"spp\"; auto races the default engines")
 		}
 		if q.FactorCost {
 			// Racing needs one shared cost model; factor cost would score
 			// the SPP entrant on a different axis than its rivals.
-			return "", fmt.Errorf("factor_cost is incompatible with form \"auto\" (the race compares literal counts)")
+			return Request{}, fmt.Errorf("factor_cost is incompatible with form \"auto\" (the race compares literal counts)")
 		}
 		if q.AcceptLiterals < 0 {
-			return "", fmt.Errorf("accept_literals must be >= 0")
+			return Request{}, fmt.Errorf("accept_literals must be >= 0")
 		}
 	default:
-		return "", fmt.Errorf("unknown form %q (have spp, sop, esop, dsop, auto)", form)
+		return Request{}, fmt.Errorf("unknown form %q (have spp, sop, esop, dsop, auto)", q.Form)
 	}
-	if form != "auto" {
-		if _, ok := s.registry.Get(form); !ok {
-			return "", fmt.Errorf("form %q is disabled on this server (enabled: %s)",
-				form, strings.Join(s.registry.NamesEnabled(), ", "))
+	if q.Form != "auto" {
+		if _, ok := s.registry.Get(q.Form); !ok {
+			return Request{}, fmt.Errorf("form %q is disabled on this server (enabled: %s)",
+				q.Form, strings.Join(s.registry.NamesEnabled(), ", "))
 		}
 	}
-	return form, nil
-}
-
-// engineOptions assembles one backend run's options. The SPP entrant
-// of an auto race always runs the exact algorithm (normalizeForm
-// rejects algorithm/k for non-spp forms).
-func (s *Server) engineOptions(ctx context.Context, q Request, rec *stats.Recorder) engine.Options {
-	return engine.Options{
-		Core:   s.coreOptions(ctx, q, rec),
-		Target: q.AcceptLiterals,
-	}
-}
-
-// processEngine serves a non-SPP explicit form or the auto race:
-// canonicalize, probe the per-backend cache keys, and on miss lead or
-// join a coalesced computation, exactly like the SPP path.
-func (s *Server) processEngine(ctx context.Context, q Request, f *bfunc.Func, formName string, start time.Time) Response {
-	elapsed := func() int64 { return time.Since(start).Nanoseconds() }
-	fail := func(status int, err error, oc outcome) Response {
-		return Response{Error: err.Error(), status: status, outcome: oc, ElapsedNS: elapsed()}
-	}
-	failErr := func(err error) Response {
-		status := statusFor(err)
-		if status == http.StatusInternalServerError {
-			if ce := ctx.Err(); ce != nil {
-				status = statusFor(ce)
+	if q.Form == "spp" {
+		switch q.Algorithm {
+		case "", "exact":
+			q.Algorithm, q.K = "exact", 0
+		case "naive":
+			q.K = 0
+		case "sppk", "spp_k":
+			if q.K < 0 || q.K > n-1 {
+				return Request{}, fmt.Errorf("k=%d outside [0, %d]", q.K, n-1)
 			}
+			q.Algorithm = "sppk"
+		default:
+			return Request{}, fmt.Errorf("unknown algorithm %q", q.Algorithm)
 		}
-		return applyShed(fail(status, err, outcomeError), err)
 	}
+	return q, nil
+}
 
-	baseKey, perm, canon, err := fcache.CanonicalizeCtx(ctx, f)
-	if err != nil {
-		return failErr(err)
+// engineOptions assembles one backend run's options from a request in
+// normalizeForm's spelling. The SPP entrant of an auto race runs the
+// exact engine (normalizeForm rejects algorithm/k for non-spp forms).
+func (s *Server) engineOptions(ctx context.Context, q Request) engine.Options {
+	opts := engine.Options{
+		Core:      s.cfg.Core.CoreOptions(),
+		Algorithm: q.Algorithm,
+		K:         q.K,
+		Target:    q.AcceptLiterals,
 	}
-	inv := fcache.InversePerm(perm)
-	sameCanon := func(e cacheEntry) bool { return e.canon.Equal(canon) }
-	engOpts := s.engineOptions(ctx, q, nil)
-
-	respond := func(e cacheEntry, key fcache.Key, cached, coalesced bool, rep *stats.Report) Response {
-		form := e.form.Permute(inv)
-		oc := outcomeComputed
-		if coalesced {
-			oc = outcomeCoalesced
-		} else if cached {
-			oc = outcomeHit
-		}
-		out := Response{
-			Form:         form.String(),
-			Literals:     form.Literals(),
-			NumTerms:     form.NumTerms(),
-			FormKind:     e.kind,
-			EPPP:         e.eppp,
-			CoverOptimal: e.coverOptimal,
-			Cached:       cached || coalesced,
-			Coalesced:    coalesced,
-			Key:          key.String(),
-			ElapsedNS:    elapsed(),
-			outcome:      oc,
-		}
-		if q.Stats && rep != nil {
-			out.Stats = rep
-		}
-		return out
+	opts.Core.Ctx = ctx
+	opts.Core.CoverExact = q.ExactCover
+	if q.FactorCost {
+		opts.Core.Cost = core.CostFactors
 	}
+	return opts
+}
 
-	if formName == "auto" {
-		return s.processAuto(ctx, q, canon, baseKey, engOpts, respond, fail, failErr)
-	}
-
-	b, _ := s.registry.Get(formName) // normalizeForm already vetted it
+// processForm serves an explicit form: one backend's result, cached
+// under the canonical key salted with that backend's options. Exact
+// SPP on a WarmCache server runs computeWarm instead, so its responses
+// also carry the base_key delta requests chain on.
+func (s *Server) processForm(ctx context.Context, q Request, f, canon *bfunc.Func, canonKey fcache.Key, perm []int) Response {
+	b, _ := s.registry.Get(q.Form) // normalizeForm already vetted it
 	if !b.SupportsDC() && len(f.DC()) > 0 {
-		return fail(http.StatusBadRequest,
-			fmt.Errorf("form %q requires a completely specified function (drop the dc set)", formName),
-			outcomeError)
+		return badRequest(fmt.Errorf("form %q requires a completely specified function (drop the dc set)", q.Form))
 	}
-	key := baseKey.Derive(b.Salt(engOpts))
-
-	if q.NoCache {
-		e, rep, err := s.computeEngine(ctx, b, key, canon, engOpts, !s.cfg.LegacySerial, nil)
-		if err != nil {
-			return failErr(err)
+	opts := s.engineOptions(ctx, q)
+	salt := b.Salt(opts)
+	key := canonKey.Derive(salt)
+	fl := flight{key: key, valid: func(e cacheEntry) bool { return e.canon.Equal(canon) }}
+	// Warm-enabled exact runs retain one resumable engine state per
+	// canonical class plus a thin per-client pointer under the
+	// exact-function key, advertised as base_key for delta requests.
+	warm := s.cfg.WarmCache && q.Algorithm == "exact"
+	var warmKey fcache.Key
+	if warm {
+		warmKey = fcache.WarmPointerKey(fcache.KeyOf(f), salt)
+		fl.compute = func(waiters func() int64) (cacheEntry, *stats.Report, error) {
+			return s.computeWarm(ctx, key, warmKey, f, canon, perm, salt, opts, waiters)
 		}
-		return respond(e, key, false, false, rep)
-	}
-	if e, ok := s.cache.GetIf(key, sameCanon); ok {
-		return respond(e, key, true, false, nil)
-	}
-	if s.cfg.LegacySerial {
-		e, rep, err := s.computeEngine(ctx, b, key, canon, engOpts, false, nil)
-		if err != nil {
-			return failErr(err)
+	} else {
+		fl.compute = func(waiters func() int64) (cacheEntry, *stats.Report, error) {
+			return s.computeEngine(ctx, b, key, canon, opts, waiters)
 		}
-		return respond(e, key, false, false, rep)
 	}
 
-	var leaderRep *stats.Report
-	e, oc, err := s.flights.Do(ctx, key, func(waiters func() int64) (cacheEntry, error) {
-		e, rep, err := s.computeEngine(ctx, b, key, canon, engOpts, true, waiters)
-		leaderRep = rep
-		return e, err
-	})
-	switch oc {
-	case fcache.Led:
-		if err != nil {
-			return failErr(err)
-		}
-		return respond(e, key, false, false, leaderRep)
-	case fcache.Joined:
-		if !e.canon.Equal(canon) {
-			e, rep, err := s.computeEngine(ctx, b, key, canon, engOpts, true, nil)
-			if err != nil {
-				return failErr(err)
-			}
-			return respond(e, key, false, false, rep)
-		}
-		return respond(e, key, false, true, nil)
-	default: // fcache.Detached
-		return fail(statusFor(err), fmt.Errorf("coalesced wait: %w", err), outcomeDetached)
+	e, rep, oc, err := s.resolve(ctx, fl, q.NoCache)
+	if err != nil {
+		return failure(ctx, err, oc)
 	}
+	resp := render(q, e, fcache.InversePerm(perm), oc, rep)
+	resp.Key = key.String()
+	if warm && (oc == outcomeComputed || s.keepsBaseKey(e, warmKey, f, canon, perm, salt)) {
+		resp.BaseKey = warmKey.String()
+	}
+	return resp
 }
 
-// computeEngine runs one backend under an admission slot and caches
-// the canonical-space result under its salted key.
-func (s *Server) computeEngine(ctx context.Context, b engine.Backend, key fcache.Key, canon *bfunc.Func, engOpts engine.Options, acquireSlot bool, waiters func() int64) (cacheEntry, *stats.Report, error) {
-	if acquireSlot {
-		release, err := s.acquireSlot(ctx)
-		if err != nil {
-			return cacheEntry{}, nil, err
-		}
-		defer release()
+// computeEngine runs one backend under its own admission slot and
+// caches the canonical-space result under its salted key. SPP runs are
+// filed in the run history under their engine (exact, naive, sppk).
+func (s *Server) computeEngine(ctx context.Context, b engine.Backend, key fcache.Key, canon *bfunc.Func, opts engine.Options, waiters func() int64) (cacheEntry, *stats.Report, error) {
+	label := b.Name()
+	if opts.Algorithm != "" {
+		label = opts.Algorithm
 	}
-
-	rec := stats.New()
-	engOpts.Core.Stats = rec
-	res, err := b.Minimize(ctx, canon, engOpts)
+	var res *engine.Result
+	rep, err := s.run(ctx, label, waiters, func(rec *stats.Recorder) (err error) {
+		opts.Core.Stats = rec
+		res, err = b.Minimize(ctx, canon, opts)
+		return err
+	})
 	if err != nil {
 		return cacheEntry{}, nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return cacheEntry{}, nil, err
-	}
-
-	rep := s.recordRun(rec, b.Name(), waiters)
 	e := cacheEntry{
 		canon:        canon,
 		form:         res.Form,
@@ -237,25 +188,24 @@ func autoTag(salts []string, accept int) string {
 // own per-backend key before the verdict is picked, so the best-cost
 // answer is deterministic whether it came from cache or race. The
 // whole race (all entrant goroutines) runs under ONE admission slot.
-func (s *Server) processAuto(ctx context.Context, q Request, canon *bfunc.Func, baseKey fcache.Key, engOpts engine.Options,
-	respond func(e cacheEntry, key fcache.Key, cached, coalesced bool, rep *stats.Report) Response,
-	fail func(status int, err error, oc outcome) Response,
-	failErr func(err error) Response) Response {
-
+// The verdict resolves under the auto key like any other result; the
+// response names the winning backend's own key, so clients can
+// re-request that form directly.
+func (s *Server) processAuto(ctx context.Context, q Request, canon *bfunc.Func, canonKey fcache.Key, perm []int) Response {
 	eligible := s.registry.Eligible(canon)
 	if len(eligible) == 0 {
-		return fail(http.StatusBadRequest,
-			fmt.Errorf("no eligible backends: the function has don't-cares and every enabled form (%s) requires complete specification",
-				strings.Join(s.registry.NamesEnabled(), ", ")), outcomeError)
+		return badRequest(fmt.Errorf("no eligible backends: the function has don't-cares and every enabled form (%s) requires complete specification",
+			strings.Join(s.registry.NamesEnabled(), ", ")))
 	}
+	opts := s.engineOptions(ctx, q)
 	sameCanon := func(e cacheEntry) bool { return e.canon.Equal(canon) }
 	keys := make([]fcache.Key, len(eligible))
 	salts := make([]string, len(eligible))
 	for i, b := range eligible {
-		salts[i] = b.Salt(engOpts)
-		keys[i] = baseKey.Derive(salts[i])
+		salts[i] = b.Salt(opts)
+		keys[i] = canonKey.Derive(salts[i])
 	}
-	autoKey := baseKey.Derive(autoTag(salts, q.AcceptLiterals))
+	autoKey := canonKey.Derive(autoTag(salts, q.AcceptLiterals))
 
 	// best picks the deterministic verdict: minimum literal count, ties
 	// to the earliest backend in canonical registry order.
@@ -273,9 +223,8 @@ func (s *Server) processAuto(ctx context.Context, q Request, canon *bfunc.Func, 
 	}
 
 	// raceMissing computes every backend lacking a cached entry and
-	// returns the verdict entry. It runs inside the flight (or directly
-	// for no_cache / legacy / collision paths).
-	raceMissing := func(waiters func() int64) (cacheEntry, error) {
+	// returns the verdict entry, with the race's report when one ran.
+	raceMissing := func(waiters func() int64) (cacheEntry, *stats.Report, error) {
 		entries := make([]*cacheEntry, len(eligible))
 		var missing []engine.Backend
 		var missingIdx []int
@@ -305,15 +254,16 @@ func (s *Server) processAuto(ctx context.Context, q Request, canon *bfunc.Func, 
 		}
 
 		var raceErr error
+		var rep *stats.Report
 		if len(missing) > 0 {
 			release, err := s.acquireSlot(ctx)
 			if err != nil {
-				return cacheEntry{}, err
+				return cacheEntry{}, nil, err
 			}
 			rec := stats.New()
-			opts := engOpts
-			opts.Core.Stats = rec
-			rr, err := engine.Race(ctx, missing, canon, opts)
+			ropts := opts
+			ropts.Core.Stats = rec
+			rr, err := engine.Race(ctx, missing, canon, ropts)
 			release()
 			raceErr = err
 			for j, res := range rr.Results {
@@ -331,7 +281,7 @@ func (s *Server) processAuto(ctx context.Context, q Request, canon *bfunc.Func, 
 				s.cache.Put(keys[i], e)
 				entries[i] = &e
 			}
-			s.recordRun(rec, "auto", waiters)
+			rep = s.recordRun(rec, "auto", waiters)
 			win := best(entries)
 			s.statsMu.Lock()
 			s.ctr.engineRaces++
@@ -348,63 +298,27 @@ func (s *Server) processAuto(ctx context.Context, q Request, canon *bfunc.Func, 
 		win := best(entries)
 		if win == -1 {
 			if raceErr != nil {
-				return cacheEntry{}, raceErr
+				return cacheEntry{}, nil, raceErr
 			}
-			return cacheEntry{}, ctx.Err()
+			return cacheEntry{}, nil, ctx.Err()
 		}
 		verdict := *entries[win]
 		if !q.NoCache {
 			s.cache.Put(autoKey, verdict)
 		}
-		return verdict, nil
+		return verdict, rep, nil
 	}
 
-	// keyFor maps the verdict entry back to its backend key for the
-	// response's key field (clients can re-request that form directly).
-	keyFor := func(e cacheEntry) fcache.Key {
-		for i, b := range eligible {
-			if b.Name() == e.kind {
-				return keys[i]
-			}
-		}
-		return autoKey
+	e, rep, oc, err := s.resolve(ctx, flight{key: autoKey, valid: sameCanon, compute: raceMissing}, q.NoCache)
+	if err != nil {
+		return failure(ctx, err, oc)
 	}
-
-	if q.NoCache {
-		e, err := raceMissing(nil)
-		if err != nil {
-			return failErr(err)
+	resp := render(q, e, fcache.InversePerm(perm), oc, rep)
+	resp.Key = autoKey.String()
+	for i, b := range eligible {
+		if b.Name() == e.kind {
+			resp.Key = keys[i].String()
 		}
-		return respond(e, keyFor(e), false, false, nil)
 	}
-	if e, ok := s.cache.GetIf(autoKey, sameCanon); ok {
-		return respond(e, keyFor(e), true, false, nil)
-	}
-	if s.cfg.LegacySerial {
-		e, err := raceMissing(nil)
-		if err != nil {
-			return failErr(err)
-		}
-		return respond(e, keyFor(e), false, false, nil)
-	}
-
-	e, oc, err := s.flights.Do(ctx, autoKey, raceMissing)
-	switch oc {
-	case fcache.Led:
-		if err != nil {
-			return failErr(err)
-		}
-		return respond(e, keyFor(e), false, false, nil)
-	case fcache.Joined:
-		if !e.canon.Equal(canon) {
-			e, err := raceMissing(nil)
-			if err != nil {
-				return failErr(err)
-			}
-			return respond(e, keyFor(e), false, false, nil)
-		}
-		return respond(e, keyFor(e), false, true, nil)
-	default: // fcache.Detached
-		return fail(statusFor(err), fmt.Errorf("coalesced wait: %w", err), outcomeDetached)
-	}
+	return resp
 }

@@ -379,16 +379,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
 			return
 		}
-		formName, err := s.normalizeForm(env.Request)
-		if err != nil {
+		if _, err := s.normalizeForm(env.Request, f.N()); err != nil {
 			writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
 			return
-		}
-		if formName == "spp" {
-			if _, err := normalizeAlgorithm(env.Request, f.N()); err != nil {
-				writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
-				return
-			}
 		}
 	} else {
 		if !s.cfg.WarmCache {

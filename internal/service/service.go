@@ -131,13 +131,6 @@ type Config struct {
 	// disabled form get 400; form=auto races only the enabled ones.
 	// Unknown names panic in New — a deployment config error.
 	Forms []string
-	// LegacySerial restores the pre-coalescing serving path: one
-	// admission slot around the whole request (cache hits included),
-	// strictly serial batch items, no request coalescing, and a
-	// single-shard cache unless CacheShards overrides it. It exists as
-	// the measured baseline for cmd/sppload and for regression tests;
-	// production servers leave it off.
-	LegacySerial bool
 	// JobResultTTL keeps the outcome of a terminal job queryable for
 	// this long after KeepDone trims it, so pollers never see a freshly
 	// finished job 404. Default 15m; negative disables.
@@ -400,7 +393,7 @@ type Statsz struct {
 // cacheEntry is one result-cache value, living in one of three
 // disjoint key spaces of the same LRU:
 //
-//   - canonical entries (key = canonical key ⊕ option tag): canon is
+//   - canonical entries (key = canonical key ⊕ backend salt): canon is
 //     kept for an Equal check on hit, so even a SHA-256 collision
 //     cannot serve a wrong form; every warm field is nil/zero.
 //   - warm state entries (key = fcache.WarmStateKey of the canonical
@@ -580,10 +573,6 @@ func New(cfg Config) *Server {
 	if cfg.Core.PerOutput == 0 && cfg.Core.MaxCandidates == 0 {
 		cfg.Core = harness.DefaultConfig()
 	}
-	shards := cfg.CacheShards
-	if shards == 0 && cfg.LegacySerial {
-		shards = 1
-	}
 	registry, err := engine.NewRegistry(cfg.Forms...)
 	if err != nil {
 		panic("service: " + err.Error())
@@ -591,7 +580,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		registry: registry,
-		cache:    fcache.NewWeighted(cfg.CacheSize, cfg.CacheBytes, shards, entryWeight),
+		cache:    fcache.NewWeighted(cfg.CacheSize, cfg.CacheBytes, cfg.CacheShards, entryWeight),
 		slots:    make(chan struct{}, cfg.MaxConcurrent),
 		waits:    newWaitRing(512, 30*time.Second),
 	}
@@ -830,59 +819,38 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	results := make([]Response, len(reqs))
-	if s.cfg.LegacySerial {
-		// Pre-coalescing path: one slot around everything, cache hits
-		// included; items strictly serial; whole batch fails on queue
-		// timeout.
-		select {
-		case s.slots <- struct{}{}:
-			defer func() { <-s.slots }()
-		case <-ctx.Done():
-			s.record(outcomeError)
-			batchFail(statusFor(ctx.Err()), "queue wait: "+ctx.Err().Error())
-			return
-		}
-		if s.testHookAfterAcquire != nil {
-			s.testHookAfterAcquire(ctx)
-		}
-		for i, q := range reqs {
-			results[i] = s.process(ctx, q)
-			s.record(results[i].outcome)
+	workers := min(s.cfg.BatchWorkers, len(reqs))
+	runItem := func(i int) {
+		itemCtx, itemCancel := context.WithTimeout(ctx, s.timeout(reqs[i]))
+		results[i] = s.process(itemCtx, reqs[i])
+		itemCancel()
+		s.record(results[i].outcome)
+	}
+	if workers <= 1 {
+		for i := range reqs {
+			runItem(i)
 		}
 	} else {
-		workers := min(s.cfg.BatchWorkers, len(reqs))
-		runItem := func(i int) {
-			itemCtx, itemCancel := context.WithTimeout(ctx, s.timeout(reqs[i]))
-			results[i] = s.process(itemCtx, reqs[i])
-			itemCancel()
-			s.record(results[i].outcome)
+		// Bounded per-batch pool; results land at their item index, so
+		// ordering stays deterministic no matter who finishes first.
+		// Intra-batch duplicates coalesce via the flight group instead
+		// of relying on serial ordering.
+		idx := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range idx {
+					runItem(i)
+				}
+			}()
 		}
-		if workers <= 1 {
-			for i := range reqs {
-				runItem(i)
-			}
-		} else {
-			// Bounded per-batch pool; results land at their item index,
-			// so ordering stays deterministic no matter who finishes
-			// first. Intra-batch duplicates coalesce via the flight
-			// group instead of relying on serial ordering.
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range idx {
-						runItem(i)
-					}
-				}()
-			}
-			for i := range reqs {
-				idx <- i
-			}
-			close(idx)
-			wg.Wait()
+		for i := range reqs {
+			idx <- i
 		}
+		close(idx)
+		wg.Wait()
 	}
 
 	if batch {
@@ -908,282 +876,254 @@ func (s *Server) timeout(q Request) time.Duration {
 	return min(d, s.cfg.MaxTimeout)
 }
 
-// process runs one request: resolve the function, canonicalize, try
-// the cache, and on miss either lead or join a coalesced computation.
-// In LegacySerial mode the caller already holds the admission slot and
-// no coalescing happens.
-func (s *Server) process(ctx context.Context, q Request) Response {
+// process runs one request through the serving pipeline: validate,
+// canonicalize, key the result by the canonical key and the backend's
+// salt, resolve it (cache → coalesce → compute), and build the
+// response. Delta requests key by their edited function instead (see
+// processDelta). Every response is stamped with the request's elapsed
+// time.
+func (s *Server) process(ctx context.Context, q Request) (resp Response) {
 	start := time.Now()
-	elapsed := func() int64 { return time.Since(start).Nanoseconds() }
-	fail := func(status int, err error, oc outcome) Response {
-		return Response{Error: err.Error(), status: status, outcome: oc, ElapsedNS: elapsed()}
-	}
-	// failErr maps an in-flight failure to its HTTP status. The
-	// request's own expiry wins over whatever error it surfaced as: an
-	// engine abort that races the deadline must report 504 (or the
-	// 499-style client cancel), never a blanket 500 — and never shadow
-	// a real 4xx (bad request, budget) with the expiry status.
-	failErr := func(err error) Response {
-		status := statusFor(err)
-		if status == http.StatusInternalServerError {
-			if ce := ctx.Err(); ce != nil {
-				status = statusFor(ce)
-			}
-		}
-		return applyShed(fail(status, err, outcomeError), err)
-	}
-
+	defer func() { resp.ElapsedNS = time.Since(start).Nanoseconds() }()
 	if q.Base != "" {
 		return s.processDelta(ctx, q)
 	}
 	f, err := resolveFunction(q)
 	if err != nil {
-		return fail(http.StatusBadRequest, err, outcomeError)
+		return badRequest(err)
 	}
-	formName, err := s.normalizeForm(q)
-	if err != nil {
-		return fail(http.StatusBadRequest, err, outcomeError)
+	if q, err = s.normalizeForm(q, f.N()); err != nil {
+		return badRequest(err)
 	}
-	if formName != "spp" {
-		// Non-SPP forms and the auto race route through the portfolio
-		// engine; the SPP path below keeps its warm-state machinery.
-		return s.processEngine(ctx, q, f, formName, start)
-	}
-	alg, err := normalizeAlgorithm(q, f.N())
-	if err != nil {
-		return fail(http.StatusBadRequest, err, outcomeError)
-	}
-
 	// Canonicalization honors the request deadline: its class
 	// refinement and tie-break costs grow with n and point count. It
 	// runs before (and outside) the admission slot — its work is
 	// bounded by fcache's tie-break budget, and keeping it off the
 	// slot lets cache hits complete without queueing at all.
-	key, perm, canon, err := fcache.CanonicalizeCtx(ctx, f)
+	canonKey, perm, canon, err := fcache.CanonicalizeCtx(ctx, f)
 	if err != nil {
-		return failErr(err)
+		return failure(ctx, err, outcomeError)
 	}
-	tag := s.optionTag(q, alg)
-	key = key.Derive(tag)
-	inv := fcache.InversePerm(perm)
-	sameCanon := func(e cacheEntry) bool { return e.canon.Equal(canon) }
-
-	// Warm-enabled exact runs retain one resumable engine state per
-	// canonical class plus a thin per-client pointer under the
-	// exact-function key, advertised as base_key for delta requests.
-	// Permuted-equivalent requests share the canonical state; a client
-	// without a pointer yet gets one minted on the spot when the shared
-	// state is resident, so equivalent clients can chain deltas without
-	// ever computing cold themselves.
-	warmRun := s.cfg.WarmCache && alg.name == "exact"
-	var warmKey fcache.Key
-	if warmRun {
-		warmKey = fcache.WarmPointerKey(fcache.KeyOf(f), tag)
+	if q.Form == "auto" {
+		return s.processAuto(ctx, q, canon, canonKey, perm)
 	}
-	baseKeyIfRetained := func(e cacheEntry) string {
-		if !warmRun {
-			return ""
-		}
-		if pe, ok := s.cache.Get(warmKey); ok && pe.hasWarmRef && pe.fn.Equal(f) {
-			return warmKey.String()
-		}
-		skey := fcache.WarmStateKey(fcache.KeyOf(canon), tag)
-		if se, ok := s.cache.Get(skey); ok && se.warm != nil && se.warm.Function().Equal(canon) {
-			s.cache.Put(warmKey, cacheEntry{
-				form:         e.form,
-				kind:         e.kind,
-				eppp:         e.eppp,
-				coverOptimal: e.coverOptimal,
-				fn:           f,
-				perm:         perm,
-				tag:          tag,
-				warmRef:      skey,
-				hasWarmRef:   true,
-			})
-			return warmKey.String()
-		}
-		return ""
-	}
-
-	served := func(e cacheEntry, coalesced bool) Response {
-		form := e.form.Permute(inv)
-		oc := outcomeHit
-		if coalesced {
-			oc = outcomeCoalesced
-		}
-		return Response{
-			Form:         form.String(),
-			Literals:     form.Literals(),
-			NumTerms:     form.NumTerms(),
-			FormKind:     e.kind,
-			EPPP:         e.eppp,
-			CoverOptimal: e.coverOptimal,
-			Cached:       true,
-			Coalesced:    coalesced,
-			Key:          key.String(),
-			BaseKey:      baseKeyIfRetained(e),
-			ElapsedNS:    elapsed(),
-			outcome:      oc,
-		}
-	}
-	computed := func(e cacheEntry, rep *stats.Report) Response {
-		form := e.form.Permute(inv)
-		out := Response{
-			Form:         form.String(),
-			Literals:     form.Literals(),
-			NumTerms:     form.NumTerms(),
-			FormKind:     e.kind,
-			EPPP:         e.eppp,
-			CoverOptimal: e.coverOptimal,
-			Key:          key.String(),
-			ElapsedNS:    elapsed(),
-			outcome:      outcomeComputed,
-		}
-		if warmRun {
-			out.BaseKey = warmKey.String()
-		}
-		if q.Stats {
-			out.Stats = rep
-		}
-		return out
-	}
-
-	// acquireSlot: in the legacy path the handler already holds the
-	// (single) slot for the whole request.
-	acquireSlot := !s.cfg.LegacySerial
-
-	if q.NoCache {
-		// A forced fresh compute neither reads the cache nor joins a
-		// flight, and its result is not broadcast; it still populates
-		// the cache for later requests.
-		e, rep, err := s.compute(ctx, q, alg, key, f, perm, canon, acquireSlot, nil)
-		if err != nil {
-			return failErr(err)
-		}
-		return computed(e, rep)
-	}
-
-	if e, ok := s.cache.GetIf(key, sameCanon); ok {
-		return served(e, false)
-	}
-
-	if s.cfg.LegacySerial {
-		e, rep, err := s.compute(ctx, q, alg, key, f, perm, canon, false, nil)
-		if err != nil {
-			return failErr(err)
-		}
-		return computed(e, rep)
-	}
-
-	// Coalesce: one leader computes under its own budget; identical
-	// concurrent requests wait slot-free and share the result.
-	var leaderRep *stats.Report
-	e, oc, err := s.flights.Do(ctx, key, func(waiters func() int64) (cacheEntry, error) {
-		e, rep, err := s.compute(ctx, q, alg, key, f, perm, canon, true, waiters)
-		leaderRep = rep
-		return e, err
-	})
-	switch oc {
-	case fcache.Led:
-		if err != nil {
-			return failErr(err)
-		}
-		return computed(e, leaderRep)
-	case fcache.Joined:
-		if !e.canon.Equal(canon) {
-			// Key collision against a concurrent leader's different
-			// function: compute this one directly. (The stored-entry
-			// collision case is handled by GetIf, which evicts.)
-			e, rep, err := s.compute(ctx, q, alg, key, f, perm, canon, true, nil)
-			if err != nil {
-				return failErr(err)
-			}
-			return computed(e, rep)
-		}
-		return served(e, true)
-	default: // fcache.Detached: this waiter's own deadline expired
-		return fail(statusFor(err), fmt.Errorf("coalesced wait: %w", err), outcomeDetached)
-	}
+	return s.processForm(ctx, q, f, canon, canonKey, perm)
 }
 
-// compute runs one minimization — under an admission slot when
-// acquireSlot is set — and populates the cache. waiters, when non-nil,
-// reports how many coalesced requests were riding on this run at
-// completion (recorded as the serve.flight_waiters sched counter).
-// With WarmCache on, exact runs go through the warm engine and
-// additionally store a resumable warm entry under the exact-function
-// key.
-func (s *Server) compute(ctx context.Context, q Request, alg algorithm, key fcache.Key, f *bfunc.Func, perm []int, canon *bfunc.Func, acquireSlot bool, waiters func() int64) (cacheEntry, *stats.Report, error) {
-	if acquireSlot {
-		release, err := s.acquireSlot(ctx)
-		if err != nil {
-			return cacheEntry{}, nil, err
+// flight is one request's cacheable computation, as resolve sees it.
+type flight struct {
+	// key is the cache and coalescing key; valid pins a cached or
+	// broadcast entry to the request's own function, so a key collision
+	// never serves a wrong form.
+	key   fcache.Key
+	valid func(cacheEntry) bool
+	// mint, when set, serves a cache miss from state already resident
+	// under another key, before any flight starts; it counts as a hit.
+	mint func() (cacheEntry, bool)
+	// compute runs the engines under its own admission slot and
+	// populates the cache. waiters, non-nil only for a flight leader,
+	// reports how many coalesced requests ride on the run.
+	compute func(waiters func() int64) (cacheEntry, *stats.Report, error)
+}
+
+// resolve is the serving path's one cache → coalesce → compute state
+// machine (ARCHITECTURE.md "Hot-path state machine"). A validated
+// cache entry is a hit, served without a slot. On a miss the request
+// leads or joins the key's flight: the leader computes under its own
+// deadline while identical concurrent requests wait slot-free for its
+// broadcast, each detaching on its own expiry. no_cache requests skip
+// both the cache read and the flight — they are never served a shared
+// result — but their computes still populate the cache.
+//
+// On success the outcome is outcomeHit, outcomeComputed (with the
+// run's report) or outcomeCoalesced; on failure it is outcomeError or
+// outcomeDetached.
+func (s *Server) resolve(ctx context.Context, fl flight, noCache bool) (cacheEntry, *stats.Report, outcome, error) {
+	if noCache {
+		return computed(fl.compute(nil))
+	}
+	if e, ok := s.cache.GetIf(fl.key, fl.valid); ok {
+		return e, nil, outcomeHit, nil
+	}
+	if fl.mint != nil {
+		if e, ok := fl.mint(); ok {
+			return e, nil, outcomeHit, nil
 		}
-		defer release()
 	}
-
-	rec := stats.New()
-	opts := s.coreOptions(ctx, q, rec)
-	warmRun := s.cfg.WarmCache && alg.name == "exact"
-
-	var res *core.Result
-	var ws *core.WarmState
-	var err error
+	var rep *stats.Report
+	e, oc, err := s.flights.Do(ctx, fl.key, func(waiters func() int64) (cacheEntry, error) {
+		e, r, err := fl.compute(waiters)
+		rep = r
+		return e, err
+	})
 	switch {
-	case warmRun:
-		res, ws, err = core.MinimizeExactWarm(canon, opts)
-	case alg.name == "exact":
-		res, err = core.MinimizeExact(canon, opts)
-	case alg.name == "naive":
-		res, err = core.MinimizeNaive(canon, opts)
-	default: // sppk
-		res, err = core.Heuristic(canon, alg.k, opts)
+	case oc == fcache.Detached:
+		return cacheEntry{}, nil, outcomeDetached, fmt.Errorf("coalesced wait: %w", err)
+	case oc == fcache.Joined && fl.valid(e):
+		return e, nil, outcomeCoalesced, nil
+	case oc == fcache.Joined:
+		// Key collision against a concurrent leader's different
+		// function: compute this one directly. (The stored-entry
+		// collision case is handled by GetIf, which evicts.)
+		return computed(fl.compute(nil))
 	}
+	return computed(e, rep, err)
+}
+
+// computed classifies a compute's result for resolve.
+func computed(e cacheEntry, rep *stats.Report, err error) (cacheEntry, *stats.Report, outcome, error) {
 	if err != nil {
-		return cacheEntry{}, nil, err
+		return cacheEntry{}, nil, outcomeError, err
+	}
+	return e, rep, outcomeComputed, nil
+}
+
+// render builds the response for a resolved entry: the form mapped
+// through inv into the client's variable order, the cache flags of the
+// outcome, and — when the request asked for stats — the report of the
+// run that computed it (cached and coalesced responses ran nothing).
+// Callers add the key fields of their path.
+func render(q Request, e cacheEntry, inv []int, oc outcome, rep *stats.Report) Response {
+	form := e.form.Permute(inv)
+	resp := Response{
+		Form:         form.String(),
+		Literals:     form.Literals(),
+		NumTerms:     form.NumTerms(),
+		FormKind:     e.kind,
+		EPPP:         e.eppp,
+		CoverOptimal: e.coverOptimal,
+		Cached:       oc != outcomeComputed,
+		Coalesced:    oc == outcomeCoalesced,
+		outcome:      oc,
+	}
+	if q.Stats && oc == outcomeComputed {
+		resp.Stats = rep
+	}
+	return resp
+}
+
+// failure maps an in-flight failure to its response. The request's own
+// expiry wins over whatever error it surfaced as: an engine abort that
+// races the deadline must report 504 (or the 499-style client cancel),
+// never a blanket 500 — and never shadow a real 4xx (bad request,
+// budget) with the expiry status.
+func failure(ctx context.Context, err error, oc outcome) Response {
+	status := statusFor(err)
+	if status == http.StatusInternalServerError {
+		if ce := ctx.Err(); ce != nil {
+			status = statusFor(ce)
+		}
+	}
+	return applyShed(Response{Error: err.Error(), status: status, outcome: oc}, err)
+}
+
+// badRequest is the 400 response to a request that fails validation.
+func badRequest(err error) Response {
+	return Response{Error: err.Error(), status: http.StatusBadRequest}
+}
+
+// run is one engine run: fn executes under an admission slot with a
+// fresh recorder, and the run's report is filed into the /statsz
+// history under label. waiters, when non-nil, reports how many
+// coalesced requests rode on the run (recorded as the
+// serve.flight_waiters sched counter).
+func (s *Server) run(ctx context.Context, label string, waiters func() int64, fn func(rec *stats.Recorder) error) (*stats.Report, error) {
+	release, err := s.acquireSlot(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	rec := stats.New()
+	if err := fn(rec); err != nil {
+		return nil, err
 	}
 	// A deadline that expires inside the covering search yields a valid
 	// but truncated form (cover.Exact degrades to its incumbent). Serve
 	// nothing rather than cache a deadline-shaped result.
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.recordRun(rec, label, waiters), nil
+}
+
+// computeWarm is exact SPP with warm retention, the one SPP-specific
+// run: the warm engine (core.MinimizeExactWarm — the spp backend's
+// cost, in canonical candidate order with a serial EPPP build, so full
+// and delta results are mutually byte-identical). It caches the result
+// under key like any backend run, the resumable state once per
+// canonical class under its warm state key, and a thin pointer for
+// this client under warmKey, the base_key its deltas chain on.
+func (s *Server) computeWarm(ctx context.Context, key, warmKey fcache.Key, f, canon *bfunc.Func, perm []int, tag string, opts engine.Options, waiters func() int64) (cacheEntry, *stats.Report, error) {
+	var res *core.Result
+	var ws *core.WarmState
+	rep, err := s.run(ctx, "exact", waiters, func(rec *stats.Recorder) (err error) {
+		opts.Core.Stats = rec
+		res, ws, err = core.MinimizeExactWarm(canon, opts.Core)
+		return err
+	})
+	if err != nil {
 		return cacheEntry{}, nil, err
 	}
-
-	rep := s.recordRun(rec, alg.name, waiters)
-
-	form := engine.SPPForm{F: res.Form}
 	e := cacheEntry{
 		canon:        canon,
-		form:         form,
+		form:         engine.SPPForm{F: res.Form},
 		kind:         "spp",
 		eppp:         res.Build.EPPP,
 		coverOptimal: res.CoverOptimal,
 	}
 	s.cache.Put(key, e)
-	if warmRun {
-		tag := s.optionTag(q, alg)
-		skey := fcache.WarmStateKey(fcache.KeyOf(canon), tag)
-		s.cache.Put(skey, cacheEntry{
-			form:         form,
-			kind:         "spp",
-			eppp:         res.Build.EPPP,
-			coverOptimal: res.CoverOptimal,
-			warm:         ws,
-			tag:          tag,
-		})
-		s.cache.Put(fcache.WarmPointerKey(fcache.KeyOf(f), tag), cacheEntry{
-			form:         form,
-			kind:         "spp",
-			eppp:         res.Build.EPPP,
-			coverOptimal: res.CoverOptimal,
-			fn:           f,
-			perm:         perm,
-			tag:          tag,
-			warmRef:      skey,
-			hasWarmRef:   true,
-		})
-	}
+	skey := fcache.WarmStateKey(fcache.KeyOf(canon), tag)
+	s.cache.Put(skey, warmStateEntry(e, ws, tag))
+	s.cache.Put(warmKey, warmPointer(e, f, perm, tag, skey))
 	return e, rep, nil
+}
+
+// keepsBaseKey reports whether a served exact SPP answer of f may
+// advertise warmKey as its base_key: the client's own pointer is
+// resident, or is minted on the spot from the shared canonical warm
+// state of its class. Permuted-equivalent clients thus chain deltas
+// without ever computing cold themselves.
+func (s *Server) keepsBaseKey(e cacheEntry, warmKey fcache.Key, f, canon *bfunc.Func, perm []int, tag string) bool {
+	if pe, ok := s.cache.Get(warmKey); ok && pe.hasWarmRef && pe.fn.Equal(f) {
+		return true
+	}
+	skey := fcache.WarmStateKey(fcache.KeyOf(canon), tag)
+	se, ok := s.cache.Get(skey)
+	if !ok || se.warm == nil || !se.warm.Function().Equal(canon) {
+		return false
+	}
+	s.cache.Put(warmKey, warmPointer(e, f, perm, tag, skey))
+	return true
+}
+
+// warmStateEntry is the cache entry holding a resumable warm state and
+// the canonical-space result it produced.
+func warmStateEntry(res cacheEntry, ws *core.WarmState, tag string) cacheEntry {
+	return cacheEntry{
+		form:         res.form,
+		kind:         res.kind,
+		eppp:         res.eppp,
+		coverOptimal: res.coverOptimal,
+		warm:         ws,
+		tag:          tag,
+	}
+}
+
+// warmPointer is the thin pointer entry a client chains deltas on: its
+// request-space function fn, perm into the canonical space of the warm
+// state at state, and that state's result.
+func warmPointer(res cacheEntry, fn *bfunc.Func, perm []int, tag string, state fcache.Key) cacheEntry {
+	return cacheEntry{
+		form:         res.form,
+		kind:         res.kind,
+		eppp:         res.eppp,
+		coverOptimal: res.coverOptimal,
+		fn:           fn,
+		perm:         perm,
+		tag:          tag,
+		warmRef:      state,
+		hasWarmRef:   true,
+	}
 }
 
 // acquireSlot takes one admission-gate slot, honoring the context while
@@ -1233,18 +1173,6 @@ func (s *Server) acquireSlot(ctx context.Context) (func(), error) {
 	return acquired()
 }
 
-// coreOptions assembles the engine options for one request.
-func (s *Server) coreOptions(ctx context.Context, q Request, rec *stats.Recorder) core.Options {
-	opts := s.cfg.Core.CoreOptions()
-	opts.Ctx = ctx
-	opts.Stats = rec
-	opts.CoverExact = q.ExactCover
-	if q.FactorCost {
-		opts.Cost = core.CostFactors
-	}
-	return opts
-}
-
 // recordRun files one engine run's report into the /statsz history
 // ring.
 func (s *Server) recordRun(rec *stats.Recorder, name string, waiters func() int64) *stats.Report {
@@ -1273,54 +1201,57 @@ func (s *Server) recordRun(rec *stats.Recorder, name string, waiters func() int6
 // validate and translate the edit into the base's canonical space, and
 // either serve trivially (ON-set emptied), fall back to a cold run
 // (churn above DeltaMaxDirty, with the fallback re-entering process as
-// an explicit-minterm request), or resume the warm state — under the
-// same admission gate and coalescing machinery as full requests, keyed
-// by the edited function's own warm key so identical concurrent deltas
-// coalesce.
+// an explicit-minterm request), or resume the warm state — through the
+// same resolve as full requests, keyed by the edited function's own
+// warm pointer key so identical concurrent deltas coalesce.
 func (s *Server) processDelta(ctx context.Context, q Request) Response {
-	start := time.Now()
-	elapsed := func() int64 { return time.Since(start).Nanoseconds() }
-	fail := func(status int, code string, err error, oc outcome) Response {
-		return Response{Error: err.Error(), Code: code, status: status, outcome: oc, ElapsedNS: elapsed()}
-	}
 	coldRequired := func(why string) Response {
 		s.bumpDelta(&s.ctr.deltaBaseMiss)
-		return fail(http.StatusConflict, "cold_run_required",
-			fmt.Errorf("delta base unavailable (%s): resubmit the full function", why), outcomeError)
+		return Response{
+			Error:  fmt.Sprintf("delta base unavailable (%s): resubmit the full function", why),
+			Code:   "cold_run_required",
+			status: http.StatusConflict,
+		}
 	}
 
 	if q.N != 0 || len(q.On) > 0 || len(q.Dc) > 0 || q.Bench != "" || q.PLA != "" {
-		return fail(http.StatusBadRequest, "", errors.New("delta request must not carry a function source"), outcomeError)
+		return badRequest(errors.New("delta request must not carry a function source"))
 	}
 	if q.NoCache {
-		return fail(http.StatusBadRequest, "", errors.New("no_cache is incompatible with delta requests (the base lives in the cache)"), outcomeError)
+		return badRequest(errors.New("no_cache is incompatible with delta requests (the base lives in the cache)"))
 	}
 	if q.Form != "" && q.Form != "spp" {
 		// Only the SPP backend retains resumable warm state; other forms
 		// must resubmit the full edited function.
-		return fail(http.StatusConflict, "delta_unsupported_form",
-			fmt.Errorf("delta requests support form \"spp\", not %q: resubmit the full function", q.Form), outcomeError)
+		return Response{
+			Error:  fmt.Sprintf("delta requests support form \"spp\", not %q: resubmit the full function", q.Form),
+			Code:   "delta_unsupported_form",
+			status: http.StatusConflict,
+		}
 	}
 	if q.Algorithm != "" && q.Algorithm != "exact" {
-		return fail(http.StatusBadRequest, "", fmt.Errorf("delta requests support algorithm \"exact\", not %q", q.Algorithm), outcomeError)
+		return badRequest(fmt.Errorf("delta requests support algorithm \"exact\", not %q", q.Algorithm))
 	}
-	alg := algorithm{name: "exact"}
 	if !s.cfg.WarmCache {
 		return coldRequired("warm cache disabled")
 	}
 	bkey, err := fcache.ParseKey(q.Base)
 	if err != nil {
-		return fail(http.StatusBadRequest, "", err, outcomeError)
+		return badRequest(err)
 	}
 	// Plain Get, not GetIf: a canonical key passed as base must not
-	// evict the (perfectly valid) canonical entry it points at.
+	// evict the (perfectly valid) canonical entry it points at. Only
+	// spp runs leave warm pointers, so a base implies the spp backend.
 	base, ok := s.cache.Get(bkey)
-	if !ok || !base.hasWarmRef || base.fn == nil {
+	spp, enabled := s.registry.Get("spp")
+	if !ok || !enabled || !base.hasWarmRef || base.fn == nil {
 		return coldRequired("unknown or evicted base key")
 	}
-	if tag := s.optionTag(q, alg); tag != base.tag {
-		return fail(http.StatusBadRequest, "",
-			fmt.Errorf("delta options (%s) differ from the base entry's (%s)", tag, base.tag), outcomeError)
+	// A resume is an exact SPP run under the request's options, salted
+	// like the full request that would compute the same result.
+	opts := s.engineOptions(ctx, Request{Algorithm: "exact", ExactCover: q.ExactCover, FactorCost: q.FactorCost})
+	if tag := spp.Salt(opts); tag != base.tag {
+		return badRequest(fmt.Errorf("delta options (%s) differ from the base entry's (%s)", tag, base.tag))
 	}
 	// The pointer names the shared canonical-space snapshot; both can be
 	// evicted independently, and a stale/collided state must never be
@@ -1361,11 +1292,11 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 		}
 	}
 	if mapErr != nil {
-		return fail(http.StatusBadRequest, "", mapErr, outcomeError)
+		return badRequest(mapErr)
 	}
 	editedCanon, err := warm.Apply(cd)
 	if err != nil {
-		return fail(http.StatusBadRequest, "", err, outcomeError)
+		return badRequest(err)
 	}
 
 	// An edit that empties the ON-set is the constant-0 function: serve
@@ -1378,7 +1309,6 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 			FormKind:     "spp",
 			CoverOptimal: true,
 			Delta:        "trivial",
-			ElapsedNS:    elapsed(),
 			outcome:      outcomeComputed,
 		}
 	}
@@ -1397,7 +1327,7 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 
 	churn, err := warm.Churn(cd)
 	if err != nil {
-		return fail(http.StatusBadRequest, "", err, outcomeError)
+		return badRequest(err)
 	}
 	care := len(base.fn.On()) + len(base.fn.DC())
 	if care < 1 {
@@ -1418,149 +1348,59 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 			TimeoutMS: q.TimeoutMS, Stats: q.Stats,
 		})
 		resp.Delta = "cold"
-		resp.ElapsedNS = elapsed()
 		return resp
 	}
 
 	wkey := fcache.WarmPointerKey(fcache.KeyOf(edited), base.tag)
-	skeyEdited := fcache.WarmStateKey(fcache.KeyOf(editedCanon), base.tag)
-	validEdited := func(e cacheEntry) bool { return e.hasWarmRef && e.fn != nil && e.fn.Equal(edited) }
-	servedDelta := func(e cacheEntry, coalesced bool) Response {
-		form := e.form.Permute(fcache.InversePerm(e.perm))
-		oc := outcomeHit
-		if coalesced {
-			oc = outcomeCoalesced
-		}
-		return Response{
-			Form:         form.String(),
-			Literals:     form.Literals(),
-			NumTerms:     form.NumTerms(),
-			FormKind:     e.kind,
-			EPPP:         e.eppp,
-			CoverOptimal: e.coverOptimal,
-			Cached:       true,
-			Coalesced:    coalesced,
-			BaseKey:      wkey.String(),
-			Delta:        "warm",
-			ElapsedNS:    elapsed(),
-			outcome:      oc,
-		}
-	}
-	computedDelta := func(e cacheEntry, rep *stats.Report) Response {
-		form := e.form.Permute(fcache.InversePerm(e.perm))
-		out := Response{
-			Form:         form.String(),
-			Literals:     form.Literals(),
-			NumTerms:     form.NumTerms(),
-			FormKind:     e.kind,
-			EPPP:         e.eppp,
-			CoverOptimal: e.coverOptimal,
-			BaseKey:      wkey.String(),
-			Delta:        "warm",
-			ElapsedNS:    elapsed(),
-			outcome:      outcomeComputed,
-		}
-		if q.Stats {
-			out.Stats = rep
-		}
-		return out
-	}
-	failErr := func(err error) Response {
-		status := statusFor(err)
-		if status == http.StatusInternalServerError {
-			if ce := ctx.Err(); ce != nil {
-				status = statusFor(ce)
+	e, rep, oc, err := s.resolve(ctx, flight{
+		key:   wkey,
+		valid: func(e cacheEntry) bool { return e.hasWarmRef && e.fn != nil && e.fn.Equal(edited) },
+		// No pointer for this client's edited function, but a
+		// permuted-equivalent client (or an equivalent chain) may have
+		// left the shared canonical snapshot of the same edit: mint a
+		// thin pointer at this client's key and serve without resuming.
+		mint: func() (cacheEntry, bool) {
+			skey := fcache.WarmStateKey(fcache.KeyOf(editedCanon), base.tag)
+			se, ok := s.cache.Get(skey)
+			if !ok || se.warm == nil || !se.warm.Function().Equal(editedCanon) {
+				return cacheEntry{}, false
 			}
-		}
-		return applyShed(fail(status, "", err, outcomeError), err)
+			e := warmPointer(se, edited, base.perm, base.tag, skey)
+			s.cache.Put(wkey, e)
+			return e, true
+		},
+		compute: func(waiters func() int64) (cacheEntry, *stats.Report, error) {
+			return s.computeDelta(ctx, base, warm, cd, edited, editedCanon, wkey, opts, waiters)
+		},
+	}, false)
+	if err != nil {
+		return failure(ctx, err, oc)
 	}
-
-	if e, ok := s.cache.GetIf(wkey, validEdited); ok {
-		return servedDelta(e, false)
-	}
-	// No pointer for this client's edited function, but a
-	// permuted-equivalent client (or an equivalent chain) may have left
-	// the shared canonical snapshot of the same edit: mint a thin
-	// pointer at this client's key and serve without resuming.
-	if se, ok := s.cache.Get(skeyEdited); ok && se.warm != nil && se.warm.Function().Equal(editedCanon) {
-		e := cacheEntry{
-			form:         se.form,
-			kind:         se.kind,
-			eppp:         se.eppp,
-			coverOptimal: se.coverOptimal,
-			fn:           edited,
-			perm:         base.perm,
-			tag:          base.tag,
-			warmRef:      skeyEdited,
-			hasWarmRef:   true,
-		}
-		s.cache.Put(wkey, e)
-		return servedDelta(e, false)
-	}
-
-	if s.cfg.LegacySerial {
-		e, rep, err := s.computeDelta(ctx, q, base, warm, cd, edited, editedCanon, wkey, false, nil)
-		if err != nil {
-			return failErr(err)
-		}
-		s.bumpDelta(&s.ctr.deltaWarm)
-		return computedDelta(e, rep)
-	}
-
-	var leaderRep *stats.Report
-	e, oc, err := s.flights.Do(ctx, wkey, func(waiters func() int64) (cacheEntry, error) {
-		e, rep, err := s.computeDelta(ctx, q, base, warm, cd, edited, editedCanon, wkey, true, waiters)
-		leaderRep = rep
-		return e, err
-	})
-	switch oc {
-	case fcache.Led:
-		if err != nil {
-			return failErr(err)
-		}
-		s.bumpDelta(&s.ctr.deltaWarm)
-		return computedDelta(e, leaderRep)
-	case fcache.Joined:
-		if !validEdited(e) {
-			// Warm-key collision against a different in-flight function:
-			// resume directly for this request.
-			e, rep, err := s.computeDelta(ctx, q, base, warm, cd, edited, editedCanon, wkey, true, nil)
-			if err != nil {
-				return failErr(err)
-			}
-			s.bumpDelta(&s.ctr.deltaWarm)
-			return computedDelta(e, rep)
-		}
-		return servedDelta(e, true)
-	default: // fcache.Detached
-		return fail(statusFor(err), "", fmt.Errorf("coalesced wait: %w", err), outcomeDetached)
-	}
+	resp := render(q, e, fcache.InversePerm(e.perm), oc, rep)
+	resp.BaseKey = wkey.String()
+	resp.Delta = "warm"
+	return resp
 }
 
 // computeDelta resumes the base warm state under the translated delta —
 // holding an admission slot like any engine run — and stores the
 // resumed state at the edited function's canonical warm-state key plus
-// a thin pointer entry at wkey for this client to chain on.
-func (s *Server) computeDelta(ctx context.Context, q Request, base cacheEntry, warm *core.WarmState, cd core.Delta, edited, editedCanon *bfunc.Func, wkey fcache.Key, acquireSlot bool, waiters func() int64) (cacheEntry, *stats.Report, error) {
-	if acquireSlot {
-		release, err := s.acquireSlot(ctx)
-		if err != nil {
-			return cacheEntry{}, nil, err
-		}
-		defer release()
-	}
-
-	rec := stats.New()
-	res, nws, err := core.ResumeExact(warm, cd, s.coreOptions(ctx, q, rec))
+// a thin pointer entry at wkey for this client to chain on. Each
+// successful resume counts once in delta_warm and once in either
+// delta_cover_reused or delta_cover_resolved.
+func (s *Server) computeDelta(ctx context.Context, base cacheEntry, warm *core.WarmState, cd core.Delta, edited, editedCanon *bfunc.Func, wkey fcache.Key, opts engine.Options, waiters func() int64) (cacheEntry, *stats.Report, error) {
+	var res *core.Result
+	var nws *core.WarmState
+	rep, err := s.run(ctx, "delta", waiters, func(rec *stats.Recorder) (err error) {
+		opts.Core.Stats = rec
+		res, nws, err = core.ResumeExact(warm, cd, opts.Core)
+		return err
+	})
 	if err != nil {
 		return cacheEntry{}, nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return cacheEntry{}, nil, err
-	}
-
-	rep := s.recordRun(rec, "delta", waiters)
 	s.statsMu.Lock()
+	s.ctr.deltaWarm++
 	if res.CoverReused {
 		s.ctr.deltaCoverReused++
 	} else {
@@ -1568,64 +1408,17 @@ func (s *Server) computeDelta(ctx context.Context, q Request, base cacheEntry, w
 	}
 	s.statsMu.Unlock()
 
-	skey := fcache.WarmStateKey(fcache.KeyOf(editedCanon), base.tag)
-	form := engine.SPPForm{F: res.Form}
-	s.cache.Put(skey, cacheEntry{
-		form:         form,
+	r := cacheEntry{
+		form:         engine.SPPForm{F: res.Form},
 		kind:         "spp",
 		eppp:         res.Build.EPPP,
 		coverOptimal: res.CoverOptimal,
-		warm:         nws,
-		tag:          base.tag,
-	})
-	e := cacheEntry{
-		form:         form,
-		kind:         "spp",
-		eppp:         res.Build.EPPP,
-		coverOptimal: res.CoverOptimal,
-		fn:           edited,
-		perm:         base.perm,
-		tag:          base.tag,
-		warmRef:      skey,
-		hasWarmRef:   true,
 	}
+	skey := fcache.WarmStateKey(fcache.KeyOf(editedCanon), base.tag)
+	s.cache.Put(skey, warmStateEntry(r, nws, base.tag))
+	e := warmPointer(r, edited, base.perm, base.tag, skey)
 	s.cache.Put(wkey, e)
 	return e, rep, nil
-}
-
-type algorithm struct {
-	name string
-	k    int
-}
-
-func normalizeAlgorithm(q Request, n int) (algorithm, error) {
-	switch q.Algorithm {
-	case "", "exact":
-		return algorithm{name: "exact"}, nil
-	case "naive":
-		return algorithm{name: "naive"}, nil
-	case "sppk", "spp_k":
-		if q.K < 0 || q.K > n-1 {
-			return algorithm{}, fmt.Errorf("k=%d outside [0, %d]", q.K, n-1)
-		}
-		return algorithm{name: "sppk", k: q.K}, nil
-	default:
-		return algorithm{}, fmt.Errorf("unknown algorithm %q", q.Algorithm)
-	}
-}
-
-// optionTag spells out every option that can change a successful
-// result, so different options occupy different cache slots. Budgets
-// that abort with an error rather than truncate (PerOutput,
-// MaxCandidates) still matter: a function minimized under a larger
-// budget is not the same cache entry as one that fit a smaller one
-// only because both succeeded. Timeouts and worker counts are absent —
-// results are worker-count-independent, and a request that survives
-// its deadline is complete.
-func (s *Server) optionTag(q Request, alg algorithm) string {
-	return fmt.Sprintf("alg=%s;k=%d;xc=%t;fc=%t;cand=%d;nodes=%d",
-		alg.name, alg.k, q.ExactCover, q.FactorCost,
-		s.cfg.Core.MaxCandidates, s.cfg.Core.CoverMaxNodes)
 }
 
 func resolveFunction(q Request) (*bfunc.Func, error) {

@@ -178,6 +178,37 @@ func TestMinimizeBatch(t *testing.T) {
 			t.Errorf("item %d errored: %s", i, r.Error)
 		}
 	}
+
+	// One batch worker and one cache shard (the edit-loop benchmark's
+	// server): items run strictly in order, so the duplicate is a plain
+	// cache hit of the first item's compute.
+	t.Run("serial", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.BatchWorkers, cfg.CacheShards = 1, 1
+		h := New(cfg).Handler()
+		code, out := post(t, h, fmt.Sprintf(`{"requests":[{"n":3,"on":%s},{"n":3,"on":%s}]}`, on, on))
+		if code != http.StatusOK {
+			t.Fatalf("serial batch: status %d: %s", code, out)
+		}
+		var br batchResponse
+		if err := json.Unmarshal([]byte(out), &br); err != nil {
+			t.Fatalf("bad batch JSON: %v", err)
+		}
+		if br.Results[0].Cached || br.Results[0].Coalesced {
+			t.Errorf("serial first item: %+v, want fresh", br.Results[0])
+		}
+		if !br.Results[1].Cached || br.Results[1].Coalesced {
+			t.Errorf("serial duplicate item: cached=%v coalesced=%v, want a cache hit",
+				br.Results[1].Cached, br.Results[1].Coalesced)
+		}
+		st := statszOf(t, h)
+		if st.CacheShards != 1 {
+			t.Errorf("cache shards = %d, want 1", st.CacheShards)
+		}
+		if st.CoalesceWaiters != 0 || st.Served != 2 || st.CacheHits != 1 || st.CacheMisses != 1 {
+			t.Errorf("serial statsz = %+v", st)
+		}
+	})
 }
 
 func TestMinimizeDeadline504(t *testing.T) {
@@ -468,16 +499,83 @@ func TestStatszAndHealthz(t *testing.T) {
 	}
 }
 
+// TestMinimizeStatsInResponse: every form's fresh compute embeds its
+// run's spp-stats/v1 report when asked; a repeat is a cache hit that
+// ran nothing and carries none.
 func TestMinimizeStatsInResponse(t *testing.T) {
-	s := New(testConfig())
-	h := s.Handler()
-	code, out := post(t, h, fmt.Sprintf(`{"n":4,"on":%s,"stats":true}`, pointsJSON(oddParity(4))))
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, out)
+	body := func(form string) string {
+		return fmt.Sprintf(`{"n":4,"on":%s,"form":%q,"stats":true}`, pointsJSON(oddParity(4)), form)
 	}
-	res := decodeResp(t, out)
-	if res.Stats == nil || res.Stats.Schema != "spp-stats/v1" {
-		t.Fatalf("response stats missing: %+v", res.Stats)
+	for _, form := range []string{"spp", "sop", "esop", "dsop", "auto"} {
+		t.Run(form, func(t *testing.T) {
+			h := New(testConfig()).Handler()
+			code, out := post(t, h, body(form))
+			if code != http.StatusOK {
+				t.Fatalf("status %d: %s", code, out)
+			}
+			if res := decodeResp(t, out); res.Cached || res.Stats == nil || res.Stats.Schema != "spp-stats/v1" {
+				t.Fatalf("fresh response: cached=%v stats=%+v, want a spp-stats/v1 report", res.Cached, res.Stats)
+			}
+			code, out = post(t, h, body(form))
+			if code != http.StatusOK {
+				t.Fatalf("repeat: status %d: %s", code, out)
+			}
+			if res := decodeResp(t, out); !res.Cached || res.Stats != nil {
+				t.Fatalf("repeat response: cached=%v stats=%+v, want a cache hit without a report", res.Cached, res.Stats)
+			}
+		})
+	}
+}
+
+// TestCacheKeyPin pins the key and base_key spellings that journaled
+// jobs and clients' chained deltas depend on: a served key must never
+// drift across a refactor of the serving path. Each request runs twice
+// on a fresh warm server, so the computed and the cached response are
+// both checked.
+func TestCacheKeyPin(t *testing.T) {
+	const (
+		parity3Key  = "8ae26ed5d4b1521fdf7ff7b18b66148f8db8eb97efda6d76a3f52f9ce6091ce9"
+		parity3Base = "2944a7c6dfb3c2e3f5ca61b04ad16ed72be2e8a4a2a1b0b942ace84ea9effc43"
+		exactKey    = "4727624483e69a76429fcaed54b9265a7b2ab20c05852a3f9f7f197d11235832"
+		exactBase   = "dd8b03b5365fa550dc53bb3efae32feacf8f93b7d70b0d68b11bf2c4b334db68"
+		sppkKey     = "d9839861d13780e809cbe3ee6cf03bce8bdfb40d4a468ca986376495101de038"
+		naiveKey    = "8675965461aeaa946d106676294389094cd44748efd83e9042a14497a88f0910"
+		xcfcKey     = "058c40fe3b3fb1d0c9fa7a3328acf1dd829487951c718ae9d936eb24958af103"
+		xcfcBase    = "232cedbbd730c077cdcc1b55842789b9a9db7e4e13a8145874e6114c15757417"
+		sopKey      = "b6859a75bb058bb50e526d808e15752fbd6d694c69ea3db2464878cc7a08bf6f"
+	)
+	const on8 = `"n":4,"on":[1,2,4,7,8,11,13,14]`
+	cases := []struct {
+		body, key, baseKey string
+	}{
+		{`{"n":3,"on":[1,2,4,7]}`, parity3Key, parity3Base},
+		{`{` + on8 + `}`, exactKey, exactBase},
+		{`{` + on8 + `,"k":2}`, exactKey, exactBase},
+		{`{` + on8 + `,"form":"auto"}`, exactKey, ""},
+		{`{` + on8 + `,"algorithm":"sppk","k":1}`, sppkKey, ""},
+		{`{` + on8 + `,"algorithm":"spp_k","k":1}`, sppkKey, ""},
+		{`{` + on8 + `,"algorithm":"naive"}`, naiveKey, ""},
+		{`{` + on8 + `,"exact_cover":true,"factor_cost":true}`, xcfcKey, xcfcBase},
+		{`{` + on8 + `,"form":"sop"}`, sopKey, ""},
+	}
+	for _, tc := range cases {
+		cfg := testConfig()
+		cfg.WarmCache = true
+		h := New(cfg).Handler()
+		for _, pass := range []string{"computed", "cached"} {
+			code, out := post(t, h, tc.body)
+			if code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", tc.body, pass, code, out)
+			}
+			r := decodeResp(t, out)
+			if r.Cached != (pass == "cached") {
+				t.Errorf("%s %s: cached = %v", tc.body, pass, r.Cached)
+			}
+			if r.Key != tc.key || r.BaseKey != tc.baseKey {
+				t.Errorf("%s %s:\n  key      %s\n  want     %s\n  base_key %q\n  want     %q",
+					tc.body, pass, r.Key, tc.key, r.BaseKey, tc.baseKey)
+			}
+		}
 	}
 }
 
