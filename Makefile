@@ -141,14 +141,16 @@ bench-overload-smoke:
 
 # CI smoke tiers: every benchmark once (compile + one iteration catches
 # bit-rot without benchmarking anything), and short fuzz runs of the
-# exact-cover round-trip property and of the allocation-free union
-# against Union and the union recomputed from points.
+# exact-cover round-trip property, of the allocation-free union
+# against Union and the union recomputed from points, and of the
+# canonicalizer against its reference copy.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzExactRoundTrip$$' -fuzztime 20s ./internal/cover
 	go test -run '^$$' -fuzz '^FuzzUnionInto$$' -fuzztime 20s ./internal/pcube
+	go test -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 20s ./internal/fcache
 
 # The repository benchmark (sppbench/) is a Go module of its own, so
 # the root `go build ./...` never compiles it: vet and test it in place,

@@ -46,7 +46,9 @@
 // mean costs and the race overhead — auto latency over the winning
 // form's own explicit latency — merge into BENCH_serve.json as a
 // "form_mix" section, and every auto cost is checked against the
-// minimum explicit cost (the determinism contract).
+// minimum explicit cost (the determinism contract). Every response,
+// explicit or auto, is counted by status, and any non-200 fails the
+// run.
 //
 // A fifth scenario, -scenario overload, measures the adaptive
 // admission layer: phase 1 runs distinct cold computes with clients ==
@@ -193,6 +195,9 @@ type formMixResult struct {
 	BestCostMatches int `json:"best_cost_matches,omitempty"`
 
 	Errors int `json:"errors"`
+	// Non200 counts the responses that were not 200, by HTTP status (0
+	// for a request that got no response). Any entry fails the run.
+	Non200 map[int]int `json:"non_200,omitempty"`
 }
 
 // jobRunResult is one priority class's slice of the jobs scenario:
@@ -1209,14 +1214,15 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 	client := &http.Client{}
 	lat := make(map[string][]time.Duration, len(forms))
 	cost := make(map[string][]int, len(forms))
-	explicitErrs := map[string]int{}
+	non200 := make(map[string]map[int]int, len(forms)+1)
 	for _, form := range forms {
 		lat[form] = make([]time.Duration, keys)
 		cost[form] = make([]int, keys)
+		non200[form] = map[int]int{}
 		for k, body := range bodies {
 			d, code, resp := postResp(client, ts.URL, withForm(body, form))
 			if code != http.StatusOK {
-				explicitErrs[form]++
+				non200[form][code]++
 				cost[form][k] = -1
 				continue
 			}
@@ -1230,13 +1236,14 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 	defer ts.Close()
 	autoLat := make([]time.Duration, keys)
 	autoCost := make([]int, keys)
-	autoErrs, bestMatches := 0, 0
+	bestMatches := 0
+	non200["auto"] = map[int]int{}
 	var overheadSum float64
 	var overheadN int
 	for k, body := range bodies {
 		d, code, resp := postResp(client, ts.URL, withForm(body, "auto"))
 		if code != http.StatusOK {
-			autoErrs++
+			non200["auto"][code]++
 			autoCost[k] = -1
 			continue
 		}
@@ -1267,7 +1274,7 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 	rep.Config["form_mix_quick"] = quick
 	rep.FormMix = nil
 
-	row := func(form string, lats []time.Duration, costs []int, errs int) formMixResult {
+	row := func(form string, lats []time.Duration, costs []int) formMixResult {
 		var ok []time.Duration
 		var costSum, costN int
 		for k := range lats {
@@ -1278,7 +1285,13 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 			}
 		}
 		sort.Slice(ok, func(i, j int) bool { return ok[i] < ok[j] })
-		r := formMixResult{Scenario: "form-mix", Form: form, Requests: len(lats), Errors: errs}
+		r := formMixResult{Scenario: "form-mix", Form: form, Requests: len(lats)}
+		for _, n := range non200[form] {
+			r.Errors += n
+		}
+		if r.Errors > 0 {
+			r.Non200 = non200[form]
+		}
 		if len(ok) > 0 {
 			var total time.Duration
 			for _, d := range ok {
@@ -1293,7 +1306,7 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 
 	races := st.EngineRaces
 	for _, form := range forms {
-		r := row(form, lat[form], cost[form], explicitErrs[form])
+		r := row(form, lat[form], cost[form])
 		if races > 0 {
 			r.WinRate = float64(st.EngineWinsByForm[form]) / float64(races)
 		}
@@ -1301,7 +1314,8 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 		fmt.Printf("form-mix %-5s  p50 %7.2fms  mean %7.2fms  #L %6.1f  wins %4.0f%%  errors %d\n",
 			r.Form, r.P50MS, r.MeanMS, r.MeanLiterals, 100*r.WinRate, r.Errors)
 	}
-	auto := row("auto", autoLat, autoCost, autoErrs)
+	auto := row("auto", autoLat, autoCost)
+	autoErrs := auto.Errors
 	auto.BestCostMatches = bestMatches
 	if overheadN > 0 {
 		auto.RaceOverhead = overheadSum / float64(overheadN)
@@ -1324,13 +1338,19 @@ func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quic
 	for _, k := range []string{"form_mix_wins", "form_mix_race_overhead", "form_mix_best_cost"} {
 		fmt.Printf("summary %s = %s\n", k, rep.Summary[k])
 	}
+	failed := false
+	for _, r := range rep.FormMix {
+		for code, n := range r.Non200 {
+			fmt.Fprintf(os.Stderr, "sppload: form-mix %s: %d responses with status %d\n", r.Form, n, code)
+			failed = true
+		}
+	}
 	if bestMatches != keys-autoErrs {
 		fmt.Fprintf(os.Stderr, "sppload: form-mix: %d/%d auto races missed the best explicit cost\n",
 			keys-autoErrs-bestMatches, keys-autoErrs)
-		os.Exit(1)
+		failed = true
 	}
-	if autoErrs > 0 {
-		fmt.Fprintf(os.Stderr, "sppload: form-mix: %d auto races failed\n", autoErrs)
+	if failed {
 		os.Exit(1)
 	}
 }

@@ -2,10 +2,12 @@ package fcache
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/bfunc"
 	"repro/internal/bitvec"
 )
@@ -217,6 +219,89 @@ func TestCanonicalizeCtxCancelled(t *testing.T) {
 	}
 	if k2, _, _ := Canonicalize(bfunc.New(4, []uint64{1, 2, 4, 8})); k2 != k {
 		t.Error("CanonicalizeCtx and Canonicalize disagree")
+	}
+}
+
+// TestCanonicalizeKeyPins pins raw Canonicalize keys that the original
+// canonicalizer computed, one per path through it, so the keys stay
+// pinned should the reference oracle ever go. Journaled jobs, clients'
+// base keys and cached entries all depend on them. The test also pins
+// the path: the candidate count is the product of the class sizes'
+// factorials, which the tie-break enumerates when it fits the budget.
+func TestCanonicalizeKeyPins(t *testing.T) {
+	for _, c := range []struct {
+		bench      string
+		out        int
+		candidates int
+		key        string
+	}{
+		// Five ambiguous classes: the tie-break walks 2·4!·2·2·2 leaves.
+		{"add6", 3, 384, "be231f63ae1ac3f025e02da0f0be9608e4d34ebe1b1fa00b6cf54defda889741"},
+		// 10!·2 candidates over 2048 points: over budget, so layout().
+		{"add6", 6, 7257600, "515bec544c8f2a133bdc5d281af1c445dc551a660875a57690c1aaa429fcb41f"},
+		// Refinement alone resolves all 14 variables.
+		{"amd", 0, 1, "14df25445141eea560fbafe0147d76a41fe2450c963827b291586ba1577d92d9"},
+	} {
+		f := bench.MustLoad(c.bench).Output(c.out)
+		class, err := refineClasses(context.Background(), f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := map[int]int{}
+		candidates := 1
+		for _, cl := range class {
+			size[cl]++
+			candidates *= size[cl]
+		}
+		if candidates != c.candidates {
+			t.Errorf("%s(%d): %d tie-break candidates, want %d", c.bench, c.out, candidates, c.candidates)
+		}
+		k, perm, canon := Canonicalize(f)
+		if k.String() != c.key {
+			t.Errorf("%s(%d): key %s, pinned %s", c.bench, c.out, k, c.key)
+		}
+		if !permFunc(f, perm).Equal(canon) {
+			t.Errorf("%s(%d): perm does not map f onto canon", c.bench, c.out)
+		}
+	}
+}
+
+// canonCases are the allocation gate's and the benchmark's inputs: add6
+// output 3 spends its time in a 384-leaf tie-break, amd output 0 in the
+// class refinement.
+var canonCases = []struct {
+	bench string
+	out   int
+}{{"add6", 3}, {"amd", 0}}
+
+// TestCanonicalizeAllocCeiling is a load-independent gate on the
+// canonicalization kernels: allocations, unlike wall time, do not move
+// with host load. The original kernels allocated 25,955 times on add6
+// output 3 and 8,352 times on amd output 0, per leaf and per point; the
+// rewrite sizes its buffers once per call and measured 23 and 20. The
+// ceilings sit about 10% above.
+func TestCanonicalizeAllocCeiling(t *testing.T) {
+	ceilings := []float64{26, 22}
+	for i, c := range canonCases {
+		f := bench.MustLoad(c.bench).Output(c.out)
+		allocs := testing.AllocsPerRun(3, func() { Canonicalize(f) })
+		if allocs > ceilings[i] {
+			t.Errorf("Canonicalize(%s(%d)) allocates %.0f times, ceiling %.0f", c.bench, c.out, allocs, ceilings[i])
+		}
+	}
+}
+
+var canonSink Key
+
+func BenchmarkCanonicalize(b *testing.B) {
+	for _, c := range canonCases {
+		f := bench.MustLoad(c.bench).Output(c.out)
+		b.Run(fmt.Sprintf("%s-%d", c.bench, c.out), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				canonSink, _, _ = Canonicalize(f)
+			}
+		})
 	}
 }
 

@@ -897,9 +897,10 @@ func (s *Server) process(ctx context.Context, q Request) (resp Response) {
 	}
 	// Canonicalization honors the request deadline: its class
 	// refinement and tie-break costs grow with n and point count. It
-	// runs before (and outside) the admission slot — its work is
-	// bounded by fcache's tie-break budget, and keeping it off the
-	// slot lets cache hits complete without queueing at all.
+	// runs before (and outside) the admission slot, so cache hits
+	// complete without queueing at all. fcache's work budget bounds
+	// only the tie-break; the refinement runs up to n rounds over
+	// every point, and the deadline is what stops it.
 	canonKey, perm, canon, err := fcache.CanonicalizeCtx(ctx, f)
 	if err != nil {
 		return failure(ctx, err, outcomeError)
