@@ -1,9 +1,10 @@
 # Check tiers. `check` is the tier-1 gate every PR must keep green;
 # `check-race` additionally vets and runs the suite under the race
-# detector (the parallel EPPP engine is exercised with forced worker
-# counts even on single-core hosts).
+# detector (the parallel paths that remain, across outputs, covering
+# shards, the exact cover's branch and bound and the serving layer, are
+# exercised with forced worker counts even on single-core hosts).
 
-.PHONY: check check-race lint artifact-check fmt-check pkgdoc-check docs-check server-smoke jobs-crash-smoke bench-eppp bench-cover bench bench-serve bench-serve-smoke bench-delta bench-delta-smoke bench-jobs bench-jobs-smoke bench-forms bench-forms-smoke bench-overload bench-overload-smoke bench-smoke bench-module-check fuzz-smoke fuzz-delta-smoke
+.PHONY: check check-race lint artifact-check fmt-check pkgdoc-check docs-check server-smoke jobs-crash-smoke bench-cover bench bench-serve bench-serve-smoke bench-delta bench-delta-smoke bench-jobs bench-jobs-smoke bench-forms bench-forms-smoke bench-overload bench-overload-smoke bench-smoke bench-module-check fuzz-smoke fuzz-delta-smoke
 
 # Pinned linter versions, fetched on demand by `go run` (network
 # required; CI runs these in the `lint` job, they are not part of the
@@ -64,11 +65,6 @@ server-smoke:
 # warming the result cache (statsz jobs_replayed > 0).
 jobs-crash-smoke:
 	sh scripts/jobs_crash_smoke.sh
-
-# Parallel EPPP speedup curve; writes BENCH_eppp.json (ops/sec and
-# speedup vs serial per worker count).
-bench-eppp:
-	go test -run '^$$' -bench BenchmarkParallelEPPP -benchtime 3x .
 
 # Covering-phase comparison (seed map-and-rescan path vs the bitset
 # engine); writes BENCH_cover.json and asserts identical literal counts.
@@ -140,12 +136,13 @@ bench-overload-smoke:
 		-out /tmp/bench_overload_smoke.json
 
 # CI smoke tiers: every benchmark once (compile + one iteration catches
-# bit-rot without benchmarking anything), and short fuzz runs of the
+# bit-rot without benchmarking anything; -short keeps the run from
+# rewriting any checked-in BENCH_*.json), and short fuzz runs of the
 # exact-cover round-trip property, of the allocation-free union
 # against Union and the union recomputed from points, and of the
 # canonicalizer against its reference copy.
 bench-smoke:
-	go test -run '^$$' -bench . -benchtime 1x ./...
+	go test -short -run '^$$' -bench . -benchtime 1x ./...
 
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzExactRoundTrip$$' -fuzztime 20s ./internal/cover

@@ -269,88 +269,16 @@ func BenchmarkAblationSPEngine(b *testing.B) {
 	}
 }
 
-// parallelBenchNsOp collects the per-worker-count timing of
-// BenchmarkParallelEPPP's sub-benchmarks (which run in declaration
-// order) so the trailing "report" step can emit BENCH_eppp.json.
-var parallelBenchNsOp = map[int]float64{}
-
-// BenchmarkParallelEPPP measures the worker-pool EPPP engine against
-// the serial one on a mid-size Table 2 instance and writes the curve to
-// BENCH_eppp.json (ops/sec per worker count, speedup vs serial). On a
-// single-core host the parallel engine pays only its sharding overhead;
-// the speedup column shows ~1.0 there and climbs with the core count.
-func BenchmarkParallelEPPP(b *testing.B) {
-	f := bench.MustLoad("max512").Output(5)
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		counts = append(counts, n)
-	}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildEPPP(f, core.Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			parallelBenchNsOp[w] = float64(time.Since(start).Nanoseconds()) / float64(b.N)
-		})
-	}
-	b.Run("report", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// Nothing to measure; this sub-benchmark exists to run after
-			// the timed ones and persist their results.
-		}
-		type row struct {
-			Workers int     `json:"workers"`
-			CPUs    int     `json:"cpus"`
-			SecOp   float64 `json:"sec_per_op"`
-			OpsSec  float64 `json:"ops_per_sec"`
-			Speedup float64 `json:"speedup_vs_serial"`
-		}
-		serial := parallelBenchNsOp[1]
-		out := struct {
-			Bench string `json:"bench"`
-			CPUs  int    `json:"cpus"`
-			Rows  []row  `json:"rows"`
-		}{Bench: "BuildEPPP max512.5", CPUs: runtime.NumCPU()}
-		for _, w := range counts {
-			ns := parallelBenchNsOp[w]
-			if ns == 0 {
-				continue
-			}
-			// Each row carries the host CPU count so a speedup < 1 at
-			// workers > cpus is interpretable in isolation.
-			out.Rows = append(out.Rows, row{
-				Workers: w,
-				CPUs:    runtime.NumCPU(),
-				SecOp:   ns / 1e9,
-				OpsSec:  1e9 / ns,
-				Speedup: serial / ns,
-			})
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_eppp.json", append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
-// BenchmarkStatsOverhead guards the observability tentpole's
-// zero-overhead-when-disabled contract: the same parallel EPPP build as
-// BenchmarkParallelEPPP with Options.Stats nil (hot paths pay one nil
-// check) vs a live recorder. Compare stats=off here against
-// BenchmarkParallelEPPP to confirm instrumented-but-disabled builds
-// did not regress; stats=on shows the price of turning collection on.
+// BenchmarkStatsOverhead guards the observability layer's
+// zero-overhead-when-disabled contract: the same EPPP build with
+// Options.Stats nil (hot paths pay one nil check) vs a live recorder.
+// stats=off should match core's BenchmarkBuildEPPP on the same output;
+// stats=on shows the price of turning collection on.
 func BenchmarkStatsOverhead(b *testing.B) {
 	f := bench.MustLoad("max512").Output(5)
-	workers := 4
 	b.Run("stats=off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildEPPP(f, core.Options{Workers: workers}); err != nil {
+			if _, err := core.BuildEPPP(f, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -358,41 +286,11 @@ func BenchmarkStatsOverhead(b *testing.B) {
 	b.Run("stats=on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rec := stats.New()
-			if _, err := core.BuildEPPP(f, core.Options{Workers: workers, Stats: rec}); err != nil {
+			if _, err := core.BuildEPPP(f, core.Options{Stats: rec}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkAblationParallelExpansion is the DESIGN.md "serial vs
-// parallel group expansion" ablation: the same construction across
-// worker counts, for both the exact EPPP build and the SPP_2 heuristic
-// (whose descendant/ascendant phases use the same worker pool).
-func BenchmarkAblationParallelExpansion(b *testing.B) {
-	for _, c := range []harness.OutputCase{
-		{Func: "m3", Output: 3}, {Func: "max512", Output: 5},
-	} {
-		f := bench.MustLoad(c.Func).Output(c.Output)
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/eppp/workers=%d", c.String(), w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.BuildEPPP(f, core.Options{Workers: w}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/spp2/workers=%d", c.String(), w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Heuristic(f, 2, core.Options{Workers: w}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkExtensionSharedOutputs measures joint multi-output
@@ -580,7 +478,8 @@ var coverBenchCases = []harness.OutputCase{
 // Table 1/2 functions: the seed map-and-rescan path against the
 // word-parallel bitset engine at CoverWorkers=NumCPU, writing the
 // comparison to BENCH_cover.json. The report step asserts both paths
-// select forms with identical literal counts.
+// select forms with identical literal counts; under -short (the CI
+// smoke run) it checks them but leaves BENCH_cover.json alone.
 func BenchmarkCover(b *testing.B) {
 	workers := runtime.NumCPU()
 	for _, c := range coverBenchCases {
@@ -651,6 +550,9 @@ func BenchmarkCover(b *testing.B) {
 				Speedup:   seedNs / bitNs,
 				Literals:  coverBenchLits[c.String()+"/bitset"],
 			})
+		}
+		if testing.Short() {
+			return
 		}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {

@@ -37,7 +37,7 @@ func main() {
 		budget    = flag.Duration("budget", 2*time.Minute, "per-output time budget")
 		exactCov  = flag.Bool("exact-cover", false, "use exact (branch-and-bound) covering")
 		share     = flag.Bool("share", false, "jointly minimize all outputs with a shared pseudoproduct pool")
-		workers   = flag.Int("workers", 0, "parallel workers for EPPP construction (0 = all CPUs, 1 = serial)")
+		workers   = flag.Int("workers", 0, "outputs built at once by -share and the -verilog/-blif export (0 = GOMAXPROCS, 1 = serial)")
 		coverWork = flag.Int("cover-workers", 0, "parallel workers for the covering phase (0 = follow -workers, 1 = serial)")
 		maxNodes  = flag.Int64("cover-max-nodes", 0, "node budget for exact covering (0 = solver default)")
 		statsPath = flag.String("stats", "", "write a machine-readable run report (JSON) to this file, - for stdout")

@@ -14,7 +14,7 @@
 //	curl -s localhost:8080/statsz
 //
 // Minimization bounds share flag names with spptables (-budget,
-// -workers, ...). On SIGINT/SIGTERM the server drains in-flight
+// -cover-workers, ...). On SIGINT/SIGTERM the server drains in-flight
 // requests (refusing new ones with 503) and flushes a final
 // spp-stats-run/v1 report of the recent runs to -stats.
 package main

@@ -64,10 +64,11 @@ func (r *DesignResult) Err() error {
 
 // MinimizeDesign minimizes every output of the design separately (the
 // paper's protocol) with the exact algorithm, or with the SPP_k
-// heuristic when k ≥ 0. Outputs are processed on parallel workers —
-// results are deterministic because outputs are independent. Per-output
-// budget errors are recorded in DesignResult.Errors rather than
-// aborting the whole design.
+// heuristic when k ≥ 0. Outputs are processed Options.Workers at a time
+// (0 means runtime.GOMAXPROCS(0)), each build serial — results are
+// deterministic because outputs are independent. Per-output budget
+// errors are recorded in DesignResult.Errors rather than aborting the
+// whole design.
 func MinimizeDesign(d *Design, k int, opts *Options) *DesignResult {
 	nOut := d.NOutputs()
 	r := &DesignResult{
@@ -76,29 +77,21 @@ func MinimizeDesign(d *Design, k int, opts *Options) *DesignResult {
 		results: make([]*Result, nOut),
 		Errors:  make([]error, nOut),
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if opts != nil && opts.Workers != 0 {
-		workers = opts.Workers
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	if workers > nOut {
-		workers = nOut
-	}
-	// Split the worker budget: outputs across the outer pool, the rest
-	// down into each per-output build (Workers=1 inside when the outer
-	// pool already uses them all) so the CPUs are not oversubscribed.
 	inner := &Options{}
 	if opts != nil {
 		c := *opts
 		inner = &c
 	}
-	inner.Workers = 1
-	if opts != nil && opts.Workers != 0 {
-		if w := opts.Workers / workers; w > 1 {
-			inner.Workers = w
-		}
+	workers := runtime.GOMAXPROCS(0)
+	if inner.Workers != 0 {
+		workers = max(1, inner.Workers)
+	}
+	workers = min(workers, nOut)
+	// Each output's covering gets the workers the outer pool leaves
+	// over, serial unless Workers exceeds the output count, so the CPUs
+	// are not oversubscribed. An explicit CoverWorkers wins.
+	if inner.CoverWorkers == 0 {
+		inner.CoverWorkers = max(1, inner.Workers/max(1, workers))
 	}
 	var wg sync.WaitGroup
 	jobs := make(chan int)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -28,5 +29,26 @@ func TestBuildEPPPAllocCeiling(t *testing.T) {
 	}
 	if allocs > ceiling {
 		t.Fatalf("BuildEPPP(m3(3), Workers: 1) allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+}
+
+// BenchmarkBuildEPPP times the serial Algorithm 2 build on two Table 2
+// outputs, with allocations reported: m3(3) is the allocation gate's
+// instance and max512(5) the largest single build the Table 1 workload
+// runs.
+func BenchmarkBuildEPPP(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		out  int
+	}{{"m3", 3}, {"max512", 5}} {
+		f := bench.MustLoad(c.name).Output(c.out)
+		b.Run(fmt.Sprintf("%s(%d)", c.name, c.out), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildEPPP(f, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bfunc"
@@ -97,18 +96,20 @@ type Options struct {
 	// default).
 	CoverMaxNodes int64
 
-	// Workers sets the number of parallel workers used by EPPP
-	// construction, the heuristic's descendant/ascendant phases and
-	// multi-output minimization: 1 (or negative) means serial, 0 means
-	// runtime.NumCPU(). Every worker count produces the same result —
-	// the parallel engines are byte-identical to the serial ones.
+	// Workers sets how many outputs MinimizeMulti builds at once: 1 (or
+	// negative) means one at a time, 0 means runtime.GOMAXPROCS(0).
+	// Every single-output build (BuildEPPP, the heuristic's phases, the
+	// warm engine) is serial whatever the setting; parallelism comes
+	// from independent outputs and requests, not from inside one build.
+	// Every worker count produces the same result.
 	Workers int
 
 	// CoverWorkers sets the worker count for the covering phase: the
 	// column construction shards of SelectCover/MinimizeMulti and the
 	// root branches of the exact branch and bound. 0 follows the
-	// resolution of Workers; 1 (or negative) means serial. Every
-	// setting produces the same forms.
+	// resolution of Workers, so leaving both at 0 means GOMAXPROCS
+	// workers; 1 (or negative) means serial. Every setting produces the
+	// same forms.
 	CoverWorkers int
 
 	// Stats, when non-nil, receives per-phase wall times and counters
@@ -122,7 +123,7 @@ type Options struct {
 
 func (o Options) workers() int {
 	if o.Workers == 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	if o.Workers < 1 {
 		return 1
@@ -162,21 +163,18 @@ func (o Options) ctxErr() error {
 	return o.Ctx.Err()
 }
 
-// budget tracks generation limits during EPPP construction. It is safe
-// for concurrent use: the parallel engines have every worker spend
-// against the same budget.
+// budget tracks generation limits during EPPP construction. One build
+// owns it, so it needs no synchronization.
 type budget struct {
-	remaining atomic.Int64
+	remaining int64
 	deadline  time.Time
 	checkEach int64
-	sinceLast atomic.Int64
-	rec       *stats.Recorder
+	sinceLast int64
 	ctx       context.Context // nil = not cancellable
 }
 
 func newBudget(o Options) *budget {
-	b := &budget{checkEach: 1024, rec: o.Stats, ctx: o.Ctx}
-	b.remaining.Store(int64(o.maxCandidates()))
+	b := &budget{remaining: int64(o.maxCandidates()), checkEach: 1024, ctx: o.Ctx}
 	if o.MaxDuration > 0 {
 		b.deadline = time.Now().Add(o.MaxDuration)
 	}
@@ -185,15 +183,15 @@ func newBudget(o Options) *budget {
 
 // spend consumes n generation credits and reports whether the budget
 // still holds. The deadline and the cancellation context are polled
-// coarsely — every checkEach credits across all workers — to keep
-// time.Now and the ctx.Err atomic out of the hot loop.
+// coarsely — every checkEach credits — to keep time.Now and the ctx.Err
+// atomic out of the hot loop.
 func (b *budget) spend(n int) bool {
-	if b.remaining.Add(-int64(n)) < 0 {
+	if b.remaining -= int64(n); b.remaining < 0 {
 		return false
 	}
 	if b.ctx != nil || !b.deadline.IsZero() {
-		if b.sinceLast.Add(int64(n)) >= b.checkEach {
-			b.sinceLast.Store(0)
+		if b.sinceLast += int64(n); b.sinceLast >= b.checkEach {
+			b.sinceLast = 0
 			if b.ctx != nil && b.ctx.Err() != nil {
 				return false
 			}
@@ -214,15 +212,6 @@ func (b *budget) failure() error {
 		}
 	}
 	return ErrBudget
-}
-
-// refund returns n credits. The parallel engines charge optimistically
-// for every pseudoproduct fresh in a worker-local shard and refund the
-// cross-shard duplicates during the deterministic merge, so the net
-// charge per level equals the serial engine's exactly.
-func (b *budget) refund(n int) {
-	b.remaining.Add(int64(n))
-	b.rec.Add(stats.CtrBudgetRefunds, int64(n))
 }
 
 // expired reports whether the wall-clock deadline has passed.

@@ -23,8 +23,6 @@ type BuildStats struct {
 	Unions int64
 	// Fresh is the number of union successes: distinct pseudoproducts a
 	// union (or heuristic descent) step admitted to the next level.
-	// Like every other field except BuildTime it is identical for every
-	// worker count.
 	Fresh int64
 	// Comparisons is the number of structure comparisons performed.
 	// Algorithm 2 performs none (grouping makes every considered pair
@@ -71,14 +69,13 @@ type EPPPSet struct {
 }
 
 // unifier runs Algorithm 2's step-2 pair loop for every partition-trie
-// engine: the serial and parallel BuildEPPP, the heuristic's ascent and
-// the warm capture. Each union is computed into one reused scratch
-// slice (pcube.UnionInto), the discard rule takes its cost from the
-// scratch, and the scratch is probed against the next-level trie
-// (ptrie.InsertFactors). A CEX is allocated only when the union is
-// fresh there — about a third of the unions on the Table 1 functions,
-// because a degree-(m+1) pseudocube is the union of up to 2^(m+1)−1
-// same-structure pairs.
+// engine: BuildEPPP, the heuristic's ascent and the warm capture. Each
+// union is computed into one reused scratch slice (pcube.UnionInto),
+// the discard rule takes its cost from the scratch, and the scratch is
+// probed against the next-level trie (ptrie.InsertFactors). A CEX is
+// allocated only when the union is fresh there — about a third of the
+// unions on the Table 1 functions, because a degree-(m+1) pseudocube is
+// the union of up to 2^(m+1)−1 same-structure pairs.
 type unifier struct {
 	cost   CostKind
 	b      *budget
@@ -87,13 +84,13 @@ type unifier struct {
 	fresh  int64 // unions fresh in their destination trie
 }
 
-// group unifies es[i] with every es[j], j > i, for the first indices i
-// in [lo, hi), inserting each union into next. mark(k) is called once
-// per pair whose union costs no more than es[k] (the discard rule). It
+// group unifies every pair es[i], es[j], i < j, of one structure
+// group, inserting each union into next. mark(k) is called once per
+// pair whose union costs no more than es[k] (the discard rule). It
 // charges the budget for every fresh union and reports false, stopping
 // early, when the budget is exhausted.
-func (u *unifier) group(es []*ptrie.Entry, lo, hi int, next *ptrie.Trie, mark func(k int)) bool {
-	for i := lo; i < hi; i++ {
+func (u *unifier) group(es []*ptrie.Entry, next *ptrie.Trie, mark func(k int)) bool {
+	for i := range es {
 		ci := u.cost.of(es[i].CEX)
 		for j := i + 1; j < len(es); j++ {
 			// Same-group entries share a structure and differ in their
@@ -153,15 +150,12 @@ func (s *keySet) add(fs []pcube.Factor) (string, bool) {
 // It returns ErrBudget if Options limits are exceeded, like the paper's
 // two-day timeout stars, and the context's error if Options.Ctx is
 // cancelled (polled at every level boundary and, coarsely, inside the
-// level expansion via the generation budget).
+// level expansion via the generation budget). MaxCandidates is an exact
+// cap: a limit equal to the build's Stats.Candidates succeeds, one less
+// fails.
 //
-// With Options.Workers != 1 the level expansion runs on a worker pool
-// (see parallel.go); the candidate set, its order and all statistics
-// except BuildTime are identical to the serial engine's.
+// The build is serial; Options.Workers does not affect it.
 func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
-	if opts.workers() > 1 {
-		return buildEPPPParallel(f, opts)
-	}
 	defer opts.Stats.Phase(stats.PhaseEPPP)()
 	start := time.Now()
 	n := f.N()
@@ -190,7 +184,7 @@ func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		next := ptrie.New(n)
 		ok := true
 		cur.Groups(func(entries []*ptrie.Entry) bool {
-			ok = u.group(entries, 0, len(entries), next, func(k int) { entries[k].Mark = true })
+			ok = u.group(entries, next, func(k int) { entries[k].Mark = true })
 			return ok
 		})
 		if !ok {
@@ -218,17 +212,9 @@ func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 // structure (DESIGN.md ablation 1). The algorithmic behaviour — group by
 // structure, unify within groups — is identical, so the resulting EPPP
 // set matches BuildEPPP exactly; only the grouping data structure
-// differs.
-//
-// With Options.Workers != 1 the groups fan out over a worker pool; the
-// parallel variant additionally fixes the group iteration order (sorted
-// structure keys), so its candidate order is deterministic where the
-// serial map iteration is not. The candidate set is identical either
-// way.
+// differs. Its candidate order follows map iteration and so varies
+// from run to run; the candidate set does not.
 func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
-	if opts.workers() > 1 {
-		return buildEPPPHashGroupedParallel(f, opts)
-	}
 	defer opts.Stats.Phase(stats.PhaseEPPP)()
 	start := time.Now()
 	n := f.N()

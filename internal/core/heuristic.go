@@ -28,6 +28,9 @@ import (
 // form; with k = 0 the descendant phase is skipped and only unions of
 // the prime implicants themselves (and their unions, recursively) are
 // available — the paper's fast upper bound.
+//
+// Every phase before covering is serial, and MaxCandidates caps them
+// exactly, as in BuildEPPP.
 func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 	if k < 0 || k >= f.N() {
 		return nil, fmt.Errorf("core: heuristic parameter k=%d out of range [0,%d)", k, f.N())
@@ -79,7 +82,6 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 			break
 		}
 	}
-	workers := opts.workers()
 	stop = rec.Phase(stats.PhaseDescend)
 	for i := 1; i <= k && top-i+1 >= 1; i++ {
 		if err := opts.ctxErr(); err != nil {
@@ -87,15 +89,6 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 			return nil, err
 		}
 		d := top - i + 1
-		if workers > 1 && tries[d].Len() > 1 {
-			fresh, ok := descendParallel(n, tries[d], tries[d-1], b, workers, rec)
-			if !ok {
-				stop()
-				return nil, b.failure()
-			}
-			bst.Fresh += int64(fresh)
-			continue
-		}
 		overBudget := false
 		tries[d].Entries(func(e *ptrie.Entry) bool {
 			e.CEX.SubPseudocubes(func(s *pcube.CEX) bool {
@@ -135,26 +128,14 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 		if rec != nil {
 			rec.Add(stats.CtrTrieNodes, int64(cur.NumInternalNodes()))
 		}
-		if workers > 1 && cur.Len() > 1 {
-			// Same group-parallel shape as BuildEPPP: unify on workers
-			// into shard tries, then merge into the (pre-seeded) trie of
-			// degree d+1 in the serial insertion order.
-			locals, ok := expandLevel(n, levelGroups(cur), opts, b, &bst.Unions, workers, stats.PhaseAscend)
-			if !ok {
-				stop()
-				return nil, b.failure()
-			}
-			bst.Fresh += int64(mergeIntoTrie(tries[d+1], locals, b))
-		} else {
-			ok := true
-			cur.Groups(func(entries []*ptrie.Entry) bool {
-				ok = u.group(entries, 0, len(entries), tries[d+1], func(k int) { entries[k].Mark = true })
-				return ok
-			})
-			if !ok {
-				stop()
-				return nil, b.failure()
-			}
+		ok := true
+		cur.Groups(func(entries []*ptrie.Entry) bool {
+			ok = u.group(entries, tries[d+1], func(k int) { entries[k].Mark = true })
+			return ok
+		})
+		if !ok {
+			stop()
+			return nil, b.failure()
 		}
 		cur.Entries(func(e *ptrie.Entry) bool {
 			if !e.Mark {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/bfunc"
@@ -260,6 +261,34 @@ func buildCoverColumns(n int, on []uint64, candidates []*pcube.CEX, opts Options
 		opts.Stats.Merge(&shards[i])
 	}
 	return in, cols
+}
+
+// shardSlice splits [0, n) into contiguous order-preserving shards, one
+// per worker (shard s covers [n*s/w, n*(s+1)/w)), and runs fn for each
+// shard concurrently. With one worker (or n <= 1) fn runs inline. It is
+// the fan-out primitive of the covering-column passes (SelectCover,
+// MinimizeMulti and the warm resume), whose shard outputs are
+// concatenated back in shard order.
+func shardSlice(n, workers int, fn func(shard, lo, hi int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		if n > 0 {
+			fn(0, 0, n)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < workers; s++ {
+		lo, hi := n*s/workers, n*(s+1)/workers
+		wg.Add(1)
+		go func(s, lo, hi int) {
+			defer wg.Done()
+			fn(s, lo, hi)
+		}(s, lo, hi)
+	}
+	wg.Wait()
 }
 
 // MinimizeExact runs the full exact SPP minimization (Algorithm 2):

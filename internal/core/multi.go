@@ -60,11 +60,10 @@ func (r *MultiResult) SeparateLiterals() int {
 // set). Column costs are literal counts paid once — the covering solver
 // does the sharing automatically.
 //
-// With Options.Workers != 1 the per-output EPPP builds run concurrently
-// (nested worker budget: outer workers split across outputs, the rest
-// passed down into each build); the pool merge and all later phases are
-// serial and performed in output order, so the result is identical to
-// the Workers=1 run.
+// With Options.Workers != 1 the per-output EPPP builds run
+// concurrently, each build serial; the pool merge and all later phases
+// are performed in output order, so the result is identical to the
+// Workers=1 run.
 func MinimizeMulti(m *bfunc.Multi, opts Options) (*MultiResult, error) {
 	n := m.Inputs
 	res := &MultiResult{N: n, Drives: make([][]int, m.NOutputs())}
@@ -73,25 +72,16 @@ func MinimizeMulti(m *bfunc.Multi, opts Options) (*MultiResult, error) {
 	// shared pool serially in output order (determinism).
 	sets := make([]*EPPPSet, m.NOutputs())
 	errs := make([]error, m.NOutputs())
-	outer := opts.workers()
-	if outer > m.NOutputs() {
-		outer = m.NOutputs()
-	}
-	inner := opts
-	inner.Workers = opts.workers() / outer
-	if inner.Workers < 1 {
-		inner.Workers = 1
-	}
-	if outer > 1 {
+	if workers := min(opts.workers(), m.NOutputs()); workers > 1 {
 		jobs := make(chan int)
 		var wg sync.WaitGroup
-		for w := 0; w < outer; w++ {
+		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				opts.Stats.Do(stats.PhaseEPPP, func() {
 					for o := range jobs {
-						sets[o], errs[o] = BuildEPPP(m.Output(o), inner)
+						sets[o], errs[o] = BuildEPPP(m.Output(o), opts)
 					}
 				})
 			}()
@@ -103,7 +93,7 @@ func MinimizeMulti(m *bfunc.Multi, opts Options) (*MultiResult, error) {
 		wg.Wait()
 	} else {
 		for o := 0; o < m.NOutputs(); o++ {
-			sets[o], errs[o] = BuildEPPP(m.Output(o), inner)
+			sets[o], errs[o] = BuildEPPP(m.Output(o), opts)
 		}
 	}
 

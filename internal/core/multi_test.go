@@ -118,3 +118,63 @@ func TestMinimizeMultiEmptyAndBudget(t *testing.T) {
 		t.Fatal("expected budget error")
 	}
 }
+
+// workerCounts exercised against Workers=1 by the tests of the parallel
+// paths that remain: outputs built at once by MinimizeMulti, and the
+// covering shards Workers seeds. NumCPU on the test host may be 1, so
+// forcing several explicit counts (including one above the output
+// count) is what actually drives them.
+var workerCounts = []int{2, 3, 4, 8}
+
+// TestParallelMinimizeMultiIdentical checks the joint multi-output
+// minimizer: with parallel per-output builds the shared pool selection,
+// drive lists and joint cost must match the serial run.
+func TestParallelMinimizeMultiIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 8; trial++ {
+		n := 3 + rng.Intn(2)
+		outs := make([]*bfunc.Func, 2+rng.Intn(3))
+		for i := range outs {
+			outs[i] = randomFunc(rng, n, 0.4, trial%2 == 0)
+		}
+		m := bfunc.NewMulti("t", n, outs)
+		serial, err := MinimizeMulti(m, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range workerCounts {
+			par, err := MinimizeMulti(m, Options{Workers: w})
+			if err != nil {
+				t.Fatalf("trial %d workers %d: %v", trial, w, err)
+			}
+			if par.SharedLiterals != serial.SharedLiterals {
+				t.Fatalf("trial %d workers %d: shared literals %d, want %d",
+					trial, w, par.SharedLiterals, serial.SharedLiterals)
+			}
+			if len(par.Terms) != len(serial.Terms) {
+				t.Fatalf("trial %d workers %d: pool size %d, want %d",
+					trial, w, len(par.Terms), len(serial.Terms))
+			}
+			for i := range serial.Terms {
+				if par.Terms[i].Key() != serial.Terms[i].Key() {
+					t.Fatalf("trial %d workers %d: pool term %d differs", trial, w, i)
+				}
+			}
+			for o := range serial.Drives {
+				if len(par.Drives[o]) != len(serial.Drives[o]) {
+					t.Fatalf("trial %d workers %d: output %d drives %v, want %v",
+						trial, w, o, par.Drives[o], serial.Drives[o])
+				}
+				for i := range serial.Drives[o] {
+					if par.Drives[o][i] != serial.Drives[o][i] {
+						t.Fatalf("trial %d workers %d: output %d drives %v, want %v",
+							trial, w, o, par.Drives[o], serial.Drives[o])
+					}
+				}
+			}
+			if par.Build.Unions != serial.Build.Unions || par.Build.Candidates != serial.Build.Candidates {
+				t.Fatalf("trial %d workers %d: build stats differ", trial, w)
+			}
+		}
+	}
+}

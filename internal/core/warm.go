@@ -278,8 +278,8 @@ func intersectSorted(a, b []uint64) []uint64 {
 // ResumeExact can patch under a small edit. The form is equivalent to
 // MinimizeExact's — same candidate set, same cost — but may differ
 // textually where the covering heuristic broke a tie by candidate
-// order. Capture forces the EPPP build serial (the discard counts are
-// tallied inline); Options.CoverWorkers still parallelizes covering.
+// order. The EPPP build is serial, like every build;
+// Options.CoverWorkers still parallelizes covering.
 func MinimizeExactWarm(f *bfunc.Func, opts Options) (*Result, *WarmState, error) {
 	set, ws, err := buildEPPPWarm(f, opts)
 	if err != nil {
@@ -333,7 +333,7 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 		wl := warmLevel{}
 		ok := true
 		cur.PathGroups(func(path []byte, entries []*ptrie.Entry) bool {
-			if ok = u.group(entries, 0, len(entries), next, func(k int) { entries[k].MarkCnt++ }); !ok {
+			if ok = u.group(entries, next, func(k int) { entries[k].MarkCnt++ }); !ok {
 				return false
 			}
 			// Capture the group canonically: entries by complement

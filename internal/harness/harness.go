@@ -38,11 +38,9 @@ type Config struct {
 	// budget at all — the paper's "*" timeout semantics only covered
 	// EPPP construction time.
 	CoverMaxNodes int64
-	// Workers sets the EPPP construction worker count (0 = all CPUs,
-	// 1 = serial); results are identical either way.
-	Workers int
-	// CoverWorkers sets the covering-phase worker count (0 = follow
-	// Workers, 1 = serial); results are identical either way.
+	// CoverWorkers sets the covering-phase worker count (0 =
+	// GOMAXPROCS, 1 = serial); results are identical either way. EPPP
+	// construction is always serial.
 	CoverWorkers int
 }
 
@@ -57,15 +55,15 @@ func DefaultConfig() Config {
 }
 
 // BindFlags registers the config's minimization bounds on fs under the
-// flag names the tools share (-budget, -workers, ...), so cmd/spptables
-// and cmd/sppserve parse identical knobs. Call on a config seeded with
-// DefaultConfig (or other desired defaults) before fs.Parse.
+// flag names the tools share (-budget, -cover-workers, ...), so
+// cmd/spptables and cmd/sppserve parse identical knobs. Call on a
+// config seeded with DefaultConfig (or other desired defaults) before
+// fs.Parse.
 func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.PerOutput, "budget", c.PerOutput, "per-output budget for EPPP construction")
 	fs.DurationVar(&c.NaiveBudget, "naive-budget", c.NaiveBudget, "per-output budget for the naive [5] baseline")
 	fs.IntVar(&c.MaxCandidates, "max-candidates", c.MaxCandidates, "cap on generated pseudoproducts per output (0 = library default)")
-	fs.IntVar(&c.Workers, "workers", c.Workers, "parallel workers for EPPP construction (0 = all CPUs, 1 = serial)")
-	fs.IntVar(&c.CoverWorkers, "cover-workers", c.CoverWorkers, "parallel workers for the covering phase (0 = follow -workers, 1 = serial)")
+	fs.IntVar(&c.CoverWorkers, "cover-workers", c.CoverWorkers, "parallel workers for the covering phase (0 = GOMAXPROCS, 1 = serial)")
 	fs.Int64Var(&c.CoverMaxNodes, "cover-max-nodes", c.CoverMaxNodes, "node budget for exact covering (0 = solver default)")
 }
 
@@ -79,7 +77,6 @@ func (c Config) CoreOptions() core.Options {
 		MaxCandidates: c.MaxCandidates,
 		CoverExact:    c.CoverExact,
 		CoverMaxNodes: c.CoverMaxNodes,
-		Workers:       c.Workers,
 		CoverWorkers:  c.CoverWorkers,
 	}
 }
@@ -87,12 +84,11 @@ func (c Config) CoreOptions() core.Options {
 // rowRecorder pairs a fresh recorder with the Report call every table
 // row makes: phases and counters accumulate into rec during the row's
 // minimizations and report(name) snapshots them, stamping the
-// configured worker counts.
+// configured covering worker count.
 func (c Config) rowRecorder() (rec *stats.Recorder, report func(name string) *stats.Report) {
 	rec = stats.New()
 	return rec, func(name string) *stats.Report {
 		rep := rec.Report(name)
-		rep.Workers = c.Workers
 		rep.CoverWorkers = c.CoverWorkers
 		return rep
 	}

@@ -14,9 +14,9 @@ func TestCoreOptionsPlumbsCoverMaxNodes(t *testing.T) {
 		t.Fatalf("CoreOptions().CoverMaxNodes = %d, want 12345", got)
 	}
 	cfg.CoverExact = true
-	cfg.Workers = 3
+	cfg.CoverWorkers = 3
 	opts := cfg.CoreOptions()
-	if !opts.CoverExact || opts.Workers != 3 || opts.CoverMaxNodes != 12345 {
+	if !opts.CoverExact || opts.CoverWorkers != 3 || opts.CoverMaxNodes != 12345 {
 		t.Fatalf("CoreOptions dropped fields: %+v", opts)
 	}
 }

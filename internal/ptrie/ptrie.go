@@ -11,8 +11,8 @@
 package ptrie
 
 import (
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/bitvec"
 	"repro/internal/pcube"
@@ -29,9 +29,13 @@ const (
 // node is an internal trie node. Children are kept sorted: NC-nodes
 // first by label, then C-nodes by label (the paper's child ordering;
 // leaves are stored separately in the entries map of the group node).
+// Labels are variable indices below n ≤ 64, so the nc and c bitmaps
+// (bit l set = a child labeled l) index the children: a child's slot is
+// the number of children sorted before it, a popcount.
 type node struct {
 	kind     kind
 	label    int
+	nc, c    uint64
 	children []*node
 	entries  []*Entry // leaves: one per complement vector
 }
@@ -75,17 +79,21 @@ func (t *Trie) NumInternalNodes() int { return t.inodes }
 // NumNCNodes returns the number of NC-nodes allocated.
 func (t *Trie) NumNCNodes() int { return t.ncCount }
 
+// slot returns the index the (k, label) child has, or would take, in
+// nd.children, and whether it is present.
+func (nd *node) slot(k kind, label int) (int, bool) {
+	bit := uint64(1) << uint(label)
+	if k == ncNode {
+		return bits.OnesCount64(nd.nc & (bit - 1)), nd.nc&bit != 0
+	}
+	return bits.OnesCount64(nd.nc) + bits.OnesCount64(nd.c&(bit-1)), nd.c&bit != 0
+}
+
 // child finds or creates the child of nd with the given kind and label,
 // maintaining the sorted order (NC-nodes before C-nodes, then by label).
 func (t *Trie) child(nd *node, k kind, label int) *node {
-	i := sort.Search(len(nd.children), func(i int) bool {
-		c := nd.children[i]
-		if c.kind != k {
-			return c.kind > k
-		}
-		return c.label >= label
-	})
-	if i < len(nd.children) && nd.children[i].kind == k && nd.children[i].label == label {
+	i, ok := nd.slot(k, label)
+	if ok {
 		return nd.children[i]
 	}
 	nc := &node{kind: k, label: label}
@@ -94,21 +102,17 @@ func (t *Trie) child(nd *node, k kind, label int) *node {
 	nd.children[i] = nc
 	t.inodes++
 	if k == ncNode {
+		nd.nc |= 1 << uint(label)
 		t.ncCount++
+	} else {
+		nd.c |= 1 << uint(label)
 	}
 	return nc
 }
 
 // findChild returns the child or nil without creating it.
 func (nd *node) findChild(k kind, label int) *node {
-	i := sort.Search(len(nd.children), func(i int) bool {
-		c := nd.children[i]
-		if c.kind != k {
-			return c.kind > k
-		}
-		return c.label >= label
-	})
-	if i < len(nd.children) && nd.children[i].kind == k && nd.children[i].label == label {
+	if i, ok := nd.slot(k, label); ok {
 		return nd.children[i]
 	}
 	return nil
@@ -234,9 +238,7 @@ func (t *Trie) visitGroups(nd *node, visit func([]*Entry) bool) bool {
 // root. Children are sorted NC-before-C then by label and a parent's
 // key is a proper prefix of its descendants', so lexicographic byte
 // order of path keys equals DFS order; equal structures stored in
-// different tries get equal path keys. This is what lets worker-local
-// tries built in parallel be k-way merged back into the DFS order a
-// single trie would have produced. The path slice is reused between
+// different tries get equal path keys. The path slice is reused between
 // visits — callers that retain it must copy.
 func (t *Trie) PathGroups(visit func(path []byte, entries []*Entry) bool) {
 	t.visitPathGroups(&t.root, make([]byte, 0, 2*t.n), visit)

@@ -1,7 +1,9 @@
 package ptrie
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -264,6 +266,80 @@ func TestPathKeyMatchesPathGroups(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestChildIndexProperty drives the bitmap child index with random
+// (kind, label) paths over the full label range of n = 64, labels 0
+// and 63 included, and checks it against the definitions it replaces:
+// children sorted NC before C and then by label, findChild equal to a
+// linear scan for every present and absent child, and PathGroups
+// visiting groups in sorted path-key order.
+func TestChildIndexProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	tr := New(64)
+	want := map[string]bool{}
+	for i := 0; i < 2000; i++ {
+		nd := &tr.root
+		var path []byte
+		for d := 1 + rng.Intn(6); d > 0; d-- {
+			k := kind(rng.Intn(2))
+			label := rng.Intn(64)
+			switch rng.Intn(8) {
+			case 0:
+				label = 0
+			case 1:
+				label = 63
+			}
+			nd = tr.child(nd, k, label)
+			path = append(path, byte(k), byte(label))
+		}
+		nd.entries = append(nd.entries, &Entry{})
+		want[string(path)] = true
+	}
+
+	var check func(nd *node)
+	check = func(nd *node) {
+		for i := 1; i < len(nd.children); i++ {
+			a, b := nd.children[i-1], nd.children[i]
+			if a.kind > b.kind || (a.kind == b.kind && a.label >= b.label) {
+				t.Fatalf("children %d (%d,%d) and %d (%d,%d) out of order", i-1, a.kind, a.label, i, b.kind, b.label)
+			}
+		}
+		for _, k := range []kind{ncNode, cNode} {
+			for label := 0; label < 64; label++ {
+				var scan *node
+				for _, c := range nd.children {
+					if c.kind == k && c.label == label {
+						scan = c
+					}
+				}
+				if got := nd.findChild(k, label); got != scan {
+					t.Fatalf("findChild(%d, %d) = %p, linear scan %p", k, label, got, scan)
+				}
+			}
+		}
+		for _, c := range nd.children {
+			check(c)
+		}
+	}
+	check(&tr.root)
+
+	var paths []string
+	tr.PathGroups(func(path []byte, es []*Entry) bool {
+		if n := len(paths); n > 0 && bytes.Compare([]byte(paths[n-1]), path) >= 0 {
+			t.Fatalf("PathGroups visits %v after %v", path, []byte(paths[n-1]))
+		}
+		paths = append(paths, string(path))
+		return true
+	})
+	wantPaths := make([]string, 0, len(want))
+	for p := range want {
+		wantPaths = append(wantPaths, p)
+	}
+	slices.Sort(wantPaths)
+	if !slices.Equal(paths, wantPaths) {
+		t.Fatalf("PathGroups visited %d groups, inserted %d distinct paths", len(paths), len(wantPaths))
+	}
 }
 
 // TestDuplicateUnionAllocFree pins the kernel's contract: a union that

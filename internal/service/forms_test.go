@@ -109,7 +109,7 @@ func TestFormAutoBestCost(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := testConfig()
-			cfg.Core.Workers = workers
+			cfg.Core.CoverWorkers = workers
 			cfg.MaxConcurrent = 4
 			s := New(cfg)
 			h := s.Handler()

@@ -1181,7 +1181,6 @@ func (s *Server) recordRun(rec *stats.Recorder, name string, waiters func() int6
 	defer s.mu.Unlock()
 	s.runSeq++
 	rep := rec.Report(fmt.Sprintf("serve/%d/%s", s.runSeq, name))
-	rep.Workers = s.cfg.Core.Workers
 	rep.CoverWorkers = s.cfg.Core.CoverWorkers
 	if waiters != nil {
 		if w := waiters(); w > 0 {

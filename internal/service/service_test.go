@@ -23,7 +23,7 @@ func testConfig() Config {
 		Core: harness.Config{
 			PerOutput:     10 * time.Second,
 			MaxCandidates: 1_000_000,
-			Workers:       1,
+			CoverWorkers:  1,
 		},
 		MaxConcurrent:  2,
 		DefaultTimeout: 10 * time.Second,

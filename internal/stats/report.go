@@ -40,8 +40,9 @@ type LayerSize struct {
 type Report struct {
 	Schema string `json:"schema"`
 	Name   string `json:"name,omitempty"`
-	// Workers and CoverWorkers are the resolved pool sizes the run used
-	// (informational; they never influence Counters).
+	// Workers and CoverWorkers are the pool sizes the run was given
+	// (informational; they never influence Counters). Workers counts
+	// outputs built at once; every single EPPP build is serial.
 	Workers      int              `json:"workers,omitempty"`
 	CoverWorkers int              `json:"cover_workers,omitempty"`
 	WallSeconds  float64          `json:"wall_seconds"`

@@ -3,20 +3,19 @@
 // the heuristic's descendant/ascendant phases and the covering engine.
 //
 // The layer is zero-overhead when disabled: every probe on a nil
-// *Recorder reduces to a nil check (verified by BenchmarkStatsOverhead
-// against BenchmarkParallelEPPP), so Options.Stats == nil preserves the
-// hot paths exactly. When enabled, counters are aggregated race-safely
-// across the worker pools — workers count into per-worker Shards (plain
-// int64s, no contention) and merge them into the Recorder's atomics at
-// the pool join points, mirroring how the engines themselves merge
-// worker-local tries.
+// *Recorder reduces to a nil check (BenchmarkStatsOverhead times the
+// same build with and without a recorder), so Options.Stats == nil
+// preserves the hot paths exactly. When enabled, counters are
+// aggregated race-safely across the worker pools — workers count into
+// per-worker Shards (plain int64s, no contention) and merge them into
+// the Recorder's atomics at the pool join points.
 //
 // Counters come in two classes. Deterministic counters describe the
 // algorithms and are byte-identical for every Workers/CoverWorkers
 // setting, extending the engines' determinism guarantee to their
-// observability; scheduling counters (budget refunds, shard trie nodes,
-// parallel branch-and-bound node/prune counts) describe the execution
-// and may vary run to run. Report keeps the two classes in separate
+// observability; scheduling counters (trie node counts, parallel
+// branch-and-bound node/prune counts) describe the execution and may
+// vary run to run. Report keeps the two classes in separate
 // JSON sections so regression gates can diff the deterministic one.
 //
 // This layer answers "what did one run cost"; the serving layer's
@@ -163,12 +162,9 @@ const (
 
 	// --- scheduling counters: may vary with worker count/timing ---
 
-	// CtrBudgetRefunds counts generation credits refunded at merge
-	// points for cross-shard duplicates (always 0 when serial).
-	CtrBudgetRefunds
 	// CtrTrieNodes counts internal partition-trie nodes observed across
-	// levels; worker-local shard tries duplicate path prefixes, so the
-	// parallel engines report more nodes than the serial one.
+	// levels. It does not vary with the worker count; it is a sched
+	// counter because it measures the index, not the algorithm.
 	CtrTrieNodes
 	// CtrExactNodes counts branch-and-bound nodes explored.
 	CtrExactNodes
@@ -186,7 +182,7 @@ const (
 
 // firstSchedCounter splits the counter space: counters at or beyond it
 // are scheduling-dependent and reported in the Report's "sched" section.
-const firstSchedCounter = CtrBudgetRefunds
+const firstSchedCounter = CtrTrieNodes
 
 var counterNames = [numCounters]string{
 	CtrCandidates:        "eppp.candidates",
@@ -207,7 +203,6 @@ var counterNames = [numCounters]string{
 	CtrCoverReplayed:     "cover.warm_replayed",
 	CtrCoverResolved:     "cover.warm_resolved_picks",
 	CtrCoverDirty:        "cover.warm_dirty_columns",
-	CtrBudgetRefunds:     "budget.refunds",
 	CtrTrieNodes:         "eppp.trie_nodes",
 	CtrExactNodes:        "cover.exact_nodes",
 	CtrExactBoundPrunes:  "cover.exact_bound_prunes",

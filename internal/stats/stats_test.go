@@ -111,7 +111,7 @@ func TestCounterClassification(t *testing.T) {
 		CtrGreedyPicks, CtrGreedyReevals, CtrGreedyRedundant,
 		CtrReduceEssential, CtrReduceRowDom, CtrReduceColDom,
 		CtrCoverReplayed, CtrCoverResolved, CtrCoverDirty}
-	sched := []Counter{CtrBudgetRefunds, CtrTrieNodes, CtrExactNodes,
+	sched := []Counter{CtrTrieNodes, CtrExactNodes,
 		CtrExactBoundPrunes, CtrExactLBPrunes, CtrExactRootBranches}
 	for _, c := range det {
 		if !c.Deterministic() {

@@ -129,9 +129,11 @@ type Options struct {
 	// branch and bound; the literal counts become provable minima when
 	// the search completes (Result.CoverOptimal).
 	ExactCover bool
-	// Workers sets the number of parallel workers for EPPP construction
-	// and the heuristic phases: 0 means all CPUs, 1 (or negative) means
-	// serial. Results are identical for every worker count.
+	// Workers sets how many outputs MinimizeDesign minimizes, and
+	// MinimizeShared builds, at once: 0 means runtime.GOMAXPROCS(0), 1
+	// (or negative) one at a time. A single output's EPPP construction and heuristic
+	// phases are always serial. Results are identical for every worker
+	// count.
 	Workers int
 	// CoverWorkers sets the number of parallel workers for the covering
 	// phase (column construction and the exact branch and bound): 0
@@ -323,7 +325,7 @@ func (w *WarmState) Churn(d Delta) (int, error) {
 // from Minimize's where the covering heuristic broke a tie by candidate
 // order — the literal cost is the same, and all warm results
 // (MinimizeWarm and Resume alike) are mutually byte-identical for equal
-// functions. EPPP construction runs serially while capturing;
+// functions. EPPP construction is serial, as in every call;
 // Options.CoverWorkers still parallelizes covering.
 func MinimizeWarm(f *Function, opts *Options) (*Result, *WarmState, error) {
 	r, ws, err := core.MinimizeExactWarm(f.f, opts.toCore())
