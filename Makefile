@@ -140,7 +140,9 @@ bench-overload-smoke:
 # rewriting any checked-in BENCH_*.json), and short fuzz runs of the
 # exact-cover round-trip property, of the allocation-free union
 # against Union and the union recomputed from points, and of the
-# canonicalizer against its reference copy.
+# canonicalizer against its reference copy (20s each), then of the PLA,
+# Verilog and BLIF readers, the incremental cover and the form parser
+# (10s each).
 bench-smoke:
 	go test -short -run '^$$' -bench . -benchtime 1x ./...
 
@@ -148,6 +150,11 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzExactRoundTrip$$' -fuzztime 20s ./internal/cover
 	go test -run '^$$' -fuzz '^FuzzUnionInto$$' -fuzztime 20s ./internal/pcube
 	go test -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 20s ./internal/fcache
+	go test -run '^$$' -fuzz '^FuzzParsePLA$$' -fuzztime 10s ./internal/bfunc
+	go test -run '^$$' -fuzz '^FuzzReadVerilog$$' -fuzztime 10s ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzReadBLIF$$' -fuzztime 10s ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzIncrementalCover$$' -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz '^FuzzParseForm$$' -fuzztime 10s ./internal/core
 
 # The repository benchmark (sppbench/) is a Go module of its own, so
 # the root `go build ./...` never compiles it: vet and test it in place,

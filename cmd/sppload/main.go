@@ -82,6 +82,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -1380,7 +1381,13 @@ type editResult struct {
 	DeltaCoverReused   int64 `json:"delta_cover_reused"`
 	DeltaCoverResolved int64 `json:"delta_cover_resolved"`
 	CacheBytes         int64 `json:"cache_bytes"`
-	Errors             int64 `json:"errors"`
+	// Errors counts the requests that failed, and Non200 splits them by
+	// HTTP status (0 for a request that got no response); any failure
+	// fails the run. BaseMissRecovered counts the 409 base misses that
+	// the full re-submission answered, which are not failures.
+	Errors            int64       `json:"errors"`
+	Non200            map[int]int `json:"non_200,omitempty"`
+	BaseMissRecovered int64       `json:"base_miss_recovered"`
 
 	// CoverMSMean is the mean covering-phase wall time ("cover.*" phases
 	// summed) per edit-phase engine run: delta resumes in warm mode, full
@@ -1417,9 +1424,9 @@ func runEditLoopScenario(out string, clients, edits, editK, nvars, onBase int, q
 	for _, warm := range []bool{false, true} {
 		res := runEditLoop(warm, clients, edits, editK, nvars, onSets)
 		rep.Results = append(rep.Results, res)
-		fmt.Printf("edit-loop %-5s  %6.1f edits/s  p50 %6.2fms  p99 %7.2fms  cover %7.2fms/run  warm %3d (replay %d)  fallback %d  base-miss %d\n",
+		fmt.Printf("edit-loop %-5s  %6.1f edits/s  p50 %6.2fms  p99 %7.2fms  cover %7.2fms/run  warm %3d (replay %d)  fallback %d  base-miss %d (recovered %d)\n",
 			res.Mode, res.EditsPerS, res.P50MS, res.P99MS, res.CoverMSMean,
-			res.DeltaWarm, res.DeltaCoverReused, res.DeltaCold, res.DeltaBaseMiss)
+			res.DeltaWarm, res.DeltaCoverReused, res.DeltaCold, res.DeltaBaseMiss, res.BaseMissRecovered)
 	}
 
 	cold, warm := &rep.Results[0], &rep.Results[1]
@@ -1435,6 +1442,16 @@ func runEditLoopScenario(out string, clients, edits, editK, nvars, onBase int, q
 	writeReport(out, rep)
 	for k, v := range rep.Summary {
 		fmt.Printf("summary %s = %s\n", k, v)
+	}
+	failed := false
+	for _, res := range rep.Results {
+		for code, n := range res.Non200 {
+			fmt.Fprintf(os.Stderr, "sppload: edit-loop %s: %d responses with status %d\n", res.Mode, n, code)
+			failed = true
+		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 	if assertCoverSplit {
 		// Regression gate: a warm resume must spend strictly less time in
@@ -1567,7 +1584,8 @@ func runEditLoop(warm bool, clients, edits, editK, nvars int, onSets [][]int) ed
 
 	var mu sync.Mutex
 	var lats []time.Duration
-	var errs int64
+	non200 := map[int]int{}
+	var recovered int64
 	// All clients submit their base function up front (untimed in both
 	// modes — it is setup, not part of the edit loop), then rendezvous
 	// so the timer covers exactly the edit phase.
@@ -1593,7 +1611,7 @@ func runEditLoop(warm bool, clients, edits, editK, nvars int, onSets [][]int) ed
 			seeded.Done()
 			if code != http.StatusOK {
 				mu.Lock()
-				errs++
+				non200[code]++
 				mu.Unlock()
 				return
 			}
@@ -1618,7 +1636,13 @@ func runEditLoop(warm bool, clients, edits, editK, nvars int, onSets [][]int) ed
 							pts = append(pts, p)
 						}
 						sort.Ints(pts)
+						// Not one this step added: a delta that both adds
+						// and removes a point is a 400. Redrawing leaves
+						// every other step's script as it was.
 						p := pts[rng.Intn(len(pts))]
+						for slices.Contains(adds, p) {
+							p = pts[rng.Intn(len(pts))]
+						}
 						delete(on, p)
 						removes = append(removes, p)
 					}
@@ -1631,16 +1655,21 @@ func runEditLoop(warm bool, clients, edits, editK, nvars int, onSets [][]int) ed
 					body = fullBody(nvars, on)
 				}
 				d, code, resp := postResp(client, ts.URL, body)
+				resubmitted := false
 				if warm && code == http.StatusConflict {
 					// Base evicted: fall back to a full submission and
 					// resume chaining from its key.
 					d2, code2, resp2 := postResp(client, ts.URL, fullBody(nvars, on))
 					d, code, resp = d+d2, code2, resp2
+					resubmitted = true
 				}
 				mu.Lock()
 				lats = append(lats, d)
-				if code != http.StatusOK {
-					errs++
+				switch {
+				case code != http.StatusOK:
+					non200[code]++
+				case resubmitted:
+					recovered++
 				}
 				mu.Unlock()
 				if warm && resp.BaseKey != "" {
@@ -1673,6 +1702,10 @@ func runEditLoop(warm bool, clients, edits, editK, nvars int, onSets [][]int) ed
 		i := min(int(p*float64(len(lats))), len(lats)-1)
 		return float64(lats[i].Microseconds()) / 1000
 	}
+	var errs int64
+	for _, n := range non200 {
+		errs += int64(n)
+	}
 	coverRuns, coverMean := editCoverStats(st, warm, clients)
 	debugPhaseMeans(st, warm, clients, mode)
 	return editResult{
@@ -1691,7 +1724,9 @@ func runEditLoop(warm bool, clients, edits, editK, nvars int, onSets [][]int) ed
 		DeltaCoverReused:   st.DeltaCoverReused,
 		DeltaCoverResolved: st.DeltaCoverResolved,
 		CacheBytes:         st.CacheBytes,
-		Errors:             errs + st.Errors,
+		Errors:             errs,
+		Non200:             non200,
+		BaseMissRecovered:  recovered,
 		CoverMSMean:        coverMean,
 		CoverRuns:          coverRuns,
 	}

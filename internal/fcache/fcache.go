@@ -82,10 +82,14 @@ func WarmPointerKey(exact Key, tag string) Key {
 	return exact.Derive("warm;" + tag)
 }
 
-// tieBreakWork bounds the point-mapping work spent enumerating
-// permutations inside ambiguous variable classes. Small functions get
-// thousands of candidates; huge ON sets fall back to a deterministic
-// (but not permutation-invariant) order almost immediately.
+// tieBreakWork bounds the work spent enumerating permutations inside
+// ambiguous variable classes. Each leaf is charged one unit per ON and
+// DC point, what mapping and sorting its point lists costs, on both
+// scorers: a truth table scores a leaf for less, but the charge, and so
+// which functions are enumerated and which keys they get, does not
+// depend on the scorer. Small functions get thousands of candidates;
+// huge ON sets fall back to a deterministic (but not
+// permutation-invariant) order almost immediately.
 const tieBreakWork = 1 << 22
 
 // Canonicalize computes a canonical representative of f's
@@ -112,17 +116,26 @@ func Canonicalize(f *bfunc.Func) (Key, []int, *bfunc.Func) {
 // Cancellation never yields a truncated key — truncation by the
 // (deterministic) work budget does not report an error.
 func CanonicalizeCtx(ctx context.Context, f *bfunc.Func) (Key, []int, *bfunc.Func, error) {
+	k, perm, canon, _, err := CanonicalizeExact(ctx, f)
+	return k, perm, canon, err
+}
+
+// CanonicalizeExact is CanonicalizeCtx that also reports whether the
+// key is exact: false when the tie-break's work budget cut its
+// enumeration short, so that a permuted variant of f may get a key of
+// its own.
+func CanonicalizeExact(ctx context.Context, f *bfunc.Func) (Key, []int, *bfunc.Func, bool, error) {
 	class, err := refineClasses(ctx, f)
 	if err != nil {
-		return Key{}, nil, nil, err
+		return Key{}, nil, nil, false, err
 	}
-	perm, img, err := tieBreak(ctx, f, class)
+	perm, img, exact, err := tieBreak(ctx, f, class)
 	if err != nil {
-		return Key{}, nil, nil, err
+		return Key{}, nil, nil, false, err
 	}
 	on := f.OnCount()
 	canon := bfunc.NewDC(f.N(), img[:on], img[on:])
-	return keyOf(canon), perm, canon, nil
+	return keyOf(canon), perm, canon, exact, nil
 }
 
 // KeyOf returns the cache key of f without canonicalizing: equal
@@ -140,9 +153,11 @@ func KeyOf(f *bfunc.Func) Key { return keyOf(f) }
 // equivalent to the classic per-weight bit-count signature. Class ids
 // are dense, from 0 to the number of classes less one.
 //
-// The rounds allocate nothing. Every buffer is sized once, and variable
-// i's signatures fill sigs[off[i]:off[i+1]], a span as long as the
-// number of points that contain i.
+// The rounds allocate nothing. Every buffer is sized once. Each round
+// hashes every point and sorts the points by signature, ON and DC
+// together; variable i's signatures then fill sigs[off[i]:off[i+1]] in
+// that order, a span as long as the number of points that contain i and
+// already sorted.
 func refineClasses(ctx context.Context, f *bfunc.Func) ([]int, error) {
 	n := f.N()
 	on, dc := f.On(), f.DC()
@@ -159,6 +174,7 @@ func refineClasses(ctx context.Context, f *bfunc.Func) ([]int, error) {
 		off[i+1] += off[i]
 	}
 	sigs := make([]uint64, off[n])
+	byHash := make([]signedPoint, len(on)+len(dc))
 	fill := make([]int, n)
 	class, next := make([]int, n), make([]int, n)
 	classBits := make([]uint64, n)
@@ -173,15 +189,21 @@ func refineClasses(ctx context.Context, f *bfunc.Func) ([]int, error) {
 		for i, c := range class {
 			classBits[c] |= bitvec.VarMask(n, i)
 		}
-		copy(fill, off[:n])
-		if !collectSigs(ctx, on, 1, classBits[:nclasses], sigs, fill) ||
-			!collectSigs(ctx, dc, 2, classBits[:nclasses], sigs, fill) {
+		if !hashPoints(ctx, byHash[:len(on)], on, 1, classBits[:nclasses]) ||
+			!hashPoints(ctx, byHash[len(on):], dc, 2, classBits[:nclasses]) {
 			return nil, ctx.Err()
 		}
+		slices.SortFunc(byHash, func(a, b signedPoint) int { return cmp.Compare(a.sig, b.sig) })
+		copy(fill, off[:n])
+		for _, s := range byHash {
+			for q := s.p; q != 0; q &= q - 1 {
+				i := n - 1 - bits.TrailingZeros64(q)
+				sigs[fill[i]] = s.sig
+				fill[i]++
+			}
+		}
 		for i := 0; i < n; i++ {
-			s := sigs[off[i]:off[i+1]]
-			slices.Sort(s)
-			varHash[i] = hashSeq(uint64(class[i]), s)
+			varHash[i] = hashSeq(uint64(class[i]), sigs[off[i]:off[i+1]])
 		}
 		for i := range order {
 			order[i] = i
@@ -217,21 +239,17 @@ func refineClasses(ctx context.Context, f *bfunc.Func) ([]int, error) {
 	return class, nil
 }
 
-// collectSigs writes each point's signature into the span of every
-// variable the point contains, advancing fill; it reports false if ctx
-// was cancelled.
-func collectSigs(ctx context.Context, pts []uint64, tag uint64, classBits, sigs []uint64, fill []int) bool {
-	n := len(fill)
+// signedPoint is a point with its signature in the current round.
+type signedPoint struct{ sig, p uint64 }
+
+// hashPoints sets dst[j] to pts[j] and its signature; it reports false
+// if ctx was cancelled.
+func hashPoints(ctx context.Context, dst []signedPoint, pts []uint64, tag uint64, classBits []uint64) bool {
 	for j, p := range pts {
 		if j&1023 == 1023 && ctx.Err() != nil {
 			return false
 		}
-		h := pointHash(p, classBits, tag)
-		for q := p; q != 0; q &= q - 1 {
-			i := n - 1 - bits.TrailingZeros64(q)
-			sigs[fill[i]] = h
-			fill[i]++
-		}
+		dst[j] = signedPoint{pointHash(p, classBits, tag), p}
 	}
 	return true
 }
@@ -284,18 +302,18 @@ func hashSeq(seed uint64, vals []uint64) uint64 {
 
 // tieBreak turns the class partition into a concrete permutation, and
 // returns it with the sorted images of f's ON points followed by the
-// sorted images of its DC points. Classes are laid out in class order;
-// within a class, every assignment of members to positions yields an
-// equivalent candidate, so we enumerate all combinations (as long as
-// the total point-mapping work stays under tieBreakWork) and keep the
-// one whose permuted (ON, DC) point lists are lexicographically
-// smallest. If the class structure is too ambiguous to afford
-// enumeration, members keep their original relative order —
-// deterministic, but not permutation-invariant. The walk itself meters
-// the work actually spent, so even a wrong estimate cannot exceed the
-// budget; ctx cancellation aborts with an error rather than a
-// (nondeterministically) truncated permutation.
-func tieBreak(ctx context.Context, f *bfunc.Func, class []int) ([]int, []uint64, error) {
+// sorted images of its DC points, and whether the permutation is exact.
+// Classes are laid out in class order; within a class, every assignment
+// of members to positions yields an equivalent candidate, so we
+// enumerate all combinations (as long as the total point-mapping work
+// stays under tieBreakWork) and keep the one whose permuted (ON, DC)
+// point lists are lexicographically smallest. If the class structure is
+// too ambiguous to afford enumeration, members keep their original
+// relative order — deterministic, but not permutation-invariant, so not
+// exact. The walk itself meters the work actually spent, so even a wrong
+// estimate cannot exceed the budget; ctx cancellation aborts with an
+// error rather than a (nondeterministically) truncated permutation.
+func tieBreak(ctx context.Context, f *bfunc.Func, class []int) ([]int, []uint64, bool, error) {
 	n := f.N()
 	// members lists the variables by class, then by index; each group
 	// is one class's span of it.
@@ -340,73 +358,65 @@ func tieBreak(ctx context.Context, f *bfunc.Func, class []int) ([]int, []uint64,
 	for pos, v := range members {
 		best[v] = pos
 	}
-	m := newImager(f)
-	for v, pos := range best {
-		m.place(v, pos)
-	}
-	bestImg := make([]uint64, f.OnCount()+len(f.DC()))
-	m.images(bestImg)
+	s := newScorer(f, best)
 	if !ambiguous || overBudget {
-		return best, bestImg, nil
+		return best, s.images(), !overBudget, nil
 	}
 
 	w := leafWalk{
-		ctx:     ctx,
-		m:       m,
-		groups:  groups,
-		order:   make([]int, n),
-		perm:    make([]int, n),
-		best:    best,
-		cur:     make([]uint64, len(bestImg)),
-		bestImg: bestImg,
-		pts:     pts,
+		ctx:    ctx,
+		s:      s,
+		groups: groups,
+		order:  slices.Clone(members),
+		perm:   slices.Clone(best),
+		best:   best,
+		pts:    pts,
 	}
 	w.walk(0, 0)
 	if w.err != nil {
-		return nil, nil, w.err
+		return nil, nil, false, w.err
 	}
-	return w.best, w.bestImg, nil
+	return w.best, s.images(), w.work <= tieBreakWork, nil
 }
 
 // leafWalk enumerates the tie-break's candidates: Heap's algorithm over
 // each group's members, nested group by group, keeping the leaf whose
 // sorted images are lexicographically smallest. Group gi occupies
-// positions pos..pos+len(groups[gi])-1, and order holds the orderings
-// Heap's algorithm permutes at those same indices.
+// positions pos..pos+len(groups[gi])-1, and order holds the variables
+// at every position, which Heap's algorithm permutes.
 type leafWalk struct {
 	ctx          context.Context
-	m            *imager
+	s            scorer
 	groups       [][]int
 	order        []int
-	perm         []int // the leaf being built
+	perm         []int // the leaf being built: the inverse of order
 	best         []int
-	cur, bestImg []uint64
 	pts          int
 	work, leaves int
 	err          error
 }
 
 // walk enumerates the assignments of groups gi onward, starting at
-// position pos; false stops the enumeration.
+// position pos; false stops the enumeration. Each group's enumeration
+// starts from its members in index order, which swaps restore.
 func (w *leafWalk) walk(gi, pos int) bool {
 	if gi == len(w.groups) {
 		return w.leaf()
 	}
 	g := w.groups[gi]
-	copy(w.order[pos:], g)
 	for j, v := range g {
-		w.assign(v, pos+j)
+		if w.order[pos+j] != v {
+			w.swap(pos+j, w.perm[v])
+		}
 	}
 	return w.permute(gi, pos, len(g))
 }
 
 // permute runs Heap's algorithm over the first k entries of group gi's
 // ordering, descending to the next group at each ordering it reaches.
-// A swap reassigns just the two members it moves.
 func (w *leafWalk) permute(gi, pos, k int) bool {
-	a := w.order[pos : pos+len(w.groups[gi])]
 	if k == 1 {
-		return w.walk(gi+1, pos+len(a))
+		return w.walk(gi+1, pos+len(w.groups[gi]))
 	}
 	for i := 0; i < k; i++ {
 		if !w.permute(gi, pos, k-1) {
@@ -416,16 +426,19 @@ func (w *leafWalk) permute(gi, pos, k int) bool {
 		if k%2 == 0 {
 			j = i
 		}
-		a[j], a[k-1] = a[k-1], a[j]
-		w.assign(a[j], pos+j)
-		w.assign(a[k-1], pos+k-1)
+		if j != k-1 {
+			w.swap(pos+j, pos+k-1)
+		}
 	}
 	return true
 }
 
-func (w *leafWalk) assign(v, pos int) {
-	w.perm[v] = pos
-	w.m.place(v, pos)
+// swap exchanges the variables at positions a and b.
+func (w *leafWalk) swap(a, b int) {
+	va, vb := w.order[b], w.order[a]
+	w.order[a], w.order[b] = va, vb
+	w.perm[va], w.perm[vb] = a, b
+	w.s.swap(a, b, va, vb)
 }
 
 // leaf meters the work of scoring w.perm, scores it, and keeps it on a
@@ -442,39 +455,207 @@ func (w *leafWalk) leaf() bool {
 	if w.work > tieBreakWork {
 		return false // hard cap: the estimate undercounted
 	}
-	w.m.images(w.cur)
-	if slices.Compare(w.cur, w.bestImg) < 0 {
+	if w.s.improve() {
 		copy(w.best, w.perm)
-		w.cur, w.bestImg = w.bestImg, w.cur
 	}
 	return true
 }
 
-// imager maps f's points through a variable placement and sorts the
-// images. A point's image is the OR of one table lookup per nibble of
-// the point: tables[b][x] is the image of the bits x sets in nibble b.
-// The sort is an LSD radix sort with at most one pass per byte, so
-// every n up to 64 and every point count takes the same path.
-type imager struct {
-	on, dc []uint64
-	n      int
-	bitImg []uint64 // bitImg[k]: the image of point bit k
-	tables [][16]uint64
-	tmp    []uint64
-	count  [256]int
+// A scorer holds the images of f's points under the tie-break's
+// current leaf, and those of the smallest leaf it has kept.
+type scorer interface {
+	// swap moves variable va to position a and vb to position b,
+	// exchanging the two.
+	swap(a, b, va, vb int)
+	// improve keeps the current leaf if its sorted (ON, DC) images are
+	// lexicographically smaller than the kept leaf's, and reports
+	// whether it did.
+	improve() bool
+	// images returns the kept leaf's sorted ON images followed by its
+	// sorted DC images.
+	images() []uint64
 }
 
-func newImager(f *bfunc.Func) *imager {
+// newScorer places f's variables at the positions place gives. It
+// scores on truth tables when their ⌈2^n/64⌉ words are no more than f's
+// ON and DC points, and on the point lists otherwise: only they fit
+// every n up to 64 and every sparse function.
+func newScorer(f *bfunc.Func, place []int) scorer {
+	n, pts := f.N(), f.OnCount()+len(f.DC())
+	// A table takes 2^(n-6) words, one for n ≤ 6: no more than pts
+	// exactly when n-6 < bits.Len(pts), which keeps the shift in range.
+	if pts > 0 && (n <= 6 || n-6 < bits.Len(uint(pts))) {
+		return newTruthTable(f, place, 1<<max(n-6, 0))
+	}
+	return newImager(f, place)
+}
+
+// truthTable scores leaves on bitmaps over B^n: bit x of the ON table
+// is set when x is the image of an ON point, and likewise for the DC
+// table, which is present only when f has DC points. Exchanging two
+// positions transposes two index bits of each table. The sorted list of
+// a set is lexicographically smaller than that of another set of the
+// same size exactly when the lowest element of their symmetric
+// difference lies in the first, so leaves compare by the lowest bit
+// where their tables differ: ON first, then DC, as the point lists do.
+type truthTable struct {
+	n, words, pts int
+	cur, best     []uint64 // the ON table, then the DC table
+}
+
+func newTruthTable(f *bfunc.Func, place []int, words int) *truthTable {
 	n := f.N()
-	return &imager{
-		on:     f.On(),
-		dc:     f.DC(),
-		n:      n,
-		bitImg: make([]uint64, n),
-		tables: make([][16]uint64, (n+3)/4),
-		tmp:    make([]uint64, f.OnCount()+len(f.DC())),
+	size := words
+	if len(f.DC()) > 0 {
+		size *= 2
+	}
+	buf := make([]uint64, 2*size)
+	t := &truthTable{n: n, words: words, pts: f.OnCount() + len(f.DC()), cur: buf[:size], best: buf[size:]}
+	// bitImg[k] is the image of point bit k, the bit of variable n-1-k.
+	var bitImg [64]uint64
+	for v, pos := range place {
+		bitImg[n-1-v] = bitvec.VarMask(n, pos)
+	}
+	for i, pts := range [2][]uint64{f.On(), f.DC()} {
+		table := t.cur[i*words:]
+		for _, p := range pts {
+			var x uint64
+			for q := p; q != 0; q &= q - 1 {
+				x |= bitImg[bits.TrailingZeros64(q)]
+			}
+			table[x>>6] |= 1 << (x & 63)
+		}
+	}
+	copy(t.best, t.cur)
+	return t
+}
+
+// swap transposes the index bits of positions a and b, whichever
+// variables sit there.
+func (t *truthTable) swap(a, b, _, _ int) {
+	i, j := t.n-1-max(a, b), t.n-1-min(a, b)
+	for lo := 0; lo < len(t.cur); lo += t.words {
+		transpose(t.cur[lo:lo+t.words], i, j)
 	}
 }
+
+func (t *truthTable) improve() bool {
+	for k, x := range t.cur {
+		if d := x ^ t.best[k]; d != 0 {
+			if x&d&-d == 0 {
+				return false
+			}
+			copy(t.best, t.cur)
+			return true
+		}
+	}
+	return false
+}
+
+func (t *truthTable) images() []uint64 {
+	img := make([]uint64, 0, t.pts)
+	for k, x := range t.best {
+		base := uint64(k%t.words) << 6
+		for ; x != 0; x &= x - 1 {
+			img = append(img, base|uint64(bits.TrailingZeros64(x)))
+		}
+	}
+	return img
+}
+
+// bitMask[b] has bit y set, for y < 64, when y has bit b set.
+var bitMask = [6]uint64{
+	0xaaaaaaaaaaaaaaaa, 0xcccccccccccccccc, 0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000,
+}
+
+// transpose exchanges index bits i < j of the truth table t: the bit at
+// index x moves to x with bits i and j swapped. Index bits below 6 pick
+// a bit within a word, the rest pick the word, so there are three kinds
+// of exchange.
+func transpose(t []uint64, i, j int) {
+	switch {
+	case j < 6:
+		// A delta swap in each word: bit y, with bit i set and bit j
+		// clear, trades places with bit y + 2^j - 2^i.
+		s := uint(1<<j - 1<<i)
+		m := bitMask[i] &^ bitMask[j]
+		for k, x := range t {
+			d := (x ^ x>>s) & m
+			t[k] = x ^ d ^ d<<s
+		}
+	case i < 6:
+		// Word k, with bit j-6 clear, trades its bits with bit i set for
+		// the bits 2^i lower of word k + 2^(j-6).
+		s, stride := uint(1)<<i, 1<<(j-6)
+		m := ^bitMask[i]
+		for lo := 0; lo < len(t); lo += 2 * stride {
+			for k := lo; k < lo+stride; k++ {
+				d := (t[k]>>s ^ t[k+stride]) & m
+				t[k] ^= d << s
+				t[k+stride] ^= d
+			}
+		}
+	default:
+		// Word k, with bit i-6 set and bit j-6 clear, trades places
+		// with word k + 2^(j-6) - 2^(i-6).
+		si, sj := 1<<(i-6), 1<<(j-6)
+		for k := range t {
+			if k&si != 0 && k&sj == 0 {
+				t[k], t[k-si+sj] = t[k-si+sj], t[k]
+			}
+		}
+	}
+}
+
+// imager scores leaves on the point lists: it maps f's points through
+// the placement and sorts the images. A point's image is the OR of one
+// table lookup per nibble of the point: tables[b][x] is the image of the
+// bits x sets in nibble b. The sort is an LSD radix sort with at most
+// one pass per byte, so every n up to 64 and every point count takes the
+// same path.
+type imager struct {
+	on, dc         []uint64
+	n              int
+	bitImg         [64]uint64 // bitImg[k]: the image of point bit k
+	tables         [16][16]uint64
+	tmp, cur, best []uint64
+	count          [256]int
+}
+
+func newImager(f *bfunc.Func, place []int) *imager {
+	pts := f.OnCount() + len(f.DC())
+	buf := make([]uint64, 3*pts)
+	m := &imager{
+		on:   f.On(),
+		dc:   f.DC(),
+		n:    f.N(),
+		tmp:  buf[:pts],
+		cur:  buf[pts : 2*pts],
+		best: buf[2*pts:],
+	}
+	for v, pos := range place {
+		m.place(v, pos)
+	}
+	m.sortedImages(m.best)
+	return m
+}
+
+func (m *imager) swap(a, b, va, vb int) {
+	m.place(va, a)
+	m.place(vb, b)
+}
+
+func (m *imager) improve() bool {
+	m.sortedImages(m.cur)
+	if slices.Compare(m.cur, m.best) < 0 {
+		m.cur, m.best = m.best, m.cur
+		return true
+	}
+	return false
+}
+
+func (m *imager) images() []uint64 { return m.best }
 
 // place sends variable v, which is point bit n-1-v, to position pos.
 // Each table entry is the XOR of the images of the bits it sets (the
@@ -484,9 +665,6 @@ func (m *imager) place(v, pos int) {
 	k := m.n - 1 - v
 	img := bitvec.VarMask(m.n, pos)
 	d := img ^ m.bitImg[k]
-	if d == 0 {
-		return
-	}
 	m.bitImg[k] = img
 	t, bit := &m.tables[k/4], 1<<(k%4)
 	for x := bit; x < 16; x = (x + 1) | bit {
@@ -494,9 +672,9 @@ func (m *imager) place(v, pos int) {
 	}
 }
 
-// images writes into dst the sorted images of the ON points under the
-// current placement, followed by the sorted images of the DC points.
-func (m *imager) images(dst []uint64) {
+// sortedImages writes into dst the sorted images of the ON points under
+// the current placement, followed by the sorted images of the DC points.
+func (m *imager) sortedImages(dst []uint64) {
 	on, dc := dst[:len(m.on)], dst[len(m.on):]
 	m.mapPoints(on, m.on)
 	m.mapPoints(dc, m.dc)
@@ -505,7 +683,7 @@ func (m *imager) images(dst []uint64) {
 }
 
 func (m *imager) mapPoints(dst, pts []uint64) {
-	tables := m.tables
+	tables := m.tables[:(m.n+3)/4]
 	for i, p := range pts {
 		var q uint64
 		for b := range tables {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -293,15 +294,62 @@ func TestCanonicalizeAllocCeiling(t *testing.T) {
 
 var canonSink Key
 
+// BenchmarkCanonicalize times canonCases, which truth tables score, and
+// one function the point lists score: a single point over ten variables
+// is sparser than its 16-word table, and the tie-break walks all 10!
+// orderings of its one class.
 func BenchmarkCanonicalize(b *testing.B) {
+	names := []string{"single-point-10"}
+	funcs := []*bfunc.Func{bfunc.New(10, []uint64{0})}
 	for _, c := range canonCases {
-		f := bench.MustLoad(c.bench).Output(c.out)
-		b.Run(fmt.Sprintf("%s-%d", c.bench, c.out), func(b *testing.B) {
+		names = append(names, fmt.Sprintf("%s-%d", c.bench, c.out))
+		funcs = append(funcs, bench.MustLoad(c.bench).Output(c.out))
+	}
+	for i, f := range funcs {
+		b.Run(names[i], func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				canonSink, _, _ = Canonicalize(f)
 			}
 		})
+	}
+}
+
+// TestTransposeMatchesPoints holds the truth-table swap to its meaning:
+// transposing index bits i < j equals rebuilding the table from the
+// points with bits i and j swapped, for every pair up to n = 14. That
+// covers all three kinds of exchange: inside a word (j < 6), across
+// words (i < 6 ≤ j) and of whole words (6 ≤ i).
+func TestTransposeMatchesPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for n := 1; n <= 14; n++ {
+		table := func(pts []uint64) []uint64 {
+			tt := make([]uint64, max(1, 1<<n/64))
+			for _, p := range pts {
+				tt[p>>6] |= 1 << (p & 63)
+			}
+			return tt
+		}
+		var pts []uint64
+		for p := uint64(0); p < 1<<n; p++ {
+			if rng.Intn(2) == 0 {
+				pts = append(pts, p)
+			}
+		}
+		swapped := make([]uint64, len(pts))
+		for j := 1; j < n; j++ {
+			for i := 0; i < j; i++ {
+				for k, p := range pts {
+					d := (p>>i ^ p>>j) & 1
+					swapped[k] = p ^ d<<i ^ d<<j
+				}
+				got := table(pts)
+				transpose(got, i, j)
+				if want := table(swapped); !slices.Equal(got, want) {
+					t.Fatalf("n=%d: transposing bits %d and %d gives %x, want %x", n, i, j, got, want)
+				}
+			}
+		}
 	}
 }
 

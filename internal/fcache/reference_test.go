@@ -315,8 +315,9 @@ var serveHotBases = []string{"max512", "prom2", "max1024", "newtpla2", "newcond"
 // canonicalizer on every benchmark output, on seeded permutations of
 // the serve-hot outputs (the perm must follow the input's variable
 // order), on random and symmetric functions with DC sets, where the
-// refinement leaves the most ambiguity, and on sparse functions of up
-// to 64 variables.
+// refinement leaves the most ambiguity, and on sparse functions: tied
+// cycles over 9 or 10 variables, whose leaves the point lists score,
+// and random points over up to 64 variables.
 func TestCanonicalizeMatchesReference(t *testing.T) {
 	t.Run("bench", func(t *testing.T) {
 		for _, name := range bench.Names() {
@@ -377,6 +378,36 @@ func TestCanonicalizeMatchesReference(t *testing.T) {
 			checkMatchesReference(t, fmt.Sprintf("threshold/%d", trial), f)
 		}
 	})
+	t.Run("sparse", func(t *testing.T) {
+		// Fewer points than a truth table has words, so the point lists
+		// score the leaves. Each function is disjoint cycles over 3 to
+		// n-3 of the variables, one ON or DC point per edge: every cycle
+		// variable has two neighbours, so the refinement cannot tell
+		// cycles of different lengths apart, and the tie-break finds
+		// smaller leaves than the layout.
+		rng := rand.New(rand.NewSource(18))
+		for trial := 0; trial < 60; trial++ {
+			n := 9 + rng.Intn(2)
+			var lens []int
+			for left := 3 + rng.Intn(n-5); left > 0; {
+				l := left
+				if left >= 6 {
+					l = 3 + rng.Intn(left-5)
+				}
+				lens = append(lens, l)
+				left -= l
+			}
+			on := cycleEdges(n, lens...)
+			var dc []uint64
+			for k := rng.Intn(3); k > 0; k-- {
+				i := rng.Intn(len(on))
+				dc = append(dc, on[i])
+				on = append(on[:i], on[i+1:]...)
+			}
+			f := permFunc(bfunc.NewDC(n, on, dc), rng.Perm(n))
+			checkMatchesReference(t, fmt.Sprintf("sparse/%d", trial), f)
+		}
+	})
 	t.Run("wide", func(t *testing.T) {
 		// Up to 64 variables: images span up to 16 lookup tables and 8
 		// radix passes. Six variables are 0 in every point, so they
@@ -399,6 +430,36 @@ func TestCanonicalizeMatchesReference(t *testing.T) {
 			checkMatchesReference(t, fmt.Sprintf("wide/%d", trial), bfunc.NewDC(n, on, dc))
 		}
 	})
+}
+
+// cycleEdges returns one point per edge of disjoint cycles of the given
+// lengths, laid over variables 0, 1, ... in order: each point sets the
+// bits of an edge's two variables.
+func cycleEdges(n int, lens ...int) []uint64 {
+	var pts []uint64
+	v := 0
+	for _, l := range lens {
+		for k := 0; k < l; k++ {
+			pts = append(pts, bitvec.VarMask(n, v+k)|bitvec.VarMask(n, v+(k+1)%l))
+		}
+		v += l
+	}
+	return pts
+}
+
+// fuzzSeed encodes f for decodeFuzzFunc, one 2-bit code a point. The
+// same bytes drive the renaming, so f comes back permuted.
+func fuzzSeed(f *bfunc.Func) []byte {
+	n := f.N()
+	data := make([]byte, 1+max(1, 1<<n/4))
+	data[0] = byte(n - 1)
+	for _, p := range f.On() {
+		data[1+p/4] |= 1 << (2 * (p % 4))
+	}
+	for _, p := range f.DC() {
+		data[1+p/4] |= 2 << (2 * (p % 4))
+	}
+	return data
 }
 
 // decodeFuzzFunc reads a function and a variable renaming from data.
@@ -439,11 +500,24 @@ func decodeFuzzFunc(data []byte) (*bfunc.Func, []int, bool) {
 // FuzzCanonicalize holds Canonicalize to the reference on fuzzed
 // functions with DC sets, renamed by a fuzzed permutation, and checks
 // that the returned perm maps the input onto the canonical function.
+// The last two seeds make the seed corpus reach both scorers with tied
+// classes whose tie-break finds smaller leaves than the layout: truth
+// tables on a dense function with DC points (a 3-cycle and a 5-cycle of
+// ON edges over 8 variables, DC from weight 6 up), and point lists on a
+// sparse one (a 3-cycle and a 4-cycle over 7 of 10 variables).
 func FuzzCanonicalize(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 0x19, 0x86, 0x42, 0x11})
 	f.Add([]byte{5, 7, 3, 1, 0, 0xff, 0x00, 0x5a, 0xa5, 0x24, 0x81, 0x66, 0x99})
 	f.Add([]byte{7, 9, 4, 4, 1, 8, 2, 0x21, 0x84, 0x12, 0x48, 0x60, 0x06, 0x90, 0x09})
 	f.Add([]byte{9, 3, 1, 4, 1, 5, 9, 2, 6, 0x66, 0x55, 0x99, 0xaa, 0x5a, 0xa5, 0x69, 0x96})
+	var heavy []uint64
+	for p := uint64(0); p < 1<<8; p++ {
+		if bitvec.OnesCount(p) >= 6 {
+			heavy = append(heavy, p)
+		}
+	}
+	f.Add(fuzzSeed(bfunc.NewDC(8, cycleEdges(8, 3, 5), heavy)))
+	f.Add(fuzzSeed(bfunc.New(10, cycleEdges(10, 3, 4))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fn, perm, ok := decodeFuzzFunc(data)
 		if !ok {

@@ -18,7 +18,7 @@
 //
 // Two requests whose functions differ only by an input-variable
 // permutation or by DC-set spelling hit the same cache entry: the
-// function is canonicalized (fcache.CanonicalizeCtx, under the request
+// function is canonicalized (fcache.CanonicalizeExact, under the request
 // deadline) before the key lookup, and the cached canonical-space form
 // is mapped back through the inverse permutation on the way out.
 // Results cache per-(canonical key, backend salt) — docs/forms.md is
@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -337,6 +338,11 @@ type Statsz struct {
 	EngineRaces      int64            `json:"engine_races"`
 	EngineWinsByForm map[string]int64 `json:"engine_wins_by_form,omitempty"`
 	EngineCancelled  int64            `json:"engine_cancelled"`
+	// CanonInexact counts requests whose canonicalization tie-break ran
+	// past its work budget, so their key is not permutation-invariant:
+	// each permuted variant of such a function is a first sight of its
+	// own.
+	CanonInexact int64 `json:"canon_inexact"`
 	// Cache-internal counters, aggregated over the LRU shards. These
 	// count raw cache operations (a request may probe more than once on
 	// collision or retry), unlike the request-level counters above.
@@ -465,6 +471,8 @@ type counters struct {
 
 	engineRaces, engineCancelled int64
 	winsByForm                   map[string]int64
+
+	canonInexact int64
 
 	admitted           int64
 	admittedByPriority map[string]int64
@@ -638,10 +646,10 @@ func (s *Server) record(o outcome) {
 	s.statsMu.Unlock()
 }
 
-// bumpDelta increments one delta-path counter under the same lock as
-// the coherent block (the delta counters are informational and not part
-// of the served invariant).
-func (s *Server) bumpDelta(field *int64) {
+// bump increments one informational counter (the delta-path and
+// canonicalization counters) under the same lock as the coherent
+// block; these counters are not part of the served invariant.
+func (s *Server) bump(field *int64) {
 	s.statsMu.Lock()
 	*field++
 	s.statsMu.Unlock()
@@ -706,6 +714,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		EngineRaces:          ctr.engineRaces,
 		EngineWinsByForm:     wins,
 		EngineCancelled:      ctr.engineCancelled,
+		CanonInexact:         ctr.canonInexact,
 		CacheEvictions:       int64(cst.Evictions),
 		CacheBytes:           cst.Bytes,
 		CacheRejected:        int64(cst.Rejected),
@@ -752,10 +761,8 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var env envelope
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
+	env, err := decodeEnvelope(r.Body)
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -868,6 +875,15 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, res)
 }
 
+// decodeEnvelope decodes a /v1/minimize body, rejecting unknown fields.
+func decodeEnvelope(body io.Reader) (envelope, error) {
+	var env envelope
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&env)
+	return env, err
+}
+
 func (s *Server) timeout(q Request) time.Duration {
 	d := s.cfg.DefaultTimeout
 	if q.TimeoutMS > 0 {
@@ -895,15 +911,20 @@ func (s *Server) process(ctx context.Context, q Request) (resp Response) {
 	if q, err = s.normalizeForm(q, f.N()); err != nil {
 		return badRequest(err)
 	}
-	// Canonicalization honors the request deadline: its class
-	// refinement and tie-break costs grow with n and point count. It
-	// runs before (and outside) the admission slot, so cache hits
-	// complete without queueing at all. fcache's work budget bounds
-	// only the tie-break; the refinement runs up to n rounds over
-	// every point, and the deadline is what stops it.
-	canonKey, perm, canon, err := fcache.CanonicalizeCtx(ctx, f)
+	// Canonicalization honors the request deadline. It runs before
+	// (and outside) the admission slot, so cache hits complete without
+	// queueing at all. Its refinement sorts every point's signature once
+	// per round, up to n rounds, and the deadline is what stops it.
+	// fcache's work budget bounds only the tie-break, which scores its
+	// leaves on truth tables when the function is dense and on sorted
+	// point lists otherwise; a tie-break cut off by the budget is
+	// counted, since its key is not permutation-invariant.
+	canonKey, perm, canon, exact, err := fcache.CanonicalizeExact(ctx, f)
 	if err != nil {
 		return failure(ctx, err, outcomeError)
+	}
+	if !exact {
+		s.bump(&s.ctr.canonInexact)
 	}
 	if q.Form == "auto" {
 		return s.processAuto(ctx, q, canon, canonKey, perm)
@@ -1206,7 +1227,7 @@ func (s *Server) recordRun(rec *stats.Recorder, name string, waiters func() int6
 // warm pointer key so identical concurrent deltas coalesce.
 func (s *Server) processDelta(ctx context.Context, q Request) Response {
 	coldRequired := func(why string) Response {
-		s.bumpDelta(&s.ctr.deltaBaseMiss)
+		s.bump(&s.ctr.deltaBaseMiss)
 		return Response{
 			Error:  fmt.Sprintf("delta base unavailable (%s): resubmit the full function", why),
 			Code:   "cold_run_required",
@@ -1303,7 +1324,7 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 	// it without entering the engine (and without caching — there is no
 	// warm state to retain for it, and nothing to chain a delta on).
 	if editedCanon.OnCount() == 0 {
-		s.bumpDelta(&s.ctr.deltaTrivial)
+		s.bump(&s.ctr.deltaTrivial)
 		return Response{
 			Form:         "0",
 			FormKind:     "spp",
@@ -1341,7 +1362,7 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 		if n > 30 {
 			return coldRequired("edit too large to patch and function too wide to respell")
 		}
-		s.bumpDelta(&s.ctr.deltaCold)
+		s.bump(&s.ctr.deltaCold)
 		resp := s.process(ctx, Request{
 			N: n, On: edited.On(), Dc: edited.DC(),
 			ExactCover: q.ExactCover, FactorCost: q.FactorCost,

@@ -7,11 +7,13 @@ import (
 	"math/bits"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/bfunc"
 	"repro/internal/bitvec"
 	"repro/internal/core"
@@ -620,5 +622,44 @@ func TestMinimizeBenchSource(t *testing.T) {
 	res := decodeResp(t, out)
 	if res.Literals == 0 || res.Form == "" {
 		t.Errorf("bench result empty: %+v", res)
+	}
+}
+
+// TestCanonInexactCounter: add6 output 6 has 10!·2 tie-break
+// candidates over 2,048 points, past the canonicalization work budget,
+// so a permuted request for it counts in canon_inexact (and in its ftdc
+// column). amd output 0, which the class refinement alone resolves,
+// does not.
+func TestCanonInexactCounter(t *testing.T) {
+	s := New(testConfig())
+	h := s.Handler()
+	f := bench.MustLoad("add6").Output(6)
+	perm := []int{11, 0, 10, 1, 9, 2, 8, 3, 7, 4, 6, 5}
+	on := make([]uint64, f.OnCount())
+	for i, p := range f.On() {
+		on[i] = bitvec.PermutePoint(p, f.N(), perm)
+	}
+	for _, c := range []struct {
+		body string
+		want int64
+	}{
+		{fmt.Sprintf(`{"n":%d,"on":%s,"algorithm":"sppk","k":0}`, f.N(), pointsJSON(on)), 1},
+		{`{"bench":"amd","output":0,"algorithm":"sppk","k":0}`, 1},
+	} {
+		if code, out := post(t, h, c.body); code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, out)
+		}
+		if got := statszOf(t, h).CanonInexact; got != c.want {
+			t.Errorf("canon_inexact = %d, want %d", got, c.want)
+		}
+	}
+	names, values := s.telemetrySample()
+	for i, name := range names {
+		if name == "canon.inexact" && values[i] != 1 {
+			t.Errorf("ftdc canon.inexact = %d, want 1", values[i])
+		}
+	}
+	if !slices.Contains(names, "canon.inexact") {
+		t.Error("ftdc sample has no canon.inexact column")
 	}
 }

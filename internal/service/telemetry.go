@@ -45,6 +45,7 @@ func (s *Server) telemetrySample() ([]string, []int64) {
 		"cache.hits":                  ctr.hits,
 		"cache.len":                   int64(s.cache.Len()),
 		"cache.misses":                ctr.misses,
+		"canon.inexact":               ctr.canonInexact,
 		"coalesce.detached":           ctr.detached,
 		"coalesce.waiters":            ctr.waiters,
 		"delta.base_miss":             ctr.deltaBaseMiss,
