@@ -1,73 +1,58 @@
 // Command sppload is a closed-loop load benchmark for the minimization
-// service: it drives an in-process httptest server with concurrent
-// clients through the serving path (request coalescing, sharded cache,
-// slot-free hits, concurrent batch items).
+// service. Each scenario drives an in-process server (the service
+// behind an httptest listener) with concurrent clients, merges its
+// section into a report, and exits 1 when any of its gates fails. Every
+// gate runs on every run; -baseline adds the gates that compare against
+// a checked-in report. Every scenario fails on any HTTP status its
+// clients do not expect, recorded by status in the row's non_200.
 //
-// The default scenario, serve, runs two mixes:
+//	sppload [-scenario serve] [-quick] [-out report.json] [-baseline BENCH_serve.json]
 //
-//	stampede — every client requests the same cold key at once, for a
-//	           series of fresh keys: the pathological thundering herd.
-//	           The headline number is duplicate_computes: identical
-//	           concurrent requests that each ran the engines. Coalescing
-//	           drives it to 0.
-//	zipf     — a zipf-distributed repeat-heavy key mix, the steady-state
-//	           shape of real traffic. The headline number is
-//	           throughput_rps: slot-free cache hits and coalesced
-//	           waiters let hot keys be served at client concurrency
-//	           instead of admission width.
+// serve runs two mixes against BENCH_serve.json (spp-bench-serve/v1).
+// stampede: every client requests the same cold key at once, for a
+// series of fresh keys, at admission width == clients; its headline is
+// duplicate_computes, identical concurrent requests that each ran the
+// engines, which coalescing holds at 0. zipf: a drifting zipf mix of
+// repeat-heavy keys; its headline is throughput_rps. Their rows replace
+// the report's "current" rows and keep its pre-coalescing "baseline"
+// rows, which the speedup summaries compare against. With -baseline,
+// the run fails if either mix has more duplicate computes than the
+// baseline's current row.
 //
-// Their per-run throughput, p50/p99 latency, coalesce rate and
-// duplicate-compute counts replace the "current" rows of the report at
-// -out (default BENCH_serve.json). The pre-coalescing "baseline" rows
-// recorded there are kept as they are, and the speedup summaries
-// compare against them. Any non-200 response fails the run.
+// edit-loop benchmarks incremental re-minimization and writes
+// BENCH_delta.json (spp-bench-delta/v1). Every client random-walks its
+// own function, changing edit_k minterms per step; warm mode chains
+// delta requests on base_key against a warm-cache server, cold mode
+// re-submits the full function, and both walk identical edit scripts.
+// A 409 base miss that the full re-submission answers counts as
+// base_miss_recovered, not as a failure. The run fails unless the warm
+// covering time per run beats cold; with -baseline, also when the
+// covering speedup falls below a third of the baseline's (3× slack
+// absorbs machine noise and still catches a broken incremental path).
 //
-// A second scenario, selected with -scenario edit-loop, benchmarks the
-// incremental re-minimization path instead: every client owns a
-// distinct base function and random-walks it, changing -edit-k minterms
-// per step. Warm mode chains delta requests ({"base": ..., "add": ...,
-// "remove": ...}) against a -warm-cache server; cold mode re-submits
-// the full edited function each step. Both modes walk identical edit
-// scripts, so they minimize the same functions. Results go to
-// BENCH_delta.json (spp-bench-delta/v1) with an edit_loop_speedup
-// summary.
+// jobs drives the async job tier: each client owns a priority class,
+// submits jobs through POST /v1/jobs (202) and long-polls each to a
+// terminal state (200), recording submit-to-done latency per class in
+// the report's "jobs" section. Any failed job fails the run.
 //
-// A third scenario, -scenario jobs, drives the async job tier: each
-// closed-loop client owns a priority class, submits jobs through POST
-// /v1/jobs and long-polls each to a terminal state, recording
-// submit-to-done latency per class. The results merge into the
-// existing BENCH_serve.json (a "jobs" section plus jobs_* summary
-// keys) rather than replacing the serve results.
+// form-mix measures the portfolio engine (docs/forms.md): every function
+// runs once per explicit form on one server, then races form=auto on a
+// fresh one. It records per-form latency, cost and win rate and the
+// race overhead in "form_mix", and fails if any auto race misses the
+// minimum explicit cost (the determinism contract).
 //
-// A fourth scenario, -scenario form-mix, measures the portfolio engine
-// (docs/forms.md): every function is minimized once per explicit form
-// (spp, sop, esop, dsop) on one server, then raced with form=auto on a
-// fresh server. Per-form win rates (from /statsz engine_wins_by_form),
-// mean costs and the race overhead — auto latency over the winning
-// form's own explicit latency — merge into BENCH_serve.json as a
-// "form_mix" section, and every auto cost is checked against the
-// minimum explicit cost (the determinism contract). Every response,
-// explicit or auto, is counted by status, and any non-200 fails the
-// run.
+// overload grades adaptive admission on a one-slot server: paired
+// rounds of identical cold work at capacity and at 4× capacity, with
+// patient clients (deadlines covering the queue) and impatient ones
+// (deadlines that cannot). Patient clients retry only 429 and 504. The
+// "overload" section records goodput, sheds, timeouts and the per-round
+// at-capacity/overload ratios; the run fails unless the trimmed ratio
+// is at least 0.90, at least one request is shed, every 429 carries
+// Retry-After, and the shed p50 is under 10 ms.
 //
-// A fifth scenario, -scenario overload, measures the adaptive
-// admission layer: phase 1 runs distinct cold computes with clients ==
-// admission width (the at-capacity goodput baseline), phase 2 re-runs
-// identical work on a fresh server at several times capacity with
-// deadlines too tight for the queue, where the deadline-aware shed
-// path must reject doomed requests instantly (429 + Retry-After)
-// instead of letting them queue into 504s and waste slots. The merged
-// report (section "overload", overload_* summary keys) records goodput
-// in both phases, the shed count and the shed-response latency;
-// -assert-goodput-flat turns the three contract points into a CI gate
-// (goodput within 10% of at-capacity, every 429 carries Retry-After,
-// sheds answered in under 10ms).
-//
-// With -baseline pointing at a checked-in report, sppload doubles as a
-// CI regression gate: -assert-dup-computes fails the serve scenario if
-// its duplicate computes exceed the report's current rows, and
-// -assert-cover-split additionally fails the edit-loop if the warm
-// covering speedup collapses below a third of the baseline's.
+// Every report records the host it ran on: Go version, GOMAXPROCS,
+// CPU count and model, and the commit when the build carries one
+// (go run stamps it only with -buildvcs=true).
 package main
 
 import (
@@ -76,14 +61,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,7 +82,508 @@ import (
 	"repro/internal/stats"
 )
 
-type runResult struct {
+// shape sizes one scenario run; each scenario reads only its own fields.
+type shape struct {
+	quick bool
+
+	clients       int
+	maxConcurrent int // admission width (serve's zipf, form-mix) or job workers
+	nvars, onBase int // variables per function, smallest ON-set size
+
+	keys, requests, rounds, window int // serve: zipf keys and requests, stampede rounds, zipf drift
+	zipfS                          float64
+	edits, editK                   int // edit-loop: steps per client, minterms per step
+}
+
+// artifact is a checked-in report: its default path and schema.
+type artifact struct{ path, schema string }
+
+var (
+	serveArtifact = artifact{"BENCH_serve.json", "spp-bench-serve/v1"}
+	deltaArtifact = artifact{"BENCH_delta.json", "spp-bench-delta/v1"}
+)
+
+// scenario is one -scenario mode.
+type scenario struct {
+	name string
+	// artifact is the default -out, and the schema -out and -baseline
+	// must have.
+	artifact    artifact
+	full, quick shape
+	// run drives the scenario, merges its section into rep and returns
+	// the gates it failed. base is the -baseline report, nil without one.
+	run func(sh shape, rep, base *report) (failed []string)
+}
+
+var scenarios = []scenario{
+	{
+		name: "serve", artifact: serveArtifact, run: runServe,
+		full:  shape{clients: 8, maxConcurrent: 8, nvars: 9, onBase: 128, keys: 40, requests: 400, rounds: 10, window: 32, zipfS: 1.2},
+		quick: shape{quick: true, clients: 4, maxConcurrent: 8, nvars: 9, onBase: 128, keys: 10, requests: 64, rounds: 3, window: 16, zipfS: 1.2},
+	},
+	{
+		// 4 clients × 25 edits: a 100-edit loop.
+		name: "edit-loop", artifact: deltaArtifact, run: runEditLoop,
+		full:  shape{clients: 4, nvars: 9, onBase: 128, edits: 25, editK: 2},
+		quick: shape{quick: true, clients: 2, nvars: 9, onBase: 128, edits: 6, editK: 2},
+	},
+	{
+		// Fewer workers than clients keeps a queue standing (each
+		// closed-loop client has one job outstanding, so the queue is
+		// clients - workers deep); without one the priority classes
+		// would never differ. 60 distinct cold jobs keep the full run
+		// in tens of seconds while loading every class.
+		name: "jobs", artifact: serveArtifact, run: runJobs,
+		full:  shape{clients: 8, maxConcurrent: 4, nvars: 9, onBase: 128, requests: 60},
+		quick: shape{quick: true, clients: 3, maxConcurrent: 1, nvars: 9, onBase: 128, requests: 18},
+	},
+	{
+		// Every key runs once per form plus one auto race.
+		name: "form-mix", artifact: serveArtifact, run: runFormMix,
+		full:  shape{maxConcurrent: 8, nvars: 9, onBase: 128, keys: 12},
+		quick: shape{quick: true, maxConcurrent: 8, nvars: 7, onBase: 24, keys: 5},
+	},
+	{
+		// requests is the success target per phase, a multiple of
+		// 2 × overloadRounds × patientN. The shed contract is graded in
+		// wall-clock milliseconds, so functions are sized for boxes
+		// with few cores: computes of tens of milliseconds keep the
+		// admission gate saturated without drowning the core the shed
+		// responses also need.
+		name: "overload", artifact: serveArtifact, run: runOverload,
+		full:  shape{nvars: 8, onBase: 56, requests: 64},
+		quick: shape{quick: true, nvars: 8, onBase: 56, requests: 32},
+	},
+}
+
+func main() {
+	name := flag.String("scenario", "serve", "benchmark scenario: serve, edit-loop, jobs, form-mix or overload")
+	quick := flag.Bool("quick", false, "small fast run for CI smoke")
+	out := flag.String("out", "", "report to merge the run into (- for stdout; default BENCH_delta.json for edit-loop, BENCH_serve.json otherwise)")
+	baseline := flag.String("baseline", "", "checked-in report to gate against: duplicate computes for serve, the covering speedup floor for edit-loop")
+	flag.Parse()
+
+	i := slices.IndexFunc(scenarios, func(s scenario) bool { return s.name == *name })
+	if i < 0 {
+		fatal("unknown scenario %q (have serve, edit-loop, jobs, form-mix, overload)", *name)
+	}
+	sc := scenarios[i]
+	sh := sc.full
+	if *quick {
+		sh = sc.quick
+	}
+	if *out == "" {
+		*out = sc.artifact.path
+	}
+	var base *report
+	if *baseline != "" {
+		var err error
+		if base, err = loadReport(*baseline, sc.artifact.schema); err != nil {
+			fatal("baseline: %v", err)
+		}
+	}
+	rep := openReport(*out, sc.artifact.schema)
+	failed := sc.run(sh, rep, base)
+	writeReport(*out, rep)
+	for _, f := range failed {
+		fmt.Fprintf(os.Stderr, "sppload: %s: %s\n", sc.name, f)
+	}
+	if len(failed) > 0 {
+		os.Exit(1)
+	}
+}
+
+func fatal(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "sppload: "+format+"\n", args...)
+	os.Exit(1)
+}
+
+// --- reports ------------------------------------------------------------
+
+// report is a benchmark artifact: spp-bench-serve/v1, whose scenarios
+// each merge their own section into one file, or spp-bench-delta/v1.
+type report struct {
+	Schema    string         `json:"schema"`
+	Generated string         `json:"generated"`
+	Host      host           `json:"host"`
+	Config    map[string]any `json:"config"`
+	// Results holds serve's stampede and zipf rows in a serve report
+	// (serveRow) and the edit-loop rows in a delta report (editRow).
+	Results  json.RawMessage   `json:"results"`
+	Jobs     []jobRow          `json:"jobs,omitempty"`
+	FormMix  []formRow         `json:"form_mix,omitempty"`
+	Overload []overloadRow     `json:"overload,omitempty"`
+	Summary  map[string]string `json:"summary"`
+}
+
+// host is the machine and build a report was measured on.
+type host struct {
+	Go         string `json:"go"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"nproc"`
+	CPU        string `json:"cpu"`
+	Commit     string `json:"commit,omitempty"`
+}
+
+func thisHost() host {
+	h := host{Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), CPU: "unknown"}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		dirty := false
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				h.Commit = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
+		}
+		if h.Commit != "" && dirty {
+			h.Commit += "+dirty"
+		}
+	}
+	return h
+}
+
+func loadReport(path, schema string) (*report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if rep.Schema != schema {
+		return nil, fmt.Errorf("%s: schema %q, want %s", path, rep.Schema, schema)
+	}
+	return &rep, nil
+}
+
+// openReport loads the report at out for a scenario to merge its
+// section into, or starts a fresh one when there is no usable report
+// there (or out is stdout), and stamps it with this run's time and host.
+func openReport(out, schema string) *report {
+	var rep *report
+	if out != "-" {
+		rep, _ = loadReport(out, schema)
+	}
+	if rep == nil {
+		rep = &report{Schema: schema}
+	}
+	if rep.Config == nil {
+		rep.Config = map[string]any{}
+	}
+	if rep.Summary == nil {
+		rep.Summary = map[string]string{}
+	}
+	rep.Generated = time.Now().UTC().Format(time.RFC3339)
+	rep.Host = thisHost()
+	return rep
+}
+
+// merge adds a scenario's config and summary keys to the report and
+// prints the summary keys.
+func (r *report) merge(config map[string]any, summary map[string]string) {
+	maps.Copy(r.Config, config)
+	maps.Copy(r.Summary, summary)
+	keys := make([]string, 0, len(summary))
+	for k := range summary {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Printf("summary %s = %s\n", k, summary[k])
+	}
+}
+
+// writeReport writes rep as indented JSON to out ("-" for stdout).
+func writeReport(out string, rep *report) {
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err == nil {
+		b = append(b, '\n')
+		if out == "-" {
+			_, err = os.Stdout.Write(b)
+		} else {
+			err = os.WriteFile(out, b, 0o644)
+		}
+	}
+	if err != nil {
+		fatal("%v", err)
+	}
+}
+
+// rowsOf decodes a report's results; none decode as nil.
+func rowsOf[T any](raw json.RawMessage) []T {
+	var rows []T
+	if len(raw) > 0 {
+		if err := json.Unmarshal(raw, &rows); err != nil {
+			fatal("results: %v", err)
+		}
+	}
+	return rows
+}
+
+func mustJSON(v any) json.RawMessage {
+	b, err := json.Marshal(v)
+	if err != nil {
+		fatal("%v", err)
+	}
+	return b
+}
+
+// statusFailures is the unexpected-status gate of one report row.
+func statusFailures(row string, non200 map[int]int) []string {
+	codes := make([]int, 0, len(non200))
+	for code := range non200 {
+		codes = append(codes, code)
+	}
+	sort.Ints(codes)
+	var failed []string
+	for _, code := range codes {
+		failed = append(failed, fmt.Sprintf("%s: %d responses with status %d", row, non200[code], code))
+	}
+	return failed
+}
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// --- load ---------------------------------------------------------------
+
+// server is an in-process sppserve: the service behind an httptest
+// listener.
+type server struct {
+	*httptest.Server
+	svc *service.Server
+}
+
+// startServer starts the service with cfg and the default minimization
+// bounds, and its job tier when cfg.JobsDir is set.
+func startServer(cfg service.Config) *server {
+	cfg.Core = harness.DefaultConfig()
+	svc := service.New(cfg)
+	if cfg.JobsDir != "" {
+		if _, err := svc.StartJobs(); err != nil {
+			fatal("jobs: %v", err)
+		}
+	}
+	return &server{httptest.NewServer(svc.Handler()), svc}
+}
+
+func (s *server) statsz() service.Statsz {
+	var st service.Statsz
+	if c := send(http.DefaultClient, s.URL+"/statsz", "", &st); c.code != http.StatusOK || c.err != nil {
+		fatal("statsz: status %d: %v", c.code, c.err)
+	}
+	return st
+}
+
+// stop closes the listener and drains the job tier, if any.
+func (s *server) stop() error {
+	s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return s.svc.StopJobs(ctx)
+}
+
+const minimize = "/v1/minimize"
+
+// call is one HTTP round trip as its client saw it.
+type call struct {
+	d          time.Duration
+	code       int  // HTTP status; 0 when no response arrived
+	retryAfter bool // the response carried a Retry-After header
+	err        error
+}
+
+// send POSTs body to url, or GETs url when body is empty, timing the
+// round trip to the end of the response body. The body is decoded into
+// into when into is non-nil and discarded undecoded otherwise: decoding
+// a result payload would bill client CPU to the run under measurement.
+func send(client *http.Client, url, body string, into any) call {
+	start := time.Now()
+	var resp *http.Response
+	var err error
+	if body == "" {
+		resp, err = client.Get(url)
+	} else {
+		resp, err = client.Post(url, "application/json", strings.NewReader(body))
+	}
+	if err != nil {
+		return call{d: time.Since(start), err: err}
+	}
+	defer resp.Body.Close()
+	if into != nil {
+		err = json.NewDecoder(resp.Body).Decode(into)
+	}
+	io.Copy(io.Discard, resp.Body)
+	return call{time.Since(start), resp.StatusCode, resp.Header.Get("Retry-After") != "", err}
+}
+
+// recorder collects one client class's round trips: latencies by HTTP
+// status, and how many 429s carried Retry-After. It is safe for
+// concurrent use.
+type recorder struct {
+	mu         sync.Mutex
+	lats       map[int][]time.Duration
+	retryAfter int
+}
+
+func (r *recorder) add(c call) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.lats == nil {
+		r.lats = map[int][]time.Duration{}
+	}
+	r.lats[c.code] = append(r.lats[c.code], c.d)
+	if c.code == http.StatusTooManyRequests && c.retryAfter {
+		r.retryAfter++
+	}
+}
+
+// sorted returns the latencies of the given statuses (every status
+// when none is given), sorted.
+func (r *recorder) sorted(codes ...int) []time.Duration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []time.Duration
+	for code, l := range r.lats {
+		if len(codes) == 0 || slices.Contains(codes, code) {
+			out = append(out, l...)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// n counts the round trips with the given statuses (all when none).
+func (r *recorder) n(codes ...int) int { return len(r.sorted(codes...)) }
+
+// pct is the nearest-rank p-quantile in ms of the round trips with the
+// given statuses (all when none): index min(⌊p·n⌋, n−1), 0 when empty.
+func (r *recorder) pct(p float64, codes ...int) float64 {
+	l := r.sorted(codes...)
+	if len(l) == 0 {
+		return 0
+	}
+	return ms(l[min(int(p*float64(len(l))), len(l)-1)])
+}
+
+func (r *recorder) meanMS(codes ...int) float64 {
+	l := r.sorted(codes...)
+	if len(l) == 0 {
+		return 0
+	}
+	var total time.Duration
+	for _, d := range l {
+		total += d
+	}
+	return ms(total) / float64(len(l))
+}
+
+// unexpected counts the round trips by status other than 200 and the
+// expected ones; nil when there are none.
+func (r *recorder) unexpected(expected ...int) map[int]int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out map[int]int
+	for code, l := range r.lats {
+		if code != http.StatusOK && !slices.Contains(expected, code) {
+			if out == nil {
+				out = map[int]int{}
+			}
+			out[code] = len(l)
+		}
+	}
+	return out
+}
+
+// fanOut runs n closed-loop clients, each on its own goroutine, and
+// waits for them. Each client runs setup(i) first when setup is
+// non-nil; once every setup has returned, all start fn(i) together,
+// and fanOut returns the time of that start.
+func fanOut(n int, setup, fn func(i int)) time.Time {
+	var ready, done sync.WaitGroup
+	ready.Add(n)
+	done.Add(n)
+	begin := make(chan struct{})
+	for i := range n {
+		go func() {
+			defer done.Done()
+			if setup != nil {
+				setup(i)
+			}
+			ready.Done()
+			<-begin
+			fn(i)
+		}()
+	}
+	ready.Wait()
+	start := time.Now()
+	close(begin)
+	done.Wait()
+	return start
+}
+
+// onSets draws count pseudo-random ON sets over nvars variables from
+// seed, in order: set i has onBase + i*onStep distinct points (at most
+// half the space), in draw order. With onStep > 0 the sizes differ, so
+// no two sets are P-equivalent and each occupies its own cache key.
+// The sets are sized so that a cold compute takes real engine time: a
+// cache hit must be measurably cheaper for the scenarios to mean
+// anything.
+func onSets(seed int64, count, nvars, onBase, onStep int) [][]int {
+	rng := rand.New(rand.NewSource(seed))
+	space := 1 << nvars
+	sets := make([][]int, count)
+	for i := range sets {
+		size := min(onBase+i*onStep, space/2)
+		seen := make(map[int]bool)
+		for len(sets[i]) < size {
+			if p := rng.Intn(space); !seen[p] {
+				seen[p] = true
+				sets[i] = append(sets[i], p)
+			}
+		}
+	}
+	return sets
+}
+
+func bodies(nvars int, sets [][]int) []string {
+	out := make([]string, len(sets))
+	for i, pts := range sets {
+		out[i] = minimizeBody(nvars, pts)
+	}
+	return out
+}
+
+func minimizeBody(nvars int, pts []int) string {
+	return fmt.Sprintf(`{"n":%d,"on":%s}`, nvars, jsonInts(pts))
+}
+
+func jsonInts(pts []int) string {
+	strs := make([]string, len(pts))
+	for i, p := range pts {
+		strs[i] = strconv.Itoa(p)
+	}
+	return "[" + strings.Join(strs, ",") + "]"
+}
+
+// withField splices one field into the front of a JSON request body.
+func withField(body, name string, value any) string {
+	return fmt.Sprintf(`{%q:%s,%s`, name, mustJSON(value), body[1:])
+}
+
+// --- serve --------------------------------------------------------------
+
+type serveRow struct {
 	Scenario   string `json:"scenario"`
 	Mode       string `json:"mode"`
 	Clients    int    `json:"clients"`
@@ -115,31 +603,708 @@ type runResult struct {
 	// this at 0.
 	DuplicateComputes int64 `json:"duplicate_computes"`
 
-	CacheHits       int64 `json:"cache_hits"`
-	CacheMisses     int64 `json:"cache_misses"`
-	CoalesceWaiters int64 `json:"coalesce_waiters"`
-	Errors          int64 `json:"errors"`
-	// Non200 counts the responses that were not 200, by HTTP status (0
-	// for a request that got no response). Any entry fails the run.
+	CacheHits       int64       `json:"cache_hits"`
+	CacheMisses     int64       `json:"cache_misses"`
+	CoalesceWaiters int64       `json:"coalesce_waiters"`
+	Errors          int64       `json:"errors"`
+	Non200          map[int]int `json:"non_200,omitempty"`
+}
+
+func runServe(sh shape, rep, base *report) []string {
+	bs := bodies(sh.nvars, onSets(1, max(sh.keys, sh.rounds), sh.nvars, sh.onBase, 2))
+	rows := rowsOf[serveRow](rep.Results)
+	var baseRows []serveRow
+	if base != nil {
+		baseRows = rowsOf[serveRow](base.Results)
+	}
+	find := func(rows []serveRow, scenario, mode string) *serveRow {
+		i := slices.IndexFunc(rows, func(r serveRow) bool { return r.Scenario == scenario && r.Mode == mode })
+		if i < 0 {
+			return nil
+		}
+		return &rows[i]
+	}
+
+	summary := map[string]string{}
+	var failed []string
+	for _, res := range []serveRow{runStampede(sh, bs), runZipf(sh, bs)} {
+		fmt.Printf("%-9s %-8s  %7.1f req/s  p50 %6.2fms  p99 %7.2fms  dup-computes %3d  coalesce %4.0f%%\n",
+			res.Scenario, res.Mode, res.ThroughputRPS, res.P50MS, res.P99MS,
+			res.DuplicateComputes, 100*res.CoalesceRate)
+		failed = append(failed, statusFailures(res.Scenario, res.Non200)...)
+		if cur := find(rows, res.Scenario, "current"); cur != nil {
+			*cur = res
+		} else {
+			rows = append(rows, res)
+		}
+		if b := find(rows, res.Scenario, "baseline"); b != nil && b.ThroughputRPS > 0 {
+			summary[res.Scenario+"_speedup"] = fmt.Sprintf("%.2fx", res.ThroughputRPS/b.ThroughputRPS)
+			summary[res.Scenario+"_duplicate_computes"] = fmt.Sprintf("%d -> %d", b.DuplicateComputes, res.DuplicateComputes)
+		}
+		if want := find(baseRows, res.Scenario, "current"); want != nil && res.DuplicateComputes > want.DuplicateComputes {
+			failed = append(failed, fmt.Sprintf("%s: %d duplicate computes > baseline %d",
+				res.Scenario, res.DuplicateComputes, want.DuplicateComputes))
+		}
+	}
+	rep.Results = mustJSON(rows)
+	rep.merge(map[string]any{
+		"clients":        sh.clients,
+		"keys":           sh.keys,
+		"requests":       sh.requests,
+		"rounds":         sh.rounds,
+		"max_concurrent": sh.maxConcurrent,
+		"zipf_s":         sh.zipfS,
+		"window":         sh.window,
+		"nvars":          sh.nvars,
+		"on_base":        sh.onBase,
+		"quick":          sh.quick,
+	}, summary)
+	return failed
+}
+
+// runStampede fires all clients at the same cold key at once, once per
+// round with a fresh key each round. It runs at admission width ==
+// clients, so duplicate computes measure coalescing rather than
+// admission-gate serialization.
+func runStampede(sh shape, bodies []string) serveRow {
+	srv := startServer(service.Config{MaxConcurrent: sh.clients, CacheSize: 1024})
+	defer srv.stop()
+	var rec recorder
+	start := time.Now()
+	for _, body := range bodies[:sh.rounds] {
+		fanOut(sh.clients, nil, func(int) {
+			rec.add(send(http.DefaultClient, srv.URL+minimize, body, nil))
+		})
+	}
+	return serveResult("stampede", sh.clients, sh.rounds, &rec, time.Since(start), srv.statsz())
+}
+
+// runZipf is the steady-state closed loop: each client draws its next
+// key from a zipf distribution as soon as the previous request
+// completes. The hot set drifts — every window requests the whole key
+// distribution shifts by one — so the mix stays repeat-heavy while new
+// hot keys keep arriving cold at all clients at once, the way real
+// traffic rolls its working set. (On every shift, coalescing computes
+// the new hot key once, not once per concurrent client.)
+func runZipf(sh shape, bodies []string) serveRow {
+	srv := startServer(service.Config{MaxConcurrent: sh.maxConcurrent, CacheSize: 1024})
+	defer srv.stop()
+	var rec recorder
+	var mu sync.Mutex
+	touched := map[int]bool{}
+	var total atomic.Int64
+	start := fanOut(sh.clients, nil, func(c int) {
+		rng := rand.New(rand.NewSource(int64(c + 1)))
+		zipf := rand.NewZipf(rng, sh.zipfS, 1, uint64(sh.keys-1))
+		for range sh.requests / sh.clients {
+			shift := int(total.Add(1)-1) / sh.window
+			// Hot key (draw 0) is the newest key; larger draws walk
+			// back into older, already-warm keys.
+			k := ((shift-int(zipf.Uint64()))%len(bodies) + len(bodies)) % len(bodies)
+			rec.add(send(http.DefaultClient, srv.URL+minimize, bodies[k], nil))
+			mu.Lock()
+			touched[k] = true
+			mu.Unlock()
+		}
+	})
+	return serveResult("zipf", sh.clients, len(touched), &rec, time.Since(start), srv.statsz())
+}
+
+func serveResult(scenario string, clients, uniqueKeys int, rec *recorder, elapsed time.Duration, st service.Statsz) serveRow {
+	rate := 0.0
+	if st.Served > 0 {
+		rate = float64(st.CoalesceWaiters) / float64(st.Served)
+	}
+	n := rec.n()
+	return serveRow{
+		Scenario:          scenario,
+		Mode:              "current",
+		Clients:           clients,
+		Requests:          n,
+		UniqueKeys:        uniqueKeys,
+		ElapsedMS:         ms(elapsed),
+		ThroughputRPS:     float64(n) / elapsed.Seconds(),
+		P50MS:             rec.pct(0.50),
+		P99MS:             rec.pct(0.99),
+		CoalesceRate:      rate,
+		DuplicateComputes: st.CacheMisses - int64(uniqueKeys),
+		CacheHits:         st.CacheHits,
+		CacheMisses:       st.CacheMisses,
+		CoalesceWaiters:   st.CoalesceWaiters,
+		Errors:            st.Errors,
+		Non200:            rec.unexpected(),
+	}
+}
+
+// --- edit-loop ----------------------------------------------------------
+
+type editRow struct {
+	Scenario string `json:"scenario"`
+	Mode     string `json:"mode"`
+	Clients  int    `json:"clients"`
+	// Edits is the total number of edit steps across all clients (the
+	// initial full submissions are excluded from the latencies).
+	Edits int `json:"edits"`
+	EditK int `json:"edit_k"`
+
+	ElapsedMS float64 `json:"elapsed_ms"`
+	EditsPerS float64 `json:"edits_per_s"`
+	P50MS     float64 `json:"p50_ms"`
+	P99MS     float64 `json:"p99_ms"`
+
+	DeltaWarm     int64 `json:"delta_warm"`
+	DeltaCold     int64 `json:"delta_cold_fallback"`
+	DeltaBaseMiss int64 `json:"delta_base_miss"`
+	// DeltaCoverReused / DeltaCoverResolved split the warm resumes by
+	// covering outcome: served entirely from the previous cover snapshot
+	// vs. partially re-solved.
+	DeltaCoverReused   int64 `json:"delta_cover_reused"`
+	DeltaCoverResolved int64 `json:"delta_cover_resolved"`
+	CacheBytes         int64 `json:"cache_bytes"`
+	// Errors counts the requests that failed, and Non200 splits them by
+	// HTTP status. BaseMissRecovered counts the 409 base misses that the
+	// full re-submission answered, which are not failures.
+	Errors            int64       `json:"errors"`
+	Non200            map[int]int `json:"non_200,omitempty"`
+	BaseMissRecovered int64       `json:"base_miss_recovered"`
+
+	// CoverMSMean is the mean covering-phase wall time ("cover.*" phases
+	// summed) per edit-phase engine run: delta resumes in warm mode, full
+	// re-minimizations in cold mode. Seed submissions are excluded.
+	CoverMSMean float64 `json:"cover_ms_mean"`
+	// CoverRuns is how many engine runs CoverMSMean averages over.
+	CoverRuns int `json:"cover_runs"`
+}
+
+func runEditLoop(sh shape, rep, base *report) []string {
+	// The floor needs the baseline's cover speedup: read it before the
+	// run, so a bad baseline fails fast.
+	want := 0.0
+	if base != nil {
+		cold, warm := editModes(rowsOf[editRow](base.Results))
+		if cold == nil || warm == nil || warm.CoverMSMean <= 0 {
+			fatal("baseline: no usable cold/warm cover data")
+		}
+		want = cold.CoverMSMean / warm.CoverMSMean
+	}
+
+	sets := onSets(7, sh.clients, sh.nvars, sh.onBase, 2)
+	var rows []editRow
+	var failed []string
+	for _, warm := range []bool{false, true} {
+		res := editLoop(sh, warm, sets)
+		rows = append(rows, res)
+		fmt.Printf("edit-loop %-5s  %6.1f edits/s  p50 %6.2fms  p99 %7.2fms  cover %7.2fms/run  warm %3d (replay %d)  fallback %d  base-miss %d (recovered %d)\n",
+			res.Mode, res.EditsPerS, res.P50MS, res.P99MS, res.CoverMSMean,
+			res.DeltaWarm, res.DeltaCoverReused, res.DeltaCold, res.DeltaBaseMiss, res.BaseMissRecovered)
+		failed = append(failed, statusFailures(res.Mode, res.Non200)...)
+	}
+
+	cold, warm := &rows[0], &rows[1]
+	summary := map[string]string{}
+	if warm.ElapsedMS > 0 {
+		summary["edit_loop_speedup"] = fmt.Sprintf("%.2fx", cold.ElapsedMS/warm.ElapsedMS)
+		summary["edit_loop_p50"] = fmt.Sprintf("%.2fms -> %.2fms", cold.P50MS, warm.P50MS)
+	}
+	got := cold.CoverMSMean / warm.CoverMSMean
+	if cold.CoverMSMean > 0 && warm.CoverMSMean > 0 {
+		summary["edit_loop_cover_speedup"] = fmt.Sprintf("%.2fx", got)
+		summary["edit_loop_cover_split"] = fmt.Sprintf("%.3fms -> %.3fms per run", cold.CoverMSMean, warm.CoverMSMean)
+	}
+	// A warm resume must spend strictly less time in the covering phases
+	// than a cold run of the same edit.
+	switch {
+	case cold.CoverMSMean <= 0 || warm.CoverMSMean <= 0:
+		failed = append(failed, fmt.Sprintf("missing cover phase data (cold %.3fms over %d runs, warm %.3fms over %d runs)",
+			cold.CoverMSMean, cold.CoverRuns, warm.CoverMSMean, warm.CoverRuns))
+	case warm.CoverMSMean >= cold.CoverMSMean:
+		failed = append(failed, fmt.Sprintf("warm cover %.3fms/run >= cold %.3fms/run", warm.CoverMSMean, cold.CoverMSMean))
+	case got < want/3:
+		failed = append(failed, fmt.Sprintf("cover speedup %.2fx below floor %.2fx (baseline %.2fx / 3)", got, want/3, want))
+	}
+	rep.Results = mustJSON(rows)
+	rep.merge(map[string]any{
+		"clients": sh.clients,
+		"edits":   sh.edits,
+		"edit_k":  sh.editK,
+		"nvars":   sh.nvars,
+		"on_base": sh.onBase,
+		"quick":   sh.quick,
+	}, summary)
+	return failed
+}
+
+func editModes(rows []editRow) (cold, warm *editRow) {
+	for i := range rows {
+		switch rows[i].Mode {
+		case "cold":
+			cold = &rows[i]
+		case "warm":
+			warm = &rows[i]
+		}
+	}
+	return cold, warm
+}
+
+// editLoop walks every client's function through sh.edits random steps
+// of sh.editK minterm changes. Both modes replay identical edit scripts
+// (same per-client seeds); only the request shape differs: warm mode
+// chains deltas on base_key, cold mode re-submits the full ON set. Only
+// the edit steps are timed.
+func editLoop(sh shape, warm bool, sets [][]int) editRow {
+	srv := startServer(service.Config{
+		MaxConcurrent: sh.clients,
+		CacheSize:     4096,
+		// Big enough for every client's current warm chain head with
+		// room to spare; old generations get evicted, keeping the live
+		// heap (and so GC pressure) bounded during long walks.
+		CacheBytes: 512 << 20,
+		WarmCache:  warm,
+		// Retain every engine run of the scenario (seeds + edits + a few
+		// cold fallbacks) so the cover-phase split can be aggregated from
+		// the /statsz history afterwards.
+		HistorySize: sh.clients*(sh.edits+2) + 8,
+	})
+	defer srv.stop()
+	mode := "cold"
+	if warm {
+		mode = "warm"
+	}
+
+	var rec recorder
+	var recovered atomic.Int64
+	space := 1 << sh.nvars
+	on := make([]map[int]bool, sh.clients)
+	bases := make([]string, sh.clients)
+	seeded := make([]bool, sh.clients)
+	full := func(c int) string {
+		pts := make([]int, 0, len(on[c]))
+		for p := range on[c] {
+			pts = append(pts, p)
+		}
+		sort.Ints(pts)
+		return minimizeBody(sh.nvars, pts)
+	}
+	// Every client submits its base function first (untimed in both
+	// modes: it is setup, not part of the edit loop); in warm mode it
+	// seeds the warm state and yields the base_key to chain on.
+	seed := func(c int) {
+		on[c] = make(map[int]bool, len(sets[c]))
+		for _, p := range sets[c] {
+			on[c][p] = true
+		}
+		var resp service.Response
+		if r := send(http.DefaultClient, srv.URL+minimize, full(c), &resp); r.code != http.StatusOK {
+			rec.add(r)
+			return
+		}
+		bases[c], seeded[c] = resp.BaseKey, true
+	}
+	start := fanOut(sh.clients, seed, func(c int) {
+		if !seeded[c] {
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(c + 1)))
+		for range sh.edits {
+			var adds, removes []int
+			for j := range sh.editK {
+				if j%2 == 0 { // add a random OFF point
+					for {
+						if p := rng.Intn(space); !on[c][p] {
+							on[c][p] = true
+							adds = append(adds, p)
+							break
+						}
+					}
+					continue
+				}
+				// Remove a random ON point, not one this step added: a
+				// delta that both adds and removes a point is a 400.
+				// Redrawing leaves every other step's script as it was.
+				pts := make([]int, 0, len(on[c]))
+				for p := range on[c] {
+					pts = append(pts, p)
+				}
+				sort.Ints(pts)
+				p := pts[rng.Intn(len(pts))]
+				for slices.Contains(adds, p) {
+					p = pts[rng.Intn(len(pts))]
+				}
+				delete(on[c], p)
+				removes = append(removes, p)
+			}
+
+			body := full(c)
+			if warm {
+				body = fmt.Sprintf(`{"base":%q,"add":%s,"remove":%s}`, bases[c], jsonInts(adds), jsonInts(removes))
+			}
+			var resp service.Response
+			r := send(http.DefaultClient, srv.URL+minimize, body, &resp)
+			if warm && r.code == http.StatusConflict {
+				// Base evicted: fall back to a full submission and
+				// resume chaining from its key.
+				resp = service.Response{}
+				r2 := send(http.DefaultClient, srv.URL+minimize, full(c), &resp)
+				r2.d += r.d
+				if r = r2; r.code == http.StatusOK {
+					recovered.Add(1)
+				}
+			}
+			rec.add(r)
+			if warm && resp.BaseKey != "" {
+				bases[c] = resp.BaseKey
+			}
+		}
+	})
+	elapsed := time.Since(start)
+
+	st := srv.statsz()
+	coverRuns, coverMean := editCoverStats(st, warm, sh.clients)
+	n := rec.n()
+	return editRow{
+		Scenario:           "edit-loop",
+		Mode:               mode,
+		Clients:            sh.clients,
+		Edits:              n,
+		EditK:              sh.editK,
+		ElapsedMS:          ms(elapsed),
+		EditsPerS:          float64(n) / elapsed.Seconds(),
+		P50MS:              rec.pct(0.50),
+		P99MS:              rec.pct(0.99),
+		DeltaWarm:          st.DeltaWarm,
+		DeltaCold:          st.DeltaCold,
+		DeltaBaseMiss:      st.DeltaBaseMiss,
+		DeltaCoverReused:   st.DeltaCoverReused,
+		DeltaCoverResolved: st.DeltaCoverResolved,
+		CacheBytes:         st.CacheBytes,
+		Errors:             int64(n - rec.n(http.StatusOK)),
+		Non200:             rec.unexpected(),
+		BaseMissRecovered:  recovered.Load(),
+		CoverMSMean:        coverMean,
+		CoverRuns:          coverRuns,
+	}
+}
+
+// editCoverStats aggregates the per-run covering time ("cover.*"
+// phases) over the edit-phase engine runs in the /statsz history: delta
+// resumes in warm mode, everything after the per-client seed
+// submissions in cold mode.
+func editCoverStats(st service.Statsz, warm bool, clients int) (runs int, meanMS float64) {
+	if st.Runs == nil {
+		return 0, 0
+	}
+	var total float64
+	for i, rep := range st.Runs.Reports {
+		if warm {
+			if !strings.HasSuffix(rep.Name, "/delta") {
+				continue
+			}
+		} else if i < clients { // seed submissions, untimed setup
+			continue
+		}
+		total += coverSeconds(rep)
+		runs++
+	}
+	if runs == 0 {
+		return 0, 0
+	}
+	return runs, total * 1000 / float64(runs)
+}
+
+func coverSeconds(rep *stats.Report) float64 {
+	var s float64
+	for _, p := range rep.Phases {
+		if strings.HasPrefix(p.Phase, "cover.") {
+			s += p.Seconds
+		}
+	}
+	return s
+}
+
+// --- jobs ---------------------------------------------------------------
+
+// jobRow is one priority class's slice of the jobs scenario:
+// closed-loop submit-to-done latency through the async tier.
+type jobRow struct {
+	Scenario string `json:"scenario"` // always "jobs"
+	Priority string `json:"priority"`
+	Jobs     int    `json:"jobs"`
+
+	ElapsedMS float64 `json:"elapsed_ms"`
+	JobsPerS  float64 `json:"jobs_per_s"`
+	// Submit-to-done wall time: 202 accept through the terminal state
+	// observed by the poller, queue wait included.
+	P50MS  float64 `json:"p50_ms"`
+	P99MS  float64 `json:"p99_ms"`
+	MeanMS float64 `json:"mean_ms"`
+
+	// Failed counts jobs that did not reach "done"; Non200 counts those
+	// stopped by a status other than 202 on submit or 200 on poll.
+	Failed int         `json:"failed"`
 	Non200 map[int]int `json:"non_200,omitempty"`
 }
 
-type report struct {
-	Schema    string            `json:"schema"`
-	Generated string            `json:"generated"`
-	Config    map[string]any    `json:"config"`
-	Results   []runResult       `json:"results"`
-	Jobs      []jobRunResult    `json:"jobs,omitempty"`
-	FormMix   []formMixResult   `json:"form_mix,omitempty"`
-	Overload  []overloadResult  `json:"overload,omitempty"`
-	Summary   map[string]string `json:"summary"`
+func runJobs(sh shape, rep, _ *report) []string {
+	dir, err := os.MkdirTemp("", "sppload-jobs-")
+	if err != nil {
+		fatal("%v", err)
+	}
+	defer os.RemoveAll(dir)
+	srv := startServer(service.Config{
+		MaxConcurrent: sh.maxConcurrent,
+		CacheSize:     4096,
+		JobsDir:       dir,
+		JobWorkers:    sh.maxConcurrent,
+	})
+
+	priorities := []string{"interactive", "batch", "bulk"}
+	// Step 1 keeps ON sizes under the space/2 cap (distinct sizes stay
+	// P-inequivalent) so compute cost grows gently across the fleet.
+	bs := bodies(sh.nvars, onSets(1, sh.requests, sh.nvars, sh.onBase, 1))
+	recs := make([]recorder, len(priorities))
+	failedJobs := make([]atomic.Int64, len(priorities))
+	start := fanOut(sh.clients, nil, func(c int) {
+		p := c % len(priorities)
+		for i := range sh.requests / sh.clients {
+			// Interleave bodies across clients so every priority class
+			// sees the same ON-size (= compute cost) spread.
+			r, done := awaitJob(http.DefaultClient, srv.URL, withField(bs[i*sh.clients+c], "priority", priorities[p]))
+			recs[p].add(r)
+			if !done {
+				failedJobs[p].Add(1)
+			}
+		}
+	})
+	elapsed := time.Since(start)
+	var failed []string
+	if err := srv.stop(); err != nil {
+		failed = append(failed, fmt.Sprintf("shutdown: %v", err))
+	}
+
+	rep.Jobs = nil
+	summary := map[string]string{}
+	for p, prio := range priorities {
+		rec := &recs[p]
+		n := rec.n()
+		if n == 0 {
+			continue
+		}
+		res := jobRow{
+			Scenario:  "jobs",
+			Priority:  prio,
+			Jobs:      n,
+			ElapsedMS: ms(elapsed),
+			JobsPerS:  float64(n) / elapsed.Seconds(),
+			P50MS:     rec.pct(0.50),
+			P99MS:     rec.pct(0.99),
+			MeanMS:    rec.meanMS(),
+			Failed:    int(failedJobs[p].Load()),
+			Non200:    rec.unexpected(),
+		}
+		rep.Jobs = append(rep.Jobs, res)
+		summary["jobs_p50_"+prio] = fmt.Sprintf("%.2fms", res.P50MS)
+		fmt.Printf("jobs %-11s  %5.1f jobs/s  p50 %7.2fms  p99 %8.2fms  mean %7.2fms  failed %d\n",
+			prio, res.JobsPerS, res.P50MS, res.P99MS, res.MeanMS, res.Failed)
+		failed = append(failed, statusFailures(prio, res.Non200)...)
+		if res.Failed > 0 {
+			failed = append(failed, fmt.Sprintf("%s: %d jobs failed", prio, res.Failed))
+		}
+	}
+	rep.merge(map[string]any{
+		"jobs_clients": sh.clients,
+		"jobs_total":   sh.requests,
+		"jobs_workers": sh.maxConcurrent,
+		"jobs_quick":   sh.quick,
+	}, summary)
+	return failed
 }
 
-// overloadResult is one phase of the overload scenario: identical cold
+// awaitJob submits one job and long-polls it to a terminal state. The
+// returned call spans submit to done, with the status that ended it: a
+// submit other than 202, a poll other than 200, or the terminal poll's
+// 200. done reports whether the job finished successfully.
+func awaitJob(client *http.Client, url, body string) (c call, done bool) {
+	start := time.Now()
+	defer func() { c.d = time.Since(start) }()
+	var st service.JobStatus
+	if c = send(client, url+"/v1/jobs", body, &st); c.code != http.StatusAccepted || c.err != nil || st.ID == "" {
+		return c, false
+	}
+	poll := url + "/v1/jobs/" + st.ID + "?wait_ms=2000"
+	for {
+		st = service.JobStatus{}
+		c = send(client, poll, "", &st)
+		if c.code != http.StatusOK || c.err != nil {
+			return c, false
+		}
+		switch st.State {
+		case "done":
+			return c, true
+		case "failed":
+			return c, false
+		}
+	}
+}
+
+// --- form-mix -----------------------------------------------------------
+
+// formRow is one form's slice of the form-mix scenario: cold explicit
+// latency and cost per backend, plus — on the "auto" row — the race's
+// overhead against the winning form's own explicit latency.
+type formRow struct {
+	Scenario string `json:"scenario"` // always "form-mix"
+	Form     string `json:"form"`
+	Requests int    `json:"requests"`
+
+	P50MS        float64 `json:"p50_ms"`
+	MeanMS       float64 `json:"mean_ms"`
+	MeanLiterals float64 `json:"mean_literals"`
+	// WinRate is the share of auto races this backend won (explicit
+	// rows; from /statsz engine_wins_by_form after the auto phase).
+	WinRate float64 `json:"win_rate,omitempty"`
+	// RaceOverhead (auto row only) is mean(auto latency / the winning
+	// form's explicit latency on the same function): the price of
+	// racing everyone versus knowing the right backend in advance.
+	RaceOverhead float64 `json:"race_overhead,omitempty"`
+	// BestCostMatches (auto row only) counts functions whose auto cost
+	// equaled the minimum over the explicit runs — the determinism
+	// contract, which must hold for every function.
+	BestCostMatches int `json:"best_cost_matches,omitempty"`
+
+	Errors int         `json:"errors"`
+	Non200 map[int]int `json:"non_200,omitempty"`
+}
+
+// formRun is one form's requests, one per function.
+type formRun struct {
+	rec  recorder
+	lat  []time.Duration // by function; valid where cost >= 0
+	cost []int           // by function; -1 where the request failed
+}
+
+func (fr *formRun) row(form string) formRow {
+	r := formRow{
+		Scenario: "form-mix",
+		Form:     form,
+		Requests: len(fr.cost),
+		P50MS:    fr.rec.pct(0.50, http.StatusOK),
+		MeanMS:   fr.rec.meanMS(http.StatusOK),
+		Non200:   fr.rec.unexpected(),
+	}
+	r.Errors = len(fr.cost) - fr.rec.n(http.StatusOK)
+	var sum, n int
+	for _, c := range fr.cost {
+		if c >= 0 {
+			sum, n = sum+c, n+1
+		}
+	}
+	if n > 0 {
+		r.MeanLiterals = float64(sum) / float64(n)
+	}
+	return r
+}
+
+// runFormMix runs every function through each explicit form on one
+// server (each form salts its own cache key, so every request is a
+// cold compute), then races the same functions with form=auto on a
+// fresh server, so the races never reuse the explicit entries. Requests
+// run serially, for clean latencies.
+func runFormMix(sh shape, rep, _ *report) []string {
+	forms := engine.Names()
+	bs := bodies(sh.nvars, onSets(1, sh.keys, sh.nvars, sh.onBase, 2))
+	runForms := func(forms []string) (map[string]*formRun, service.Statsz) {
+		srv := startServer(service.Config{MaxConcurrent: sh.maxConcurrent, CacheSize: 1024})
+		defer srv.stop()
+		runs := map[string]*formRun{}
+		for _, form := range forms {
+			fr := &formRun{lat: make([]time.Duration, len(bs)), cost: make([]int, len(bs))}
+			for k, body := range bs {
+				var resp service.Response
+				c := send(http.DefaultClient, srv.URL+minimize, withField(body, "form", form), &resp)
+				fr.rec.add(c)
+				fr.lat[k], fr.cost[k] = c.d, resp.Literals
+				if c.code != http.StatusOK {
+					fr.cost[k] = -1
+				}
+			}
+			runs[form] = fr
+		}
+		return runs, srv.statsz()
+	}
+	explicit, _ := runForms(forms)
+	autoRuns, st := runForms([]string{"auto"})
+	auto := autoRuns["auto"]
+
+	// The winner's own explicit latency is the overhead baseline:
+	// racing should cost little more than having known the answer.
+	matches, served := 0, 0
+	var overheadSum float64
+	var overheadN int
+	for k := range bs {
+		if auto.cost[k] < 0 {
+			continue
+		}
+		served++
+		best, bestForm := -1, ""
+		for _, form := range forms {
+			if c := explicit[form].cost[k]; c >= 0 && (best == -1 || c < best) {
+				best, bestForm = c, form
+			}
+		}
+		if best >= 0 && auto.cost[k] == best {
+			matches++
+		}
+		if bestForm != "" && explicit[bestForm].lat[k] > 0 {
+			overheadSum += float64(auto.lat[k]) / float64(explicit[bestForm].lat[k])
+			overheadN++
+		}
+	}
+
+	rep.FormMix = nil
+	var failed, wins []string
+	for _, form := range forms {
+		r := explicit[form].row(form)
+		if st.EngineRaces > 0 {
+			r.WinRate = float64(st.EngineWinsByForm[form]) / float64(st.EngineRaces)
+			wins = append(wins, fmt.Sprintf("%s %.0f%%", form, 100*r.WinRate))
+		}
+		rep.FormMix = append(rep.FormMix, r)
+		fmt.Printf("form-mix %-5s  p50 %7.2fms  mean %7.2fms  #L %6.1f  wins %4.0f%%  errors %d\n",
+			r.Form, r.P50MS, r.MeanMS, r.MeanLiterals, 100*r.WinRate, r.Errors)
+		failed = append(failed, statusFailures(form, r.Non200)...)
+	}
+	a := auto.row("auto")
+	a.BestCostMatches = matches
+	if overheadN > 0 {
+		a.RaceOverhead = overheadSum / float64(overheadN)
+	}
+	rep.FormMix = append(rep.FormMix, a)
+	fmt.Printf("form-mix %-5s  p50 %7.2fms  mean %7.2fms  #L %6.1f  overhead %.2fx  best-cost %d/%d\n",
+		a.Form, a.P50MS, a.MeanMS, a.MeanLiterals, a.RaceOverhead, matches, served)
+	failed = append(failed, statusFailures("auto", a.Non200)...)
+	if matches != served {
+		failed = append(failed, fmt.Sprintf("%d/%d auto races missed the best explicit cost", served-matches, served))
+	}
+	rep.merge(map[string]any{
+		"form_mix_keys":    sh.keys,
+		"form_mix_nvars":   sh.nvars,
+		"form_mix_on_base": sh.onBase,
+		"form_mix_quick":   sh.quick,
+	}, map[string]string{
+		"form_mix_race_overhead": fmt.Sprintf("%.2fx", a.RaceOverhead),
+		"form_mix_best_cost":     fmt.Sprintf("%d/%d", matches, served),
+		"form_mix_wins":          strings.Join(wins, ", "),
+	})
+	return failed
+}
+
+// --- overload -----------------------------------------------------------
+
+// overloadRow is one phase of the overload scenario: identical cold
 // work at capacity ("at-capacity") and at a multiple of it
 // ("overload"), where goodput must hold and doomed requests must be
 // shed fast.
-type overloadResult struct {
+type overloadRow struct {
 	Scenario string `json:"scenario"` // always "overload"
 	Phase    string `json:"phase"`    // "at-capacity" or "overload"
 	Clients  int    `json:"clients"`
@@ -169,641 +1334,35 @@ type overloadResult struct {
 
 	ShedDeadline   int64 `json:"statsz_shed_deadline"`
 	QueueWaitP99MS int64 `json:"statsz_queue_wait_p99_ms"`
-}
 
-// formMixResult is one form's slice of the form-mix scenario: cold
-// explicit-request latency and cost per backend, plus — on the "auto"
-// row — the race's win share and overhead against the winning form's
-// own explicit latency.
-type formMixResult struct {
-	Scenario string `json:"scenario"` // always "form-mix"
-	Form     string `json:"form"`
-	Requests int    `json:"requests"`
-
-	P50MS        float64 `json:"p50_ms"`
-	MeanMS       float64 `json:"mean_ms"`
-	MeanLiterals float64 `json:"mean_literals"`
-	// WinRate is the share of auto races this backend won (explicit
-	// rows; from /statsz engine_wins_by_form after the auto phase).
-	WinRate float64 `json:"win_rate,omitempty"`
-	// RaceOverhead (auto row only) is mean(auto latency / the winning
-	// form's explicit latency on the same function): the price of
-	// racing everyone versus knowing the right backend in advance.
-	RaceOverhead float64 `json:"race_overhead,omitempty"`
-	// BestCostMatches (auto row only) counts functions whose auto cost
-	// equaled the minimum over the explicit runs — the determinism
-	// contract, which must hold for every function.
-	BestCostMatches int `json:"best_cost_matches,omitempty"`
-
-	Errors int `json:"errors"`
-	// Non200 counts the responses that were not 200, by HTTP status (0
-	// for a request that got no response). Any entry fails the run.
+	// RoundRatios (overload row) is each round's at-capacity elapsed
+	// over its overload elapsed; TrimmedRatio, the gated value, sums
+	// both phases over every round but the worst.
+	RoundRatios  []float64 `json:"round_ratios,omitempty"`
+	TrimmedRatio float64   `json:"trimmed_ratio,omitempty"`
+	// Non200 counts statuses outside the phase's contract: anything but
+	// 200 at capacity, anything but 200, 429 and 504 under overload.
 	Non200 map[int]int `json:"non_200,omitempty"`
 }
 
-// jobRunResult is one priority class's slice of the jobs scenario:
-// closed-loop submit-to-done latency through the async tier.
-type jobRunResult struct {
-	Scenario string `json:"scenario"` // always "jobs"
-	Priority string `json:"priority"`
-	Jobs     int    `json:"jobs"`
+const (
+	overloadGate   = 1
+	overloadRounds = 4
+	patientN       = 2
+	impatientN     = 2
+)
 
-	ElapsedMS float64 `json:"elapsed_ms"`
-	JobsPerS  float64 `json:"jobs_per_s"`
-	// Submit-to-done wall time: 202 accept through the terminal state
-	// observed by the poller, queue wait included.
-	P50MS  float64 `json:"p50_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MeanMS float64 `json:"mean_ms"`
-
-	Failed int `json:"failed"`
-}
-
-func main() {
-	out := flag.String("out", "", "output JSON path (- for stdout; default BENCH_serve.json, or BENCH_delta.json for -scenario edit-loop)")
-	scenario := flag.String("scenario", "serve", "benchmark scenario: serve (stampede+zipf), edit-loop (delta vs cold re-submits), jobs (async tier), form-mix (portfolio race win rates and overhead) or overload (adaptive admission at 4x capacity)")
-	clients := flag.Int("clients", 8, "concurrent closed-loop clients")
-	keys := flag.Int("keys", 40, "distinct functions in the zipf mix")
-	requests := flag.Int("requests", 400, "total requests in the zipf scenario")
-	rounds := flag.Int("rounds", 10, "cold keys in the stampede scenario")
-	maxConcurrent := flag.Int("max-concurrent", 8, "zipf-scenario admission width")
-	zipfS := flag.Float64("zipf-s", 1.2, "zipf skew (s > 1)")
-	nvars := flag.Int("nvars", 9, "variables per benchmark function")
-	onBase := flag.Int("on-base", 128, "smallest ON-set size")
-	window := flag.Int("window", 32, "zipf requests between hot-set shifts")
-	edits := flag.Int("edits", 25, "edit-loop steps per client")
-	editK := flag.Int("edit-k", 2, "minterms changed per edit-loop step (alternating add/remove)")
-	quick := flag.Bool("quick", false, "small fast run for CI smoke")
-	assertCoverSplit := flag.Bool("assert-cover-split", false, "edit-loop only: exit 1 unless the warm per-run covering time beats cold (CI regression gate)")
-	baseline := flag.String("baseline", "", "checked-in report to gate against (BENCH_serve.json for serve, BENCH_delta.json for edit-loop)")
-	assertDup := flag.Bool("assert-dup-computes", false, "serve only: exit 1 if duplicate computes exceed the -baseline report's current rows (CI regression gate)")
-	assertFlat := flag.Bool("assert-goodput-flat", false, "overload only: exit 1 unless goodput at 4x capacity stays within 10% of at-capacity, every 429 carries Retry-After and shed p50 < 10ms (CI regression gate)")
-	flag.Parse()
-
-	if *scenario == "edit-loop" {
-		if *quick {
-			*clients, *edits = 2, 6
-		} else if *clients == 8 {
-			*clients = 4 // default: 4 clients x 25 edits = a 100-edit loop
-		}
-		if *out == "" {
-			*out = "BENCH_delta.json"
-		}
-		runEditLoopScenario(*out, *clients, *edits, *editK, *nvars, *onBase, *quick, *assertCoverSplit, *baseline)
-		return
-	}
-	if *scenario == "form-mix" {
-		if *quick {
-			*keys, *nvars, *onBase = 5, 7, 24
-		} else if *keys == 40 {
-			*keys = 12 // every key runs once per form plus one auto race
-		}
-		if *out == "" {
-			*out = "BENCH_serve.json"
-		}
-		runFormMixScenario(*out, *keys, *nvars, *onBase, *maxConcurrent, *quick)
-		return
-	}
-	if *scenario == "jobs" {
-		if *quick {
-			*clients, *requests = 3, 18
-		} else if *requests == 400 {
-			// The zipf default would mean 400 distinct cold computes
-			// growing to the ON-size cap; 60 keeps the full run in
-			// tens of seconds while still loading every class.
-			*requests = 60
-		}
-		if *out == "" {
-			*out = "BENCH_serve.json"
-		}
-		runJobsScenario(*out, *clients, *requests, *maxConcurrent, *nvars, *onBase, *quick)
-		return
-	}
-	if *scenario == "overload" {
-		if *quick {
-			*requests = 32
-		} else if *requests == 400 {
-			// requests here is the per-phase success target; 64 cold
-			// computes per phase keeps the full run under a minute
-			// while giving each of the paired rounds a sample big
-			// enough that box noise does not dominate the ratio.
-			*requests = 64
-		}
-		// The shed-latency contract is graded in wall-clock
-		// milliseconds, so the default function size is tuned for
-		// boxes with few cores: computes of tens of milliseconds keep
-		// the admission gate saturated without drowning the core the
-		// shed responses also need.
-		if *nvars == 9 {
-			*nvars = 8
-		}
-		if *onBase == 128 {
-			*onBase = 56
-		}
-		if *out == "" {
-			*out = "BENCH_serve.json"
-		}
-		runOverloadScenario(*out, *requests, *nvars, *onBase, *quick, *assertFlat)
-		return
-	}
-	if *out == "" {
-		*out = "BENCH_serve.json"
-	}
-	if *quick {
-		*clients, *keys, *requests, *rounds, *window = 4, 10, 64, 3, 16
-	}
-
-	rep := openServeReport(*out)
-	for k, v := range map[string]any{
-		"clients":        *clients,
-		"keys":           *keys,
-		"requests":       *requests,
-		"rounds":         *rounds,
-		"max_concurrent": *maxConcurrent,
-		"zipf_s":         *zipfS,
-		"window":         *window,
-		"nvars":          *nvars,
-		"on_base":        *onBase,
-		"quick":          *quick,
-	} {
-		rep.Config[k] = v
-	}
-
-	bodies := makeBodies(max(*keys, *rounds), *nvars, *onBase, 2)
-	runs := []runResult{
-		// The stampede runs at admission width == clients, so duplicate
-		// computes measure coalescing rather than admission-gate
-		// serialization.
-		runStampede(*clients, *clients, *rounds, bodies),
-		runZipf(*maxConcurrent, *clients, *requests, *keys, *window, *zipfS, bodies),
-	}
-	non200 := 0
-	for _, res := range runs {
-		fmt.Printf("%-9s %-8s  %7.1f req/s  p50 %6.2fms  p99 %7.2fms  dup-computes %3d  coalesce %4.0f%%\n",
-			res.Scenario, res.Mode, res.ThroughputRPS, res.P50MS, res.P99MS,
-			res.DuplicateComputes, 100*res.CoalesceRate)
-		for code, n := range res.Non200 {
-			fmt.Fprintf(os.Stderr, "sppload: %s: %d responses with status %d\n", res.Scenario, n, code)
-			non200 += n
-		}
-		if cur := find(rep.Results, res.Scenario, "current"); cur != nil {
-			*cur = res
-		} else {
-			rep.Results = append(rep.Results, res)
-		}
-		if base := find(rep.Results, res.Scenario, "baseline"); base != nil && base.ThroughputRPS > 0 {
-			rep.Summary[res.Scenario+"_speedup"] = fmt.Sprintf("%.2fx", res.ThroughputRPS/base.ThroughputRPS)
-			rep.Summary[res.Scenario+"_duplicate_computes"] = fmt.Sprintf("%d -> %d", base.DuplicateComputes, res.DuplicateComputes)
-		}
-	}
-	writeReport(*out, rep)
-	for _, scenario := range []string{"stampede", "zipf"} {
-		for _, k := range []string{scenario + "_speedup", scenario + "_duplicate_computes"} {
-			if v, ok := rep.Summary[k]; ok {
-				fmt.Printf("summary %s = %s\n", k, v)
-			}
-		}
-	}
-
-	failed := non200 > 0
-	if *assertDup {
-		if *baseline == "" {
-			fmt.Fprintln(os.Stderr, "sppload: -assert-dup-computes needs -baseline")
-			os.Exit(1)
-		}
-		base, err := loadServeReport(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sppload: baseline:", err)
-			os.Exit(1)
-		}
-		for _, got := range runs {
-			want := find(base.Results, got.Scenario, "current")
-			if want != nil && got.DuplicateComputes > want.DuplicateComputes {
-				fmt.Fprintf(os.Stderr, "sppload: dup-computes assertion failed: %s %d > baseline %d\n",
-					got.Scenario, got.DuplicateComputes, want.DuplicateComputes)
-				failed = true
-			}
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// loadServeReport reads a spp-bench-serve/v1 report from disk.
-func loadServeReport(path string) (*report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, err
-	}
-	if rep.Schema != "spp-bench-serve/v1" {
-		return nil, fmt.Errorf("%s: schema %q, want spp-bench-serve/v1", path, rep.Schema)
-	}
-	return &rep, nil
-}
-
-// openServeReport loads the serve report at out for a scenario to merge
-// its own sections into, or starts a fresh one when there is no usable
-// report there (or out is stdout).
-func openServeReport(out string) *report {
-	rep, err := loadServeReport(out)
-	if err != nil {
-		rep = &report{Schema: "spp-bench-serve/v1"}
-	}
-	if rep.Config == nil {
-		rep.Config = map[string]any{}
-	}
-	if rep.Summary == nil {
-		rep.Summary = map[string]string{}
-	}
-	rep.Generated = time.Now().UTC().Format(time.RFC3339)
-	return rep
-}
-
-// writeReport writes v as indented JSON to out ("-" for stdout),
-// exiting on failure.
-func writeReport(out string, v any) {
-	var w io.Writer = os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sppload:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintln(os.Stderr, "sppload:", err)
-		os.Exit(1)
-	}
-}
-
-// makeBodies builds count distinct request bodies whose functions are
-// pairwise P-inequivalent (distinct ON-set sizes cannot permute onto
-// each other), so each body occupies its own cache key. The ON sets are
-// pseudo-random over nvars variables and sized to make each cold
-// compute take real engine time — a cache hit must be measurably
-// cheaper than a compute for the scenarios to mean anything.
-func makeBodies(count, nvars, onBase, onStep int) []string {
-	rng := rand.New(rand.NewSource(1))
-	space := 1 << nvars
-	bodies := make([]string, count)
-	for i := range bodies {
-		size := onBase + i*onStep
-		if size > space/2 {
-			size = space / 2
-		}
-		seen := make(map[int]bool)
-		pts := make([]string, 0, size)
-		for len(pts) < size {
-			p := rng.Intn(space)
-			if !seen[p] {
-				seen[p] = true
-				pts = append(pts, fmt.Sprint(p))
-			}
-		}
-		bodies[i] = fmt.Sprintf(`{"n":%d,"on":[%s]}`, nvars, strings.Join(pts, ","))
-	}
-	return bodies
-}
-
-func newServer(maxConcurrent int) (*httptest.Server, func() service.Statsz) {
-	cfg := service.Config{
-		Core:          harness.DefaultConfig(),
-		MaxConcurrent: maxConcurrent,
-		CacheSize:     1024,
-	}
-	srv := service.New(cfg)
-	ts := httptest.NewServer(srv.Handler())
-	statsz := func() service.Statsz {
-		resp, err := http.Get(ts.URL + "/statsz")
-		if err != nil {
-			panic(err)
-		}
-		defer resp.Body.Close()
-		var st service.Statsz
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			panic(err)
-		}
-		return st
-	}
-	return ts, statsz
-}
-
-// post sends one minimize body and returns its latency and HTTP status
-// (0 when the request never got a response).
-func post(client *http.Client, url, body string) (time.Duration, int) {
-	start := time.Now()
-	resp, err := client.Post(url+"/v1/minimize", "application/json", strings.NewReader(body))
-	if err != nil {
-		return time.Since(start), 0
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return time.Since(start), resp.StatusCode
-}
-
-// runStampede fires all clients at the same cold key simultaneously,
-// once per round with a fresh key each round.
-func runStampede(maxConcurrent, clients, rounds int, bodies []string) runResult {
-	ts, statsz := newServer(maxConcurrent)
-	defer ts.Close()
-	client := &http.Client{}
-
-	var mu sync.Mutex
-	var lats []time.Duration
-	codes := map[int]int{}
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		body := bodies[r]
-		begin := make(chan struct{})
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-begin
-				d, code := post(client, ts.URL, body)
-				mu.Lock()
-				lats = append(lats, d)
-				codes[code]++
-				mu.Unlock()
-			}()
-		}
-		close(begin)
-		wg.Wait()
-	}
-	elapsed := time.Since(start)
-
-	st := statsz()
-	return summarize("stampede", clients, rounds, lats, codes, elapsed, st)
-}
-
-// runZipf is the steady-state closed loop: each client draws its next
-// key from a zipf distribution as soon as the previous request
-// completes. The hot set drifts — every window requests the whole key
-// distribution shifts by one — so the mix stays repeat-heavy while new
-// hot keys keep arriving cold at all clients at once, the way real
-// traffic rolls its working set. (On every shift, coalescing computes
-// the new hot key once, not once per concurrent client.)
-func runZipf(maxConcurrent, clients, requests, keys, window int, s float64, bodies []string) runResult {
-	ts, statsz := newServer(maxConcurrent)
-	defer ts.Close()
-	client := &http.Client{}
-
-	perClient := requests / clients
-	var mu sync.Mutex
-	var lats []time.Duration
-	codes := map[int]int{}
-	touched := make(map[int]bool)
-	var total int
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			zipf := rand.NewZipf(rng, s, 1, uint64(keys-1))
-			for i := 0; i < perClient; i++ {
-				mu.Lock()
-				shift := total / window
-				total++
-				mu.Unlock()
-				// Hot key (draw 0) is the newest key; larger draws walk
-				// back into older, already-warm keys.
-				k := ((shift-int(zipf.Uint64()))%len(bodies) + len(bodies)) % len(bodies)
-				d, code := post(client, ts.URL, bodies[k])
-				mu.Lock()
-				lats = append(lats, d)
-				codes[code]++
-				touched[k] = true
-				mu.Unlock()
-			}
-		}(int64(c + 1))
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	st := statsz()
-	return summarize("zipf", clients, len(touched), lats, codes, elapsed, st)
-}
-
-// summarize turns one run into its "current" report row; codes counts
-// the responses by HTTP status.
-func summarize(scenario string, clients, uniqueKeys int, lats []time.Duration, codes map[int]int, elapsed time.Duration, st service.Statsz) runResult {
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := min(int(p*float64(len(lats))), len(lats)-1)
-		return float64(lats[i].Microseconds()) / 1000
-	}
-	rate := 0.0
-	if st.Served > 0 {
-		rate = float64(st.CoalesceWaiters) / float64(st.Served)
-	}
-	delete(codes, http.StatusOK)
-	if len(codes) == 0 {
-		codes = nil
-	}
-	return runResult{
-		Scenario:          scenario,
-		Mode:              "current",
-		Clients:           clients,
-		Requests:          len(lats),
-		UniqueKeys:        uniqueKeys,
-		ElapsedMS:         float64(elapsed.Microseconds()) / 1000,
-		ThroughputRPS:     float64(len(lats)) / elapsed.Seconds(),
-		P50MS:             pct(0.50),
-		P99MS:             pct(0.99),
-		CoalesceRate:      rate,
-		DuplicateComputes: st.CacheMisses - int64(uniqueKeys),
-		CacheHits:         st.CacheHits,
-		CacheMisses:       st.CacheMisses,
-		CoalesceWaiters:   st.CoalesceWaiters,
-		Errors:            st.Errors,
-		Non200:            codes,
-	}
-}
-
-func find(rs []runResult, scenario, mode string) *runResult {
-	for i := range rs {
-		if rs[i].Scenario == scenario && rs[i].Mode == mode {
-			return &rs[i]
-		}
-	}
-	return nil
-}
-
-// --- jobs scenario ------------------------------------------------------
-
-// runJobsScenario drives the async job tier closed-loop: clients split
-// across the priority classes, each submitting distinct functions via
-// POST /v1/jobs and long-polling every job to a terminal state. The
-// per-class submit-to-done latencies merge into the serve report at
-// `out` (section "jobs" plus jobs_* summary keys); existing serve
-// results in that file are preserved.
-func runJobsScenario(out string, clients, totalJobs, workers, nvars, onBase int, quick bool) {
-	jobsDir, err := os.MkdirTemp("", "sppload-jobs-")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sppload:", err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(jobsDir)
-
-	// Fewer workers than clients keeps a queue standing (closed-loop
-	// clients have one job outstanding each, so queue depth is
-	// clients - workers): without one, priority classes would never
-	// differ.
-	if half := max(clients/2, 1); workers > half {
-		workers = half
-	}
-	cfg := service.Config{
-		Core:          harness.DefaultConfig(),
-		MaxConcurrent: workers,
-		CacheSize:     4096,
-		JobsDir:       jobsDir,
-		JobWorkers:    workers,
-	}
-	srv := service.New(cfg)
-	if _, err := srv.StartJobs(); err != nil {
-		fmt.Fprintln(os.Stderr, "sppload: jobs:", err)
-		os.Exit(1)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := &http.Client{}
-
-	priorities := []string{"interactive", "batch", "bulk"}
-	// Step 1 keeps ON sizes under the space/2 cap (distinct sizes stay
-	// P-inequivalent) so compute cost grows gently across the fleet.
-	bodies := makeBodies(totalJobs, nvars, onBase, 1)
-	perClient := totalJobs / clients
-
-	type sample struct {
-		priority string
-		d        time.Duration
-		failed   bool
-	}
-	var mu sync.Mutex
-	var samples []sample
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			prio := priorities[c%len(priorities)]
-			for i := 0; i < perClient; i++ {
-				// Interleave bodies across clients so every priority
-				// class sees the same ON-size (= compute cost) spread.
-				body := bodies[i*clients+c]
-				// Splice the priority class into the minimize body.
-				jb := fmt.Sprintf(`{"priority":%q,%s`, prio, body[1:])
-				d, failed := submitAndAwaitJob(client, ts.URL, jb)
-				mu.Lock()
-				samples = append(samples, sample{prio, d, failed})
-				mu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.StopJobs(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "sppload: jobs shutdown:", err)
-		os.Exit(1)
-	}
-
-	rep := openServeReport(out)
-	rep.Config["jobs_clients"] = clients
-	rep.Config["jobs_total"] = totalJobs
-	rep.Config["jobs_workers"] = workers
-	rep.Config["jobs_quick"] = quick
-	rep.Jobs = nil
-
-	for _, prio := range priorities {
-		var lats []time.Duration
-		failed := 0
-		for _, s := range samples {
-			if s.priority != prio {
-				continue
-			}
-			lats = append(lats, s.d)
-			if s.failed {
-				failed++
-			}
-		}
-		if len(lats) == 0 {
-			continue
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		pct := func(p float64) float64 {
-			i := min(int(p*float64(len(lats))), len(lats)-1)
-			return float64(lats[i].Microseconds()) / 1000
-		}
-		var total time.Duration
-		for _, d := range lats {
-			total += d
-		}
-		res := jobRunResult{
-			Scenario:  "jobs",
-			Priority:  prio,
-			Jobs:      len(lats),
-			ElapsedMS: float64(elapsed.Microseconds()) / 1000,
-			JobsPerS:  float64(len(lats)) / elapsed.Seconds(),
-			P50MS:     pct(0.50),
-			P99MS:     pct(0.99),
-			MeanMS:    float64(total.Microseconds()) / 1000 / float64(len(lats)),
-			Failed:    failed,
-		}
-		rep.Jobs = append(rep.Jobs, res)
-		rep.Summary["jobs_p50_"+prio] = fmt.Sprintf("%.2fms", res.P50MS)
-		fmt.Printf("jobs %-11s  %5.1f jobs/s  p50 %7.2fms  p99 %8.2fms  mean %7.2fms  failed %d\n",
-			prio, res.JobsPerS, res.P50MS, res.P99MS, res.MeanMS, res.Failed)
-	}
-
-	writeReport(out, rep)
-	for _, prio := range priorities {
-		if v, ok := rep.Summary["jobs_p50_"+prio]; ok {
-			fmt.Printf("summary jobs_p50_%s = %s\n", prio, v)
-		}
-	}
-	var totalFailed int
-	for _, r := range rep.Jobs {
-		totalFailed += r.Failed
-	}
-	if totalFailed > 0 {
-		fmt.Fprintf(os.Stderr, "sppload: %d jobs failed\n", totalFailed)
-		os.Exit(1)
-	}
-}
-
-// runOverloadScenario grades the adaptive admission layer. Phase 1
-// runs `total` distinct cold computes with clients == admission width
-// (every acquire takes the fast path: the at-capacity goodput
-// ceiling). Phase 2 re-runs the same success target on a fresh server
-// at 4x capacity with a mixed deadline population: patient clients
-// whose budgets comfortably cover the queue (they keep the slots busy
-// and feed the queue-wait predictor) and impatient clients whose
-// budgets cannot cover a queued wait. Once the predictor warms up, the
-// impatient requests must be shed up front — 429 + Retry-After in
-// single-digit milliseconds — instead of queuing into 504s, so slot
-// time keeps going to requests that can still make their deadlines and
-// goodput holds flat. The report gains an "overload" section and
-// overload_* summary keys; assertFlat turns the contract into a CI
-// gate.
+// runOverload grades the adaptive admission layer. The at-capacity
+// phase runs distinct cold computes with one client on the one-slot
+// server (every acquire takes the fast path: the goodput ceiling). The
+// overload phase re-runs the same success target on a second server at
+// 4× capacity with a mixed deadline population: patient clients whose
+// budgets comfortably cover the queue (they keep the slot busy and feed
+// the queue-wait predictor) and impatient clients whose budgets cannot
+// cover a queued wait. Once the predictor warms up, the impatient
+// requests must be shed up front — 429 + Retry-After in single-digit
+// milliseconds — instead of queuing into 504s, so slot time keeps going
+// to requests that can still make their deadlines and goodput holds.
 //
 // The shape is deliberately small — one admission slot, two patient
 // and two impatient clients, impatient probes spaced by a backoff —
@@ -812,21 +1371,10 @@ func runJobsScenario(out string, clients, totalJobs, workers, nvars, onBase int,
 // to every response, so the runnable set must stay near one compute
 // plus one short-lived handler for the measurement to reflect the shed
 // path rather than the scheduler.
-func runOverloadScenario(out string, total, nvars, onBase int, quick, assertFlat bool) {
-	const gate = 1
-	const patientN, impatientN = 2, 2
-	// Alternating rounds of the two phases: throughput noise on a
-	// shared box drifts on a sub-second scale, so each overload round
-	// is paired with the at-capacity round right before it and the
-	// goodput gate is the median of the per-pair ratios — one noisy
-	// window can skew a pair, not the median.
-	const rounds = 4
-	if r := total % (2 * rounds * patientN); r != 0 {
-		total += 2*rounds*patientN - r
-	}
-	perRound := total / rounds
+func runOverload(sh shape, rep, _ *report) []string {
+	total := sh.requests
+	perRound := total / overloadRounds
 
-	// The shed contract is graded in client-observed milliseconds.
 	// With GOMAXPROCS=1 a finished response waits out the running
 	// compute's preemption quantum before the client goroutine can
 	// even stamp the clock, billing tens of ms of scheduler queueing
@@ -846,8 +1394,8 @@ func runOverloadScenario(out string, total, nvars, onBase int, quick, assertFlat
 	// decision only weighs the deadline, and a probe that carries an
 	// expensive body would bill its decode-and-canonicalize cost to
 	// the one core the admitted computes run on.
-	bodies := makeBodies(total, nvars, onBase, 0)
-	impBodies := makeBodies(total, nvars, max(onBase/8, 8), 0)
+	bs := bodies(sh.nvars, onSets(1, total, sh.nvars, sh.onBase, 0))
+	impBodies := bodies(sh.nvars, onSets(1, total, sh.nvars, max(sh.onBase/8, 8), 0))
 
 	// One connection per client goroutine: the default transport keeps
 	// only two idle conns per host, and on a busy box every re-dial
@@ -858,224 +1406,107 @@ func runOverloadScenario(out string, total, nvars, onBase int, quick, assertFlat
 		MaxIdleConnsPerHost: 64,
 	}}
 
-	var mu sync.Mutex
-	var baseLats []time.Duration
-	type attempt struct {
-		class      string
-		code       int
-		d          time.Duration
-		retryAfter bool
-	}
-	var attempts []attempt
-	record := func(class string, code int, d time.Duration, hdr string) {
-		mu.Lock()
-		attempts = append(attempts, attempt{class, code, d, hdr != ""})
-		mu.Unlock()
-	}
-	var baseElapsed, overElapsed time.Duration
-	var baseRounds, overRounds []time.Duration
-	var shedDeadline, queueP99 int64
-
 	// Each phase keeps one server for all of its rounds: the overload
 	// server's wait ring stays warm between rounds — round N>0 sheds
 	// from its first probe instead of re-learning the queue — and no
 	// round bills server or connection setup to its timed window. All
 	// bodies are distinct, so the shared result cache never short-cuts
 	// a compute.
-	baseTS, _ := newServer(gate)
-	defer baseTS.Close()
-	overTS, overStatsz := newServer(gate)
-	defer overTS.Close()
+	baseSrv := startServer(service.Config{MaxConcurrent: overloadGate, CacheSize: 1024})
+	defer baseSrv.stop()
+	overSrv := startServer(service.Config{MaxConcurrent: overloadGate, CacheSize: 1024})
+	defer overSrv.stop()
 
-	// runBase is one at-capacity round: a single closed-loop client on
-	// the one-slot baseline server, so every acquire takes the fast
-	// path and the goodput is the pure compute ceiling.
+	var baseRec, overRec recorder
+	var baseRounds, overRounds []time.Duration
+
 	runBase := func(pool []string) {
 		start := time.Now()
 		for _, b := range pool {
-			d, code := post(client, baseTS.URL, b)
-			if code != http.StatusOK {
-				fmt.Fprintln(os.Stderr, "sppload: overload at-capacity request failed")
-				os.Exit(1)
-			}
-			baseLats = append(baseLats, d)
+			baseRec.add(send(client, baseSrv.URL+minimize, b, nil))
 		}
 		baseRounds = append(baseRounds, time.Since(start))
-		baseElapsed += baseRounds[len(baseRounds)-1]
 	}
 
 	// runOver is one 4x-capacity round: the patient clients drive the
-	// round (it ends when their quota of successes lands), the
+	// round (it ends when their share of the work is done), the
 	// impatient clients probe until then.
 	runOver := func(patientPool, impatientPool []string, patientMS, impatientMS int64) {
 		var done atomic.Bool
-		var patientWG, impatientWG sync.WaitGroup
-		start := time.Now()
-		for c := 0; c < patientN; c++ {
-			share := patientPool[c*len(patientPool)/patientN : (c+1)*len(patientPool)/patientN]
-			patientWG.Add(1)
-			go func(share []string) {
-				defer patientWG.Done()
-				for _, b := range share {
-					body := fmt.Sprintf(`{"timeout_ms":%d,%s`, patientMS, b[1:])
-					for {
-						d, code, hdr, _ := postOverload(client, overTS.URL, body)
-						record("patient", code, d, hdr)
-						if code == http.StatusOK {
-							break
-						}
-						time.Sleep(5 * time.Millisecond)
+		var left atomic.Int32
+		left.Store(patientN)
+		var end time.Time
+		patient := func(share []string) {
+			for _, b := range share {
+				body := withField(b, "timeout_ms", patientMS)
+				for {
+					c := send(client, overSrv.URL+minimize, body, nil)
+					overRec.add(c)
+					// Shed or timed out: retry. Served, or a status
+					// outside the contract (which fails the run): next.
+					if c.code != http.StatusTooManyRequests && c.code != http.StatusGatewayTimeout {
+						break
 					}
+					time.Sleep(5 * time.Millisecond)
 				}
-			}(share)
+			}
+			if left.Add(-1) == 0 {
+				end = time.Now()
+				done.Store(true)
+			}
 		}
-		for c := 0; c < impatientN; c++ {
-			share := impatientPool[c*len(impatientPool)/impatientN : (c+1)*len(impatientPool)/impatientN]
-			impatientWG.Add(1)
-			go func(share []string) {
-				defer impatientWG.Done()
-				next := 0
-				for !done.Load() && next < len(share) {
-					body := fmt.Sprintf(`{"timeout_ms":%d,%s`, impatientMS, share[next][1:])
-					d, code, hdr, resp := postOverload(client, overTS.URL, body)
-					record("impatient", code, d, hdr)
-					switch code {
-					case http.StatusOK, http.StatusGatewayTimeout:
-						// An impatient client gives its deadline one
-						// try: served or timed out, it moves to fresh
-						// work.
-						next++
-					case http.StatusTooManyRequests:
-						// Back off for at least the Retry-After hint:
-						// probes that return too eagerly bill their
-						// handling to the core the admitted computes
-						// need.
-						pause := 75 * time.Millisecond
-						if hint := time.Duration(resp.RetryAfterMS) * time.Millisecond; hint > pause {
-							pause = min(hint, 150*time.Millisecond)
-						}
-						time.Sleep(pause)
-					}
+		impatient := func(share []string) {
+			for next := 0; !done.Load() && next < len(share); {
+				var resp service.Response
+				c := send(client, overSrv.URL+minimize, withField(share[next], "timeout_ms", impatientMS), &resp)
+				overRec.add(c)
+				if c.code != http.StatusTooManyRequests {
+					// An impatient client gives its deadline one try:
+					// served, timed out or failed, it moves to fresh
+					// work.
+					next++
+					continue
 				}
-			}(share)
+				// Back off for at least the Retry-After hint: probes
+				// that return too eagerly bill their handling to the
+				// core the admitted computes need.
+				pause := 75 * time.Millisecond
+				if hint := time.Duration(resp.RetryAfterMS) * time.Millisecond; hint > pause {
+					pause = min(hint, 150*time.Millisecond)
+				}
+				time.Sleep(pause)
+			}
 		}
-		patientWG.Wait()
-		overRounds = append(overRounds, time.Since(start))
-		overElapsed += overRounds[len(overRounds)-1]
-		done.Store(true)
-		impatientWG.Wait()
+		start := fanOut(patientN+impatientN, nil, func(i int) {
+			if i < patientN {
+				patient(patientPool[i*len(patientPool)/patientN : (i+1)*len(patientPool)/patientN])
+				return
+			}
+			i -= patientN
+			impatient(impatientPool[i*len(impatientPool)/impatientN : (i+1)*len(impatientPool)/impatientN])
+		})
+		overRounds = append(overRounds, end.Sub(start))
 	}
 
-	// The first at-capacity round calibrates the phase-2 budgets off
-	// the measured compute cost. An impatient budget of half the
-	// median compute cannot cover a queued wait — or even a fast-path
-	// compute, so the rare impatient probe that does win a free slot
-	// is cancelled quickly instead of holding it — and the predictor
+	// The first at-capacity round calibrates the overload budgets off
+	// the measured compute cost. An impatient budget of half the median
+	// compute cannot cover a queued wait — or even a fast-path compute,
+	// so the rare impatient probe that does win a free slot is
+	// cancelled quickly instead of holding it — and the predictor
 	// (which sees the patient queue waits) must shed it; the patient
 	// budget covers the whole queue many times over.
-	runBase(bodies[:perRound])
-	cal := append([]time.Duration(nil), baseLats...)
-	sort.Slice(cal, func(i, j int) bool { return cal[i] < cal[j] })
-	p50cal := cal[len(cal)/2]
-	impatientMS := max(p50cal.Milliseconds()/2, 10)
-	patientMS := max(p50cal.Milliseconds()*20, 250)
+	runBase(bs[:perRound])
+	p50cal := int64(baseRec.pct(0.50, http.StatusOK))
+	impatientMS := max(p50cal/2, 10)
+	patientMS := max(p50cal*20, 250)
 
-	for r := 0; r < rounds; r++ {
+	for r := range overloadRounds {
 		if r > 0 {
-			runBase(bodies[r*perRound : (r+1)*perRound])
+			runBase(bs[r*perRound : (r+1)*perRound])
 		}
-		runOver(bodies[r*perRound:(r+1)*perRound],
-			impBodies[r*perRound:(r+1)*perRound],
-			patientMS, impatientMS)
+		runOver(bs[r*perRound:(r+1)*perRound], impBodies[r*perRound:(r+1)*perRound], patientMS, impatientMS)
 	}
-	st := overStatsz()
-	shedDeadline = st.ShedDeadline
-	queueP99 = st.QueueWaitP99MS
-
-	if os.Getenv("SPPLOAD_DEBUG_OVERLOAD") != "" {
-		type key struct {
-			class string
-			code  int
-		}
-		agg := map[key]struct {
-			n int
-			d time.Duration
-		}{}
-		for _, a := range attempts {
-			e := agg[key{a.class, a.code}]
-			e.n++
-			e.d += a.d
-			agg[key{a.class, a.code}] = e
-		}
-		for k, e := range agg {
-			fmt.Printf("DEBUG %-10s %d  n=%3d  mean %6.2fms\n", k.class, k.code, e.n, float64(e.d.Microseconds())/1000/float64(e.n))
-		}
-		for i := range overRounds {
-			fmt.Printf("DEBUG round %d  base %6.1fms  over %6.1fms  ratio %.2f\n",
-				i, float64(baseRounds[i].Microseconds())/1000, float64(overRounds[i].Microseconds())/1000,
-				baseRounds[i].Seconds()/overRounds[i].Seconds())
-		}
-		fmt.Printf("DEBUG statsz shed=%d p99=%dms\n", shedDeadline, queueP99)
-	}
-
-	sort.Slice(baseLats, func(i, j int) bool { return baseLats[i] < baseLats[j] })
-	p50 := baseLats[len(baseLats)/2]
-	baseRes := overloadResult{
-		Scenario: "overload", Phase: "at-capacity", Clients: gate, Gate: gate,
-		Successes:    total,
-		ElapsedMS:    float64(baseElapsed.Microseconds()) / 1000,
-		GoodputRPS:   float64(total) / baseElapsed.Seconds(),
-		SuccessP50MS: float64(p50.Microseconds()) / 1000,
-	}
-
-	var shedLats []time.Duration
-	overRes := overloadResult{
-		Scenario: "overload", Phase: "overload",
-		Clients: patientN + impatientN, Gate: gate,
-		ShedDeadline:   shedDeadline,
-		QueueWaitP99MS: queueP99,
-	}
-	var okLats []time.Duration
-	for _, a := range attempts {
-		switch a.code {
-		case http.StatusOK:
-			overRes.Successes++
-			okLats = append(okLats, a.d)
-		case http.StatusTooManyRequests:
-			overRes.Shed429++
-			shedLats = append(shedLats, a.d)
-			if a.retryAfter {
-				overRes.ShedRetryAfterOK++
-			}
-		case http.StatusGatewayTimeout:
-			overRes.Timeouts++
-		}
-	}
-	// Goodput for the overload phase counts the heavy patient work
-	// only — it is the same-size work the at-capacity phase ran, so
-	// the ratio compares like with like. Impatient successes are tiny
-	// probe functions that happened to catch a free slot; counting
-	// them would let cheap computes pad the ratio.
-	overRes.ElapsedMS = float64(overElapsed.Microseconds()) / 1000
-	overRes.GoodputRPS = float64(total) / overElapsed.Seconds()
-	pctMS := func(lats []time.Duration, p float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		i := min(int(p*float64(len(lats))), len(lats)-1)
-		return float64(lats[i].Microseconds()) / 1000
-	}
-	overRes.SuccessP50MS = pctMS(okLats, 0.50)
-	overRes.ShedP50MS = pctMS(shedLats, 0.50)
-
-	rep := openServeReport(out)
-	rep.Config["overload_total"] = total
-	rep.Config["overload_gate"] = gate
-	rep.Config["overload_patient_timeout_ms"] = patientMS
-	rep.Config["overload_impatient_timeout_ms"] = impatientMS
-	rep.Config["overload_quick"] = quick
-	rep.Overload = []overloadResult{baseRes, overRes}
+	st := overSrv.statsz()
 
 	// The gated ratio pairs each overload round with the at-capacity
 	// round that ran just before it — both serve the same count of
@@ -1084,738 +1515,79 @@ func runOverloadScenario(out string, total, nvars, onBase int, quick, assertFlat
 	// Trimming one pair absorbs a noise spike in one window (shared
 	// boxes drift ±20% on a sub-second scale); a real admission-layer
 	// regression depresses every pair and still fails the gate.
-	worst, worstRatio := 0, math.Inf(1)
-	for i := range overRounds {
-		if r := baseRounds[i].Seconds() / overRounds[i].Seconds(); r < worstRatio {
-			worst, worstRatio = i, r
+	var baseElapsed, overElapsed time.Duration
+	ratios := make([]float64, overloadRounds)
+	worst := 0
+	for i := range ratios {
+		baseElapsed += baseRounds[i]
+		overElapsed += overRounds[i]
+		ratios[i] = baseRounds[i].Seconds() / overRounds[i].Seconds()
+		if ratios[i] < ratios[worst] {
+			worst = i
 		}
 	}
-	var keptBase, keptOver time.Duration
-	for i := range overRounds {
-		if i != worst {
-			keptBase += baseRounds[i]
-			keptOver += overRounds[i]
-		}
+	ratio := (baseElapsed - baseRounds[worst]).Seconds() / (overElapsed - overRounds[worst]).Seconds()
+
+	baseRes := overloadRow{
+		Scenario: "overload", Phase: "at-capacity", Clients: overloadGate, Gate: overloadGate,
+		Successes:    baseRec.n(http.StatusOK),
+		ElapsedMS:    ms(baseElapsed),
+		GoodputRPS:   float64(total) / baseElapsed.Seconds(),
+		SuccessP50MS: baseRec.pct(0.50, http.StatusOK),
+		Non200:       baseRec.unexpected(),
 	}
-	ratio := keptBase.Seconds() / keptOver.Seconds()
-	rep.Summary["overload_goodput"] = fmt.Sprintf("%.1f -> %.1f req/s (trimmed round ratio %.0f%%)",
-		baseRes.GoodputRPS, overRes.GoodputRPS, 100*ratio)
-	rep.Summary["overload_sheds"] = fmt.Sprintf("%d shed in p50 %.2fms, %d/%d with Retry-After, %d timeouts",
-		overRes.Shed429, overRes.ShedP50MS, overRes.ShedRetryAfterOK, overRes.Shed429, overRes.Timeouts)
+	// Goodput for the overload phase counts the heavy patient work
+	// only — it is the same-size work the at-capacity phase ran, so
+	// the ratio compares like with like.
+	overRes := overloadRow{
+		Scenario: "overload", Phase: "overload", Clients: patientN + impatientN, Gate: overloadGate,
+		Successes:        overRec.n(http.StatusOK),
+		ElapsedMS:        ms(overElapsed),
+		GoodputRPS:       float64(total) / overElapsed.Seconds(),
+		SuccessP50MS:     overRec.pct(0.50, http.StatusOK),
+		Shed429:          overRec.n(http.StatusTooManyRequests),
+		ShedP50MS:        overRec.pct(0.50, http.StatusTooManyRequests),
+		ShedRetryAfterOK: overRec.retryAfter,
+		Timeouts:         overRec.n(http.StatusGatewayTimeout),
+		ShedDeadline:     st.ShedDeadline,
+		QueueWaitP99MS:   st.QueueWaitP99MS,
+		RoundRatios:      ratios,
+		TrimmedRatio:     ratio,
+		Non200:           overRec.unexpected(http.StatusTooManyRequests, http.StatusGatewayTimeout),
+	}
+	rep.Overload = []overloadRow{baseRes, overRes}
 	for _, r := range rep.Overload {
 		fmt.Printf("overload %-12s  %d clients/%d slots  %5.1f req/s  success p50 %7.2fms  shed %3d (p50 %5.2fms)  504s %d\n",
 			r.Phase, r.Clients, r.Gate, r.GoodputRPS, r.SuccessP50MS, r.Shed429, r.ShedP50MS, r.Timeouts)
 	}
 
-	writeReport(out, rep)
-	fmt.Printf("summary overload_goodput = %s\n", rep.Summary["overload_goodput"])
-	fmt.Printf("summary overload_sheds = %s\n", rep.Summary["overload_sheds"])
-
-	if assertFlat {
-		failed := false
-		if ratio < 0.90 {
-			fmt.Fprintf(os.Stderr, "sppload: goodput-flat assertion failed: trimmed round ratio %.0f%% (overload %.1f vs at-capacity %.1f req/s, want >= 90%%)\n",
-				100*ratio, overRes.GoodputRPS, baseRes.GoodputRPS)
-			failed = true
-		}
-		if overRes.Shed429 == 0 {
-			fmt.Fprintln(os.Stderr, "sppload: goodput-flat assertion failed: no requests were shed at 4x capacity")
-			failed = true
-		}
-		if overRes.ShedRetryAfterOK != overRes.Shed429 {
-			fmt.Fprintf(os.Stderr, "sppload: goodput-flat assertion failed: %d of %d 429s missing Retry-After\n",
-				overRes.Shed429-overRes.ShedRetryAfterOK, overRes.Shed429)
-			failed = true
-		}
-		if overRes.Shed429 > 0 && overRes.ShedP50MS >= 10 {
-			fmt.Fprintf(os.Stderr, "sppload: goodput-flat assertion failed: shed p50 %.2fms (want < 10ms)\n", overRes.ShedP50MS)
-			failed = true
-		}
-		if failed {
-			os.Exit(1)
-		}
+	var failed []string
+	failed = append(failed, statusFailures(baseRes.Phase, baseRes.Non200)...)
+	failed = append(failed, statusFailures(overRes.Phase, overRes.Non200)...)
+	if ratio < 0.90 {
+		failed = append(failed, fmt.Sprintf("trimmed round ratio %.0f%% (overload %.1f vs at-capacity %.1f req/s, want >= 90%%)",
+			100*ratio, overRes.GoodputRPS, baseRes.GoodputRPS))
 	}
-}
-
-// postOverload posts one minimize body and keeps the pieces the
-// overload scenario grades sheds on: latency, status, the Retry-After
-// header and the decoded envelope (whose RetryAfterMS is the backoff
-// hint). Success bodies are discarded undecoded — parsing result
-// payloads would bill client-side CPU to the phase under measurement.
-func postOverload(client *http.Client, url, body string) (time.Duration, int, string, service.Response) {
-	start := time.Now()
-	resp, err := client.Post(url+"/v1/minimize", "application/json", strings.NewReader(body))
-	if err != nil {
-		return time.Since(start), 0, "", service.Response{}
+	if overRes.Shed429 == 0 {
+		failed = append(failed, "no requests were shed at 4x capacity")
 	}
-	defer resp.Body.Close()
-	var r service.Response
-	if resp.StatusCode != http.StatusOK {
-		_ = json.NewDecoder(resp.Body).Decode(&r)
+	if overRes.ShedRetryAfterOK != overRes.Shed429 {
+		failed = append(failed, fmt.Sprintf("%d of %d 429s missing Retry-After", overRes.Shed429-overRes.ShedRetryAfterOK, overRes.Shed429))
 	}
-	io.Copy(io.Discard, resp.Body)
-	return time.Since(start), resp.StatusCode, resp.Header.Get("Retry-After"), r
-}
-
-// submitAndAwaitJob submits one job and long-polls it to a terminal
-// state, returning the submit-to-done wall time.
-func submitAndAwaitJob(client *http.Client, url, body string) (time.Duration, bool) {
-	start := time.Now()
-	resp, err := client.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		return time.Since(start), true
+	if overRes.Shed429 > 0 && overRes.ShedP50MS >= 10 {
+		failed = append(failed, fmt.Sprintf("shed p50 %.2fms (want < 10ms)", overRes.ShedP50MS))
 	}
-	var st service.JobStatus
-	derr := json.NewDecoder(resp.Body).Decode(&st)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if derr != nil || resp.StatusCode != http.StatusAccepted || st.ID == "" {
-		return time.Since(start), true
-	}
-	for {
-		resp, err := client.Get(url + "/v1/jobs/" + st.ID + "?wait_ms=2000")
-		if err != nil {
-			return time.Since(start), true
-		}
-		var cur service.JobStatus
-		derr := json.NewDecoder(resp.Body).Decode(&cur)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if derr != nil || resp.StatusCode != http.StatusOK {
-			return time.Since(start), true
-		}
-		switch cur.State {
-		case "done":
-			return time.Since(start), false
-		case "failed":
-			return time.Since(start), true
-		}
-	}
-}
-
-// --- form-mix scenario --------------------------------------------------
-
-// runFormMixScenario benchmarks the portfolio engine. Phase 1 runs
-// every function through each explicit form on one server (each form
-// salts its own cache key, so every request is a cold compute); phase
-// 2 races the same functions with form=auto on a fresh server, so the
-// races never reuse phase 1's entries. The auto cost must equal the
-// per-function minimum over the explicit runs — a violated check fails
-// the benchmark, because it falsifies the determinism contract rather
-// than just slowing it down.
-func runFormMixScenario(out string, keys, nvars, onBase, maxConcurrent int, quick bool) {
-	forms := engine.Names()
-	bodies := makeBodies(keys, nvars, onBase, 2)
-	withForm := func(body, form string) string {
-		return fmt.Sprintf(`{"form":%q,%s`, form, body[1:])
-	}
-
-	// Phase 1: explicit forms, serially for clean latencies.
-	ts, _ := newServer(maxConcurrent)
-	client := &http.Client{}
-	lat := make(map[string][]time.Duration, len(forms))
-	cost := make(map[string][]int, len(forms))
-	non200 := make(map[string]map[int]int, len(forms)+1)
-	for _, form := range forms {
-		lat[form] = make([]time.Duration, keys)
-		cost[form] = make([]int, keys)
-		non200[form] = map[int]int{}
-		for k, body := range bodies {
-			d, code, resp := postResp(client, ts.URL, withForm(body, form))
-			if code != http.StatusOK {
-				non200[form][code]++
-				cost[form][k] = -1
-				continue
-			}
-			lat[form][k], cost[form][k] = d, resp.Literals
-		}
-	}
-	ts.Close()
-
-	// Phase 2: auto races on a fresh server.
-	ts, statsz := newServer(maxConcurrent)
-	defer ts.Close()
-	autoLat := make([]time.Duration, keys)
-	autoCost := make([]int, keys)
-	bestMatches := 0
-	non200["auto"] = map[int]int{}
-	var overheadSum float64
-	var overheadN int
-	for k, body := range bodies {
-		d, code, resp := postResp(client, ts.URL, withForm(body, "auto"))
-		if code != http.StatusOK {
-			non200["auto"][code]++
-			autoCost[k] = -1
-			continue
-		}
-		autoLat[k], autoCost[k] = d, resp.Literals
-
-		// The winner's own explicit latency is the overhead baseline:
-		// racing should cost little more than having known the answer.
-		best, bestForm := -1, ""
-		for _, form := range forms {
-			if c := cost[form][k]; c >= 0 && (best == -1 || c < best) {
-				best, bestForm = c, form
-			}
-		}
-		if best >= 0 && autoCost[k] == best {
-			bestMatches++
-		}
-		if bestForm != "" && lat[bestForm][k] > 0 {
-			overheadSum += float64(d) / float64(lat[bestForm][k])
-			overheadN++
-		}
-	}
-	st := statsz()
-
-	rep := openServeReport(out)
-	rep.Config["form_mix_keys"] = keys
-	rep.Config["form_mix_nvars"] = nvars
-	rep.Config["form_mix_on_base"] = onBase
-	rep.Config["form_mix_quick"] = quick
-	rep.FormMix = nil
-
-	row := func(form string, lats []time.Duration, costs []int) formMixResult {
-		var ok []time.Duration
-		var costSum, costN int
-		for k := range lats {
-			if costs[k] >= 0 {
-				ok = append(ok, lats[k])
-				costSum += costs[k]
-				costN++
-			}
-		}
-		sort.Slice(ok, func(i, j int) bool { return ok[i] < ok[j] })
-		r := formMixResult{Scenario: "form-mix", Form: form, Requests: len(lats)}
-		for _, n := range non200[form] {
-			r.Errors += n
-		}
-		if r.Errors > 0 {
-			r.Non200 = non200[form]
-		}
-		if len(ok) > 0 {
-			var total time.Duration
-			for _, d := range ok {
-				total += d
-			}
-			r.P50MS = float64(ok[len(ok)/2].Microseconds()) / 1000
-			r.MeanMS = float64(total.Microseconds()) / 1000 / float64(len(ok))
-			r.MeanLiterals = float64(costSum) / float64(costN)
-		}
-		return r
-	}
-
-	races := st.EngineRaces
-	for _, form := range forms {
-		r := row(form, lat[form], cost[form])
-		if races > 0 {
-			r.WinRate = float64(st.EngineWinsByForm[form]) / float64(races)
-		}
-		rep.FormMix = append(rep.FormMix, r)
-		fmt.Printf("form-mix %-5s  p50 %7.2fms  mean %7.2fms  #L %6.1f  wins %4.0f%%  errors %d\n",
-			r.Form, r.P50MS, r.MeanMS, r.MeanLiterals, 100*r.WinRate, r.Errors)
-	}
-	auto := row("auto", autoLat, autoCost)
-	autoErrs := auto.Errors
-	auto.BestCostMatches = bestMatches
-	if overheadN > 0 {
-		auto.RaceOverhead = overheadSum / float64(overheadN)
-	}
-	rep.FormMix = append(rep.FormMix, auto)
-	fmt.Printf("form-mix %-5s  p50 %7.2fms  mean %7.2fms  #L %6.1f  overhead %.2fx  best-cost %d/%d\n",
-		auto.Form, auto.P50MS, auto.MeanMS, auto.MeanLiterals, auto.RaceOverhead, bestMatches, keys-autoErrs)
-
-	rep.Summary["form_mix_race_overhead"] = fmt.Sprintf("%.2fx", auto.RaceOverhead)
-	rep.Summary["form_mix_best_cost"] = fmt.Sprintf("%d/%d", bestMatches, keys-autoErrs)
-	var winParts []string
-	for _, form := range forms {
-		if races > 0 {
-			winParts = append(winParts, fmt.Sprintf("%s %.0f%%", form, 100*float64(st.EngineWinsByForm[form])/float64(races)))
-		}
-	}
-	rep.Summary["form_mix_wins"] = strings.Join(winParts, ", ")
-
-	writeReport(out, rep)
-	for _, k := range []string{"form_mix_wins", "form_mix_race_overhead", "form_mix_best_cost"} {
-		fmt.Printf("summary %s = %s\n", k, rep.Summary[k])
-	}
-	failed := false
-	for _, r := range rep.FormMix {
-		for code, n := range r.Non200 {
-			fmt.Fprintf(os.Stderr, "sppload: form-mix %s: %d responses with status %d\n", r.Form, n, code)
-			failed = true
-		}
-	}
-	if bestMatches != keys-autoErrs {
-		fmt.Fprintf(os.Stderr, "sppload: form-mix: %d/%d auto races missed the best explicit cost\n",
-			keys-autoErrs-bestMatches, keys-autoErrs)
-		failed = true
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// --- edit-loop scenario -------------------------------------------------
-
-type editResult struct {
-	Scenario string `json:"scenario"`
-	Mode     string `json:"mode"`
-	Clients  int    `json:"clients"`
-	// Edits is the total number of edit steps across all clients (the
-	// initial full submissions are excluded from the latencies).
-	Edits int `json:"edits"`
-	EditK int `json:"edit_k"`
-
-	ElapsedMS float64 `json:"elapsed_ms"`
-	EditsPerS float64 `json:"edits_per_s"`
-	P50MS     float64 `json:"p50_ms"`
-	P99MS     float64 `json:"p99_ms"`
-
-	DeltaWarm     int64 `json:"delta_warm"`
-	DeltaCold     int64 `json:"delta_cold_fallback"`
-	DeltaBaseMiss int64 `json:"delta_base_miss"`
-	// DeltaCoverReused / DeltaCoverResolved split the warm resumes by
-	// covering outcome: served entirely from the previous cover snapshot
-	// vs. partially re-solved.
-	DeltaCoverReused   int64 `json:"delta_cover_reused"`
-	DeltaCoverResolved int64 `json:"delta_cover_resolved"`
-	CacheBytes         int64 `json:"cache_bytes"`
-	// Errors counts the requests that failed, and Non200 splits them by
-	// HTTP status (0 for a request that got no response); any failure
-	// fails the run. BaseMissRecovered counts the 409 base misses that
-	// the full re-submission answered, which are not failures.
-	Errors            int64       `json:"errors"`
-	Non200            map[int]int `json:"non_200,omitempty"`
-	BaseMissRecovered int64       `json:"base_miss_recovered"`
-
-	// CoverMSMean is the mean covering-phase wall time ("cover.*" phases
-	// summed) per edit-phase engine run: delta resumes in warm mode, full
-	// re-minimizations in cold mode. Seed submissions are excluded.
-	CoverMSMean float64 `json:"cover_ms_mean"`
-	// CoverRuns is how many engine runs CoverMSMean averages over.
-	CoverRuns int `json:"cover_runs"`
-}
-
-type deltaReport struct {
-	Schema    string            `json:"schema"`
-	Generated string            `json:"generated"`
-	Config    map[string]any    `json:"config"`
-	Results   []editResult      `json:"results"`
-	Summary   map[string]string `json:"summary"`
-}
-
-func runEditLoopScenario(out string, clients, edits, editK, nvars, onBase int, quick, assertCoverSplit bool, baseline string) {
-	onSets := makeOnSets(clients, nvars, onBase, 2)
-	rep := deltaReport{
-		Schema:    "spp-bench-delta/v1",
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Config: map[string]any{
-			"clients": clients,
-			"edits":   edits,
-			"edit_k":  editK,
-			"nvars":   nvars,
-			"on_base": onBase,
-			"quick":   quick,
-		},
-		Summary: map[string]string{},
-	}
-
-	for _, warm := range []bool{false, true} {
-		res := runEditLoop(warm, clients, edits, editK, nvars, onSets)
-		rep.Results = append(rep.Results, res)
-		fmt.Printf("edit-loop %-5s  %6.1f edits/s  p50 %6.2fms  p99 %7.2fms  cover %7.2fms/run  warm %3d (replay %d)  fallback %d  base-miss %d (recovered %d)\n",
-			res.Mode, res.EditsPerS, res.P50MS, res.P99MS, res.CoverMSMean,
-			res.DeltaWarm, res.DeltaCoverReused, res.DeltaCold, res.DeltaBaseMiss, res.BaseMissRecovered)
-	}
-
-	cold, warm := &rep.Results[0], &rep.Results[1]
-	if warm.ElapsedMS > 0 {
-		rep.Summary["edit_loop_speedup"] = fmt.Sprintf("%.2fx", cold.ElapsedMS/warm.ElapsedMS)
-		rep.Summary["edit_loop_p50"] = fmt.Sprintf("%.2fms -> %.2fms", cold.P50MS, warm.P50MS)
-	}
-	if cold.CoverMSMean > 0 && warm.CoverMSMean > 0 {
-		rep.Summary["edit_loop_cover_speedup"] = fmt.Sprintf("%.2fx", cold.CoverMSMean/warm.CoverMSMean)
-		rep.Summary["edit_loop_cover_split"] = fmt.Sprintf("%.3fms -> %.3fms per run", cold.CoverMSMean, warm.CoverMSMean)
-	}
-
-	writeReport(out, rep)
-	for k, v := range rep.Summary {
-		fmt.Printf("summary %s = %s\n", k, v)
-	}
-	failed := false
-	for _, res := range rep.Results {
-		for code, n := range res.Non200 {
-			fmt.Fprintf(os.Stderr, "sppload: edit-loop %s: %d responses with status %d\n", res.Mode, n, code)
-			failed = true
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-	if assertCoverSplit {
-		// Regression gate: a warm resume must spend strictly less time in
-		// the covering phases than a cold run of the same edit.
-		switch {
-		case cold.CoverMSMean <= 0 || warm.CoverMSMean <= 0:
-			fmt.Fprintf(os.Stderr, "sppload: cover-split assertion failed: missing cover phase data (cold %.3fms over %d runs, warm %.3fms over %d runs)\n",
-				cold.CoverMSMean, cold.CoverRuns, warm.CoverMSMean, warm.CoverRuns)
-			os.Exit(1)
-		case warm.CoverMSMean >= cold.CoverMSMean:
-			fmt.Fprintf(os.Stderr, "sppload: cover-split assertion failed: warm cover %.3fms/run >= cold %.3fms/run\n",
-				warm.CoverMSMean, cold.CoverMSMean)
-			os.Exit(1)
-		}
-		if baseline != "" {
-			// Stronger gate against the checked-in numbers: the current
-			// covering speedup may not collapse below a third of the
-			// recorded one (3x slack absorbs CI machine noise while still
-			// catching a real regression of the incremental path).
-			want, err := loadDeltaCoverSpeedup(baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sppload: baseline:", err)
-				os.Exit(1)
-			}
-			got := cold.CoverMSMean / warm.CoverMSMean
-			if floor := want / 3; got < floor {
-				fmt.Fprintf(os.Stderr, "sppload: cover-split assertion failed: speedup %.2fx below floor %.2fx (baseline %.2fx / 3)\n",
-					got, floor, want)
-				os.Exit(1)
-			}
-		}
-	}
-}
-
-// loadDeltaCoverSpeedup reads the cold/warm covering speedup out of a
-// checked-in spp-bench-delta/v1 report.
-func loadDeltaCoverSpeedup(path string) (float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var rep deltaReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return 0, err
-	}
-	if rep.Schema != "spp-bench-delta/v1" {
-		return 0, fmt.Errorf("%s: schema %q, want spp-bench-delta/v1", path, rep.Schema)
-	}
-	var cold, warm *editResult
-	for i := range rep.Results {
-		switch rep.Results[i].Mode {
-		case "cold":
-			cold = &rep.Results[i]
-		case "warm":
-			warm = &rep.Results[i]
-		}
-	}
-	if cold == nil || warm == nil || warm.CoverMSMean <= 0 {
-		return 0, fmt.Errorf("%s: no usable cold/warm cover data", path)
-	}
-	return cold.CoverMSMean / warm.CoverMSMean, nil
-}
-
-// coverSeconds sums the wall time of the covering phases ("cover.*")
-// in one run report.
-func coverSeconds(rep *stats.Report) float64 {
-	var s float64
-	for _, p := range rep.Phases {
-		if strings.HasPrefix(p.Phase, "cover.") {
-			s += p.Seconds
-		}
-	}
-	return s
-}
-
-// editCoverStats aggregates the per-run covering time over the
-// edit-phase engine runs in the /statsz history: delta resumes in warm
-// mode, everything after the per-client seed submissions in cold mode.
-func editCoverStats(st service.Statsz, warm bool, clients int) (runs int, meanMS float64) {
-	if st.Runs == nil {
-		return 0, 0
-	}
-	var total float64
-	for i, rep := range st.Runs.Reports {
-		if warm {
-			if !strings.HasSuffix(rep.Name, "/delta") {
-				continue
-			}
-		} else if i < clients { // seed submissions, untimed setup
-			continue
-		}
-		total += coverSeconds(rep)
-		runs++
-	}
-	if runs == 0 {
-		return 0, 0
-	}
-	return runs, total * 1000 / float64(runs)
-}
-
-// runEditLoop walks every client's function through `edits` random
-// steps of editK minterm changes. Both modes replay identical edit
-// scripts (same per-client seeds); only the request shape differs:
-// warm mode chains deltas on base_key, cold mode re-submits the full
-// ON set. Only the edit steps are timed.
-func runEditLoop(warm bool, clients, edits, editK, nvars int, onSets [][]int) editResult {
-	cfg := service.Config{
-		Core:          harness.DefaultConfig(),
-		MaxConcurrent: clients,
-		CacheSize:     4096,
-		// Big enough for every client's current warm chain head with
-		// room to spare; old generations get evicted, keeping the live
-		// heap (and so GC pressure) bounded during long walks.
-		CacheBytes: 512 << 20,
-		WarmCache:  warm,
-		// Retain every engine run of the scenario (seeds + edits + a few
-		// cold fallbacks) so the cover-phase split can be aggregated from
-		// the /statsz history afterwards.
-		HistorySize: clients*(edits+2) + 8,
-	}
-	srv := service.New(cfg)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := &http.Client{}
-
-	mode := "cold"
-	if warm {
-		mode = "warm"
-	}
-
-	var mu sync.Mutex
-	var lats []time.Duration
-	non200 := map[int]int{}
-	var recovered int64
-	// All clients submit their base function up front (untimed in both
-	// modes — it is setup, not part of the edit loop), then rendezvous
-	// so the timer covers exactly the edit phase.
-	var seeded sync.WaitGroup
-	seeded.Add(clients)
-	begin := make(chan struct{})
-	var start time.Time
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c + 1)))
-			on := make(map[int]bool, len(onSets[c]))
-			for _, p := range onSets[c] {
-				on[p] = true
-			}
-			space := 1 << nvars
-
-			// Initial full submission; in warm mode it seeds the warm
-			// state and yields the base_key to chain on.
-			_, code, resp := postResp(client, ts.URL, fullBody(nvars, on))
-			seeded.Done()
-			if code != http.StatusOK {
-				mu.Lock()
-				non200[code]++
-				mu.Unlock()
-				return
-			}
-			base := resp.BaseKey
-			<-begin
-
-			for i := 0; i < edits; i++ {
-				var adds, removes []int
-				for j := 0; j < editK; j++ {
-					if j%2 == 0 { // add a random OFF point
-						for {
-							p := rng.Intn(space)
-							if !on[p] {
-								on[p] = true
-								adds = append(adds, p)
-								break
-							}
-						}
-					} else { // remove a random ON point
-						var pts []int
-						for p := range on {
-							pts = append(pts, p)
-						}
-						sort.Ints(pts)
-						// Not one this step added: a delta that both adds
-						// and removes a point is a 400. Redrawing leaves
-						// every other step's script as it was.
-						p := pts[rng.Intn(len(pts))]
-						for slices.Contains(adds, p) {
-							p = pts[rng.Intn(len(pts))]
-						}
-						delete(on, p)
-						removes = append(removes, p)
-					}
-				}
-
-				var body string
-				if warm {
-					body = deltaBody(base, adds, removes)
-				} else {
-					body = fullBody(nvars, on)
-				}
-				d, code, resp := postResp(client, ts.URL, body)
-				resubmitted := false
-				if warm && code == http.StatusConflict {
-					// Base evicted: fall back to a full submission and
-					// resume chaining from its key.
-					d2, code2, resp2 := postResp(client, ts.URL, fullBody(nvars, on))
-					d, code, resp = d+d2, code2, resp2
-					resubmitted = true
-				}
-				mu.Lock()
-				lats = append(lats, d)
-				switch {
-				case code != http.StatusOK:
-					non200[code]++
-				case resubmitted:
-					recovered++
-				}
-				mu.Unlock()
-				if warm && resp.BaseKey != "" {
-					base = resp.BaseKey
-				}
-			}
-		}(c)
-	}
-	seeded.Wait()
-	start = time.Now()
-	close(begin)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		panic(err)
-	}
-	defer resp.Body.Close()
-	var st service.Statsz
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		panic(err)
-	}
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := min(int(p*float64(len(lats))), len(lats)-1)
-		return float64(lats[i].Microseconds()) / 1000
-	}
-	var errs int64
-	for _, n := range non200 {
-		errs += int64(n)
-	}
-	coverRuns, coverMean := editCoverStats(st, warm, clients)
-	debugPhaseMeans(st, warm, clients, mode)
-	return editResult{
-		Scenario:           "edit-loop",
-		Mode:               mode,
-		Clients:            clients,
-		Edits:              len(lats),
-		EditK:              editK,
-		ElapsedMS:          float64(elapsed.Microseconds()) / 1000,
-		EditsPerS:          float64(len(lats)) / elapsed.Seconds(),
-		P50MS:              pct(0.50),
-		P99MS:              pct(0.99),
-		DeltaWarm:          st.DeltaWarm,
-		DeltaCold:          st.DeltaCold,
-		DeltaBaseMiss:      st.DeltaBaseMiss,
-		DeltaCoverReused:   st.DeltaCoverReused,
-		DeltaCoverResolved: st.DeltaCoverResolved,
-		CacheBytes:         st.CacheBytes,
-		Errors:             errs,
-		Non200:             non200,
-		BaseMissRecovered:  recovered,
-		CoverMSMean:        coverMean,
-		CoverRuns:          coverRuns,
-	}
-}
-
-// makeOnSets builds count pairwise P-inequivalent pseudo-random ON
-// sets (distinct sizes), as int slices, mirroring makeBodies.
-func makeOnSets(count, nvars, onBase, onStep int) [][]int {
-	rng := rand.New(rand.NewSource(7))
-	space := 1 << nvars
-	sets := make([][]int, count)
-	for i := range sets {
-		size := onBase + i*onStep
-		if size > space/2 {
-			size = space / 2
-		}
-		seen := make(map[int]bool)
-		for len(sets[i]) < size {
-			p := rng.Intn(space)
-			if !seen[p] {
-				seen[p] = true
-				sets[i] = append(sets[i], p)
-			}
-		}
-	}
-	return sets
-}
-
-func fullBody(nvars int, on map[int]bool) string {
-	pts := make([]int, 0, len(on))
-	for p := range on {
-		pts = append(pts, p)
-	}
-	sort.Ints(pts)
-	strs := make([]string, len(pts))
-	for i, p := range pts {
-		strs[i] = fmt.Sprint(p)
-	}
-	return fmt.Sprintf(`{"n":%d,"on":[%s]}`, nvars, strings.Join(strs, ","))
-}
-
-func deltaBody(base string, adds, removes []int) string {
-	j := func(pts []int) string {
-		strs := make([]string, len(pts))
-		for i, p := range pts {
-			strs[i] = fmt.Sprint(p)
-		}
-		return "[" + strings.Join(strs, ",") + "]"
-	}
-	return fmt.Sprintf(`{"base":%q,"add":%s,"remove":%s}`, base, j(adds), j(removes))
-}
-
-// postResp posts a body and decodes the JSON response envelope.
-func postResp(client *http.Client, url, body string) (time.Duration, int, service.Response) {
-	start := time.Now()
-	resp, err := client.Post(url+"/v1/minimize", "application/json", strings.NewReader(body))
-	if err != nil {
-		return time.Since(start), 0, service.Response{}
-	}
-	defer resp.Body.Close()
-	var r service.Response
-	_ = json.NewDecoder(resp.Body).Decode(&r)
-	io.Copy(io.Discard, resp.Body)
-	return time.Since(start), resp.StatusCode, r
-}
-
-// debugPhaseMeans prints per-phase mean milliseconds over the selected
-// edit-phase runs when SPPLOAD_DEBUG_PHASES is set.
-func debugPhaseMeans(st service.Statsz, warm bool, clients int, mode string) {
-	if os.Getenv("SPPLOAD_DEBUG_PHASES") == "" || st.Runs == nil {
-		return
-	}
-	sums := map[string]float64{}
-	runs := 0
-	for i, rep := range st.Runs.Reports {
-		if warm {
-			if !strings.HasSuffix(rep.Name, "/delta") {
-				continue
-			}
-		} else if i < clients {
-			continue
-		}
-		runs++
-		for _, p := range rep.Phases {
-			sums[p.Phase] += p.Seconds
-		}
-	}
-	fmt.Printf("DEBUG %s: %d runs\n", mode, runs)
-	for k, v := range sums {
-		fmt.Printf("DEBUG   %-16s %8.3f ms/run\n", k, v*1000/float64(runs))
-	}
+	rep.merge(map[string]any{
+		"overload_total":                total,
+		"overload_gate":                 overloadGate,
+		"overload_patient_timeout_ms":   patientMS,
+		"overload_impatient_timeout_ms": impatientMS,
+		"overload_quick":                sh.quick,
+	}, map[string]string{
+		"overload_goodput": fmt.Sprintf("%.1f -> %.1f req/s (trimmed round ratio %.0f%%)",
+			baseRes.GoodputRPS, overRes.GoodputRPS, 100*ratio),
+		"overload_sheds": fmt.Sprintf("%d shed in p50 %.2fms, %d/%d with Retry-After, %d timeouts",
+			overRes.Shed429, overRes.ShedP50MS, overRes.ShedRetryAfterOK, overRes.Shed429, overRes.Timeouts),
+	})
+	return failed
 }

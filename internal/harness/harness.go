@@ -27,7 +27,8 @@ import (
 type Config struct {
 	// PerOutput bounds each single-output EPPP construction.
 	PerOutput time.Duration
-	// NaiveBudget bounds each run of the [5] baseline (Table 2 only).
+	// NaiveBudget bounds each run of the [5] baseline (Table 2 only;
+	// spptables binds it as -naive-budget).
 	NaiveBudget time.Duration
 	// MaxCandidates caps pseudoproduct generation per output.
 	MaxCandidates int
@@ -61,7 +62,6 @@ func DefaultConfig() Config {
 // fs.Parse.
 func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.PerOutput, "budget", c.PerOutput, "per-output budget for EPPP construction")
-	fs.DurationVar(&c.NaiveBudget, "naive-budget", c.NaiveBudget, "per-output budget for the naive [5] baseline")
 	fs.IntVar(&c.MaxCandidates, "max-candidates", c.MaxCandidates, "cap on generated pseudoproducts per output (0 = library default)")
 	fs.IntVar(&c.CoverWorkers, "cover-workers", c.CoverWorkers, "parallel workers for the covering phase (0 = GOMAXPROCS, 1 = serial)")
 	fs.Int64Var(&c.CoverMaxNodes, "cover-max-nodes", c.CoverMaxNodes, "node budget for exact covering (0 = solver default)")

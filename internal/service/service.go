@@ -142,14 +142,10 @@ type Config struct {
 	// replays them. The capture is crash-tolerant — a kill -9 loses at
 	// most the partial tail record.
 	FTDCDir string
-	// FTDCInterval is the telemetry sampling period. Default 1s.
+	// FTDCInterval is the telemetry sampling period. Default 1s. The
+	// ring keeps internal/ftdc's default bounds (512 samples per
+	// segment, 8 segments: about 68 minutes at 1s).
 	FTDCInterval time.Duration
-	// FTDCSegmentSamples and FTDCMaxSegments bound the on-disk ring
-	// (samples per segment file, segment files kept). Defaults from
-	// internal/ftdc (512 and 8 — with a 1s interval, about 68 minutes
-	// of history).
-	FTDCSegmentSamples int
-	FTDCMaxSegments    int
 	// QuotaRPS enables per-tenant admission quotas when positive:
 	// each tenant (X-Tenant header, "default" unset) gets a token
 	// bucket refilling at this rate. A minimize request charges one

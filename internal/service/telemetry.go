@@ -90,10 +90,7 @@ func (s *Server) StartTelemetry() error {
 	if s.ftdcW != nil {
 		return errors.New("service: telemetry already started")
 	}
-	w, err := ftdc.NewWriter(s.cfg.FTDCDir, ftdc.Options{
-		SegmentSamples: s.cfg.FTDCSegmentSamples,
-		MaxSegments:    s.cfg.FTDCMaxSegments,
-	})
+	w, err := ftdc.NewWriter(s.cfg.FTDCDir, ftdc.Options{})
 	if err != nil {
 		return err
 	}
