@@ -144,8 +144,9 @@ bench-overload-smoke:
 # exact-cover round-trip property, of the allocation-free union
 # against Union and the union recomputed from points, and of the
 # canonicalizer against its reference copy (20s each), then of the PLA,
-# Verilog and BLIF readers, the incremental cover, the form parser and
-# the /v1/minimize request envelope (10s each).
+# Verilog and BLIF readers, the incremental cover, the form parser, the
+# three EPPP builders against one another and the /v1/minimize request
+# envelope (10s each).
 bench-smoke:
 	go test -short -run '^$$' -bench . -benchtime 1x ./...
 
@@ -158,6 +159,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadBLIF$$' -fuzztime 10s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzIncrementalCover$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzParseForm$$' -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz '^FuzzBuildEPPP$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzMinimizeEnvelope$$' -fuzztime 10s ./internal/service
 
 # The repository benchmark (sppbench/) is a Go module of its own, so

@@ -117,3 +117,25 @@ func TestParsePLATypeFR(t *testing.T) {
 		t.Errorf("10 should be ON")
 	}
 }
+
+// BenchmarkParsePLA parses the PLA of a 4×4-bit multiplier (8 inputs,
+// 8 outputs, one line per ON minterm, as WritePLA writes it), with
+// allocations reported.
+func BenchmarkParsePLA(b *testing.B) {
+	outs := make([]*Func, 8)
+	for o := range outs {
+		outs[o] = FromPredicate(8, func(p uint64) bool { return (p>>4)*(p&15)>>uint(o)&1 != 0 })
+	}
+	var buf bytes.Buffer
+	if err := WritePLA(&buf, NewMulti("mlp4", 8, outs)); err != nil {
+		b.Fatal(err)
+	}
+	src := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParsePLA(bytes.NewReader(src), "mlp4"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/bfunc"
@@ -69,19 +69,47 @@ type EPPPSet struct {
 }
 
 // unifier runs Algorithm 2's step-2 pair loop for every partition-trie
-// engine: BuildEPPP, the heuristic's ascent and the warm capture. Each
-// union is computed into one reused scratch slice (pcube.UnionInto),
-// the discard rule takes its cost from the scratch, and the scratch is
-// probed against the next-level trie (ptrie.InsertFactors). A CEX is
-// allocated only when the union is fresh there — about a third of the
-// unions on the Table 1 functions, because a degree-(m+1) pseudocube is
-// the union of up to 2^(m+1)−1 same-structure pairs.
+// engine: BuildEPPP, the heuristic's ascent and the warm capture. A
+// degree-(m+1) pseudocube is the union of up to 2^(m+1)−1
+// same-structure pairs, and everything about a union but its
+// complement vector follows from the pair's δ (unionMemo). So the loop
+// computes a union (pcube.UnionInto) and walks the next-level trie to
+// its group only on a group's first pair with each δ. Every pair takes
+// the discard rule from the memoized cost, derives the union's
+// complement vector with bit operations and probes the group handle
+// with it; a CEX is built only when the union is fresh there, about a
+// third of the unions on the Table 1 functions.
 type unifier struct {
 	cost   CostKind
 	b      *budget
 	buf    []pcube.Factor
-	unions int64 // union operations performed
-	fresh  int64 // unions fresh in their destination trie
+	memo   unionMemo[ptrie.Group]
+	cvs    []uint64 // the group's complement vectors, in entry order
+	costs  []int    // the group's costs, in entry order
+	unions int64    // union operations performed
+	fresh  int64    // unions fresh in their destination trie
+	walks  int64    // next-level trie walks: one per group and distinct δ
+}
+
+// unifierPool keeps unifiers, with their grown scratch and memo,
+// between builds. Grown afresh, they cost each build about 20
+// allocations, enough to make builds of 4-variable functions slower
+// than without the memo.
+var unifierPool = sync.Pool{New: func() any { return new(unifier) }}
+
+// newUnifier takes a unifier from the pool for one build.
+func newUnifier(cost CostKind, b *budget) *unifier {
+	u := unifierPool.Get().(*unifier)
+	u.cost, u.b = cost, b
+	u.unions, u.fresh, u.walks = 0, 0, 0
+	return u
+}
+
+// release returns u to the pool; its memo drops the build's trie handles.
+func (u *unifier) release() {
+	u.memo.reset(0)
+	u.b = nil
+	unifierPool.Put(u)
 }
 
 // group unifies every pair es[i], es[j], i < j, of one structure
@@ -90,26 +118,41 @@ type unifier struct {
 // charges the budget for every fresh union and reports false, stopping
 // early, when the budget is exhausted.
 func (u *unifier) group(es []*ptrie.Entry, next *ptrie.Trie, mark func(k int)) bool {
-	for i := range es {
-		ci := u.cost.of(es[i].CEX)
+	u.cvs, u.costs = u.cvs[:0], u.costs[:0]
+	for _, e := range es {
+		u.cvs = append(u.cvs, e.CEX.CompVector())
+		u.costs = append(u.costs, u.cost.of(e.CEX))
+	}
+	u.memo.reset(len(es[0].CEX.Factors) - 1)
+	for i, cva := range u.cvs {
 		for j := i + 1; j < len(es); j++ {
 			// Same-group entries share a structure and differ in their
 			// complement vectors, so the union always exists.
-			fs, canon, _ := pcube.UnionInto(u.buf, es[i].CEX, es[j].CEX)
-			u.buf = fs
+			cvb := u.cvs[j]
 			u.unions++
-			h := u.cost.ofFactors(fs)
-			if h <= ci {
+			d := cva ^ cvb
+			x := u.memo.get(d)
+			if x < 0 {
+				fs, canon, _ := pcube.UnionInto(u.buf, es[i].CEX, es[j].CEX)
+				u.buf = fs
+				u.walks++
+				x = u.memo.put(d, next.Group(canon, fs), canon, u.cost.ofFactors(fs), fs)
+			}
+			v := &u.memo.vals[x]
+			if v.cost <= u.costs[i] {
 				mark(i)
 			}
-			if h <= u.cost.of(es[j].CEX) {
+			if v.cost <= u.costs[j] {
 				mark(j)
 			}
-			if _, fresh := next.InsertFactors(canon, fs); fresh {
-				u.fresh++
-				if !u.b.spend(1) {
-					return false
-				}
+			cv := pcube.UnionCompVector(cva, cvb)
+			if v.next.Find(cv) != nil {
+				continue
+			}
+			v.next.Add(pcube.NewCEX(es[i].CEX.N, v.canon, u.memo.factors(x, cv)))
+			u.fresh++
+			if !u.b.spend(1) {
+				return false
 			}
 		}
 	}
@@ -170,7 +213,8 @@ func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		return nil, b.failure()
 	}
 
-	u := unifier{cost: opts.Cost, b: b}
+	u := newUnifier(opts.Cost, b)
+	defer u.release()
 	var candidates []*pcube.CEX
 	for level := 0; cur.Len() > 0; level++ {
 		if err := opts.ctxErr(); err != nil {
@@ -204,6 +248,7 @@ func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 	bst.EPPP = len(candidates)
 	bst.BuildTime = time.Since(start)
 	recordBuild(opts.Stats, &bst)
+	opts.Stats.Add(stats.CtrTrieWalks, u.walks)
 	return &EPPPSet{N: n, Candidates: candidates, Stats: bst}, nil
 }
 
@@ -221,29 +266,50 @@ func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 	b := newBudget(opts)
 	bst := BuildStats{}
 
+	// The pair loop is the trie engine's (unifier.group), with the
+	// structure map in place of the trie: the map is probed once per
+	// group and δ, and a group tells its members apart by complement
+	// vector, so the two variants differ only in the grouping index.
 	type entry struct {
 		cex  *pcube.CEX
 		mark bool
 	}
-	cur := map[string][]*entry{}
-	curLen := 0
-	var seen keySet
-	for _, p := range f.Care() {
-		c := pcube.FromPoint(n, p)
-		if k, fresh := seen.add(c.Factors); fresh {
-			skey := k[:8*len(c.Factors)]
-			cur[skey] = append(cur[skey], &entry{cex: c})
-			curLen++
+	type group struct{ es []*entry }
+	var key []byte
+	groupOf := func(level map[string]*group, fs []pcube.Factor) *group {
+		key = pcube.AppendKey(key[:0], fs)
+		skey := key[:8*len(fs)]
+		g := level[string(skey)]
+		if g == nil {
+			g = &group{}
+			level[string(skey)] = g
 		}
+		return g
 	}
+	has := func(g *group, cv uint64) bool {
+		for _, e := range g.es {
+			if e.cex.CompVector() == cv {
+				return true
+			}
+		}
+		return false
+	}
+	// Care points are distinct, and all of them share the degree-0
+	// structure.
+	care := f.Care()
+	cur := map[string]*group{}
+	for _, p := range care {
+		c := pcube.FromPoint(n, p)
+		g := groupOf(cur, c.Factors)
+		g.es = append(g.es, &entry{cex: c})
+	}
+	curLen := len(care)
 	if !b.spend(curLen) {
 		return nil, b.failure()
 	}
 
-	// Unions are probed by key straight from scratch, like the trie
-	// engine's InsertFactors, so the two variants differ only in the
-	// grouping index, not in how often they allocate.
 	var buf []pcube.Factor
+	var memo unionMemo[*group]
 	var candidates []*pcube.CEX
 	for level := 0; curLen > 0; level++ {
 		if err := opts.ctxErr(); err != nil {
@@ -251,35 +317,44 @@ func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		}
 		bst.LevelSizes = append(bst.LevelSizes, curLen)
 		bst.Groups = append(bst.Groups, len(cur))
-		next := map[string][]*entry{}
-		var nextSeen keySet
+		next := map[string]*group{}
 		nextLen := 0
-		for _, group := range cur {
-			for i := 0; i < len(group); i++ {
-				for j := i + 1; j < len(group); j++ {
-					fs, canon, _ := pcube.UnionInto(buf, group[i].cex, group[j].cex)
-					buf = fs
+		for _, g := range cur {
+			es := g.es
+			memo.reset(len(es[0].cex.Factors) - 1)
+			for i := range es {
+				cva, ca := es[i].cex.CompVector(), opts.Cost.of(es[i].cex)
+				for j := i + 1; j < len(es); j++ {
+					cvb := es[j].cex.CompVector()
 					bst.Unions++
-					h := opts.Cost.ofFactors(fs)
-					if h <= opts.Cost.of(group[i].cex) {
-						group[i].mark = true
+					d := cva ^ cvb
+					x := memo.get(d)
+					if x < 0 {
+						fs, canon, _ := pcube.UnionInto(buf, es[i].cex, es[j].cex)
+						buf = fs
+						x = memo.put(d, groupOf(next, fs), canon, opts.Cost.ofFactors(fs), fs)
 					}
-					if h <= opts.Cost.of(group[j].cex) {
-						group[j].mark = true
+					v := &memo.vals[x]
+					if v.cost <= ca {
+						es[i].mark = true
 					}
-					if k, fresh := nextSeen.add(fs); fresh {
-						skey := k[:8*len(fs)]
-						next[skey] = append(next[skey], &entry{cex: pcube.NewCEX(n, canon, slices.Clone(fs))})
-						nextLen++
-						if !b.spend(1) {
-							return nil, b.failure()
-						}
+					if v.cost <= opts.Cost.of(es[j].cex) {
+						es[j].mark = true
+					}
+					cv := pcube.UnionCompVector(cva, cvb)
+					if has(v.next, cv) {
+						continue
+					}
+					v.next.es = append(v.next.es, &entry{cex: pcube.NewCEX(n, v.canon, memo.factors(x, cv))})
+					nextLen++
+					if !b.spend(1) {
+						return nil, b.failure()
 					}
 				}
 			}
 		}
-		for _, group := range cur {
-			for _, e := range group {
+		for _, g := range cur {
+			for _, e := range g.es {
 				if !e.mark {
 					candidates = append(candidates, e.cex)
 				}

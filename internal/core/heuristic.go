@@ -112,7 +112,8 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 
 	// Step 3: ascendant phase (Algorithm 2 step 2 over the merged pool).
 	stop = rec.Phase(stats.PhaseAscend)
-	u := unifier{cost: opts.Cost, b: b}
+	u := newUnifier(opts.Cost, b)
+	defer u.release()
 	var candidates []*pcube.CEX
 	for d := 0; d < n; d++ {
 		if err := opts.ctxErr(); err != nil {
@@ -161,6 +162,7 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 	bst.EPPP = len(candidates)
 	bst.BuildTime = time.Since(start)
 	recordBuild(rec, &bst)
+	rec.Add(stats.CtrTrieWalks, u.walks)
 
 	set := &EPPPSet{N: n, Candidates: candidates, Stats: bst}
 	form, coverTime, optimal, err := SelectCover(f, set, opts)

@@ -317,7 +317,8 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 		return nil, nil, b.failure()
 	}
 
-	u := unifier{cost: opts.Cost, b: b}
+	u := newUnifier(opts.Cost, b)
+	defer u.release()
 	var candidates []*pcube.CEX
 	var pts []uint64
 	for level := 0; cur.Len() > 0; level++ {
@@ -372,6 +373,7 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 	bst.EPPP = len(candidates)
 	bst.BuildTime = time.Since(start)
 	recordBuild(opts.Stats, &bst)
+	opts.Stats.Add(stats.CtrTrieWalks, u.walks)
 	return &EPPPSet{N: n, Candidates: candidates, Stats: bst}, ws, nil
 }
 

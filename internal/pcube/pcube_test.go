@@ -663,3 +663,59 @@ func TestQuickTransformInvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// benchSpan returns the points of the pseudocube off + span(dirs) of
+// B^n, in the order bitvec.Basis.Span gives them.
+func benchSpan(n int, off uint64, dirs ...uint64) []uint64 {
+	basis := bitvec.NewBasis(n)
+	for _, d := range dirs {
+		basis.Insert(d)
+	}
+	pts := basis.Span()
+	for i := range pts {
+		pts[i] ^= off
+	}
+	return pts
+}
+
+// BenchmarkFromPoints recognizes a pseudocube from its points (the
+// RREF path the union oracles and the warm resume rely on), with
+// allocations reported: a degree-4 and a degree-8 pseudocube of B^12.
+func BenchmarkFromPoints(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		pts  []uint64
+	}{
+		{"deg4", benchSpan(12, 0x5a5, 0x003, 0x00c, 0x030, 0x0c0)},
+		{"deg8", benchSpan(12, 0x5a5, 0x003, 0x00c, 0x030, 0x0c0, 0x300, 0xc00, 0x005, 0x050)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := FromPoints(12, c.pts); !ok {
+					b.Fatal("not a pseudocube")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAppendKey writes the key of an 8-factor product (a degree-4
+// pseudocube of B^12) into a reused buffer, as the naive baseline, the
+// hash-grouped ablation and the warm resume do to probe their maps; it
+// allocates nothing.
+func BenchmarkAppendKey(b *testing.B) {
+	c, ok := FromPoints(12, benchSpan(12, 0x5a5, 0x003, 0x00c, 0x030, 0x0c0))
+	if !ok {
+		b.Fatal("not a pseudocube")
+	}
+	buf := make([]byte, 0, 9*len(c.Factors))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendKey(buf[:0], c.Factors)
+	}
+	if string(buf) != c.Key() {
+		b.Fatal("AppendKey differs from Key")
+	}
+}

@@ -1,6 +1,8 @@
 package pcube
 
 import (
+	"math/bits"
+
 	"repro/internal/bitvec"
 )
 
@@ -63,6 +65,20 @@ func UnionInto(dst []Factor, a, b *CEX) ([]Factor, uint64, bool) {
 		}
 	}
 	return dst, a.Canon | xk, true
+}
+
+// UnionCompVector returns the complement vector of the union of two
+// distinct same-structure pseudocubes with complement vectors a and b:
+// CompVectorOf of UnionInto's factors, computed without them. Let
+// δ = a ⊕ b and k its lowest set bit, the factor of x_k. By Algorithm 1
+// factor k disappears, the factors above k that δ marks take a's bit k
+// into their complementation (NORM_EXOR with f_k), and every other
+// factor keeps b's bit. a must differ from b.
+func UnionCompVector(a, b uint64) uint64 {
+	d := a ^ b
+	k := uint(bits.TrailingZeros64(d))
+	v := b ^ -(a>>k&1)&(d&^(2<<k-1))
+	return v&(1<<k-1) | v>>(k+1)<<k
 }
 
 // Alpha returns the mask of non-canonical variables whose factors differ

@@ -2,6 +2,7 @@ package pcube
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,12 @@ import (
 // FromPoints, and b = a.Transform(alpha) is a same-structure partner.
 // UnionInto must agree with Union, and both with FromPoints of the
 // merged point sets — the union recomputed from scratch.
-func checkUnionInto(t *testing.T, n int, off uint64, dirs []uint64, alpha uint64) {
+// UnionCompVector must give the union's complement vector, and the
+// pair c = a.Transform(shift), d = c.Transform(alpha), which has the
+// same complement difference δ, must give a union with the same
+// canonical mask, factor masks and cost: what Algorithm 2's pair loop
+// memoizes per δ.
+func checkUnionInto(t *testing.T, n int, off uint64, dirs []uint64, alpha, shift uint64) {
 	t.Helper()
 	mask := bitvec.SpaceMask(n)
 	basis := bitvec.NewBasis(n)
@@ -67,6 +73,33 @@ func checkUnionInto(t *testing.T, n int, off uint64, dirs []uint64, alpha uint64
 	if err := want.Verify(); err != nil {
 		t.Fatal(err)
 	}
+	if cv := UnionCompVector(a.CompVector(), b.CompVector()); cv != CompVectorOf(got) {
+		t.Fatalf("UnionCompVector = %#x, union's complement vector %#x", cv, CompVectorOf(got))
+	}
+	if cv := UnionCompVector(b.CompVector(), a.CompVector()); cv != CompVectorOf(got) {
+		t.Fatalf("UnionCompVector(b, a) = %#x, union's complement vector %#x", cv, CompVectorOf(got))
+	}
+	c := a.Transform(shift & mask)
+	d := c.Transform(alpha & mask)
+	if c.CompVector()^d.CompVector() != a.CompVector()^b.CompVector() {
+		t.Fatalf("δ differs: %#x for (c, d), %#x for (a, b)", c.CompVector()^d.CompVector(), a.CompVector()^b.CompVector())
+	}
+	other, ocanon, ok := UnionInto(nil, c, d)
+	if !ok {
+		t.Fatalf("no union of %v and %v, which have δ of a union", c, d)
+	}
+	if ocanon != canon || len(other) != len(got) || FactorLiterals(other) != FactorLiterals(got) {
+		t.Fatalf("equal δ, different unions: canon %#x/%#x, %d/%d factors, %d/%d literals",
+			ocanon, canon, len(other), len(got), FactorLiterals(other), FactorLiterals(got))
+	}
+	for i := range other {
+		if other[i].Vars != got[i].Vars {
+			t.Fatalf("equal δ, factor %d mask %#x, want %#x", i, other[i].Vars, got[i].Vars)
+		}
+	}
+	if cv := UnionCompVector(c.CompVector(), d.CompVector()); cv != CompVectorOf(other) {
+		t.Fatalf("UnionCompVector = %#x for (c, d), union's complement vector %#x", cv, CompVectorOf(other))
+	}
 	ref, ok := FromPoints(n, append(a.Points(), b.Points()...))
 	if !ok {
 		t.Fatalf("merged points of %v and %v are not a pseudocube", a, b)
@@ -77,7 +110,8 @@ func checkUnionInto(t *testing.T, n int, off uint64, dirs []uint64, alpha uint64
 }
 
 // FuzzUnionInto runs the differential oracle on fuzzer-chosen
-// subspaces: n in [1, 12], up to four directions, any partner shift.
+// subspaces: n in [1, 12], up to four directions, any partner shift;
+// the equal-δ pair's shift mixes the offset and the last direction.
 func FuzzUnionInto(f *testing.F) {
 	f.Add(uint8(6), uint64(0x2a), uint64(0x03), uint64(0x0c), uint64(0), uint64(0), uint64(0x30))
 	f.Add(uint8(1), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(1))
@@ -85,7 +119,7 @@ func FuzzUnionInto(f *testing.F) {
 	f.Add(uint8(12), uint64(0x5a5), uint64(0x003), uint64(0x00c), uint64(0x030), uint64(0x0c0), uint64(0x700))
 	f.Add(uint8(8), uint64(0x81), uint64(0x11), uint64(0x22), uint64(0x44), uint64(0x88), uint64(0x33)) // alpha in span: no union
 	f.Fuzz(func(t *testing.T, nb uint8, off, d1, d2, d3, d4, alpha uint64) {
-		checkUnionInto(t, 1+int(nb%12), off, []uint64{d1, d2, d3, d4}, alpha)
+		checkUnionInto(t, 1+int(nb%12), off, []uint64{d1, d2, d3, d4}, alpha, bits.RotateLeft64(off, 29)^d4)
 	})
 }
 
@@ -97,7 +131,7 @@ func TestUnionIntoMatchesUnionRandom(t *testing.T) {
 		for j := range dirs {
 			dirs[j] = rng.Uint64()
 		}
-		checkUnionInto(t, n, rng.Uint64(), dirs, rng.Uint64())
+		checkUnionInto(t, n, rng.Uint64(), dirs, rng.Uint64(), rng.Uint64())
 	}
 }
 

@@ -151,6 +151,48 @@ func (t *Trie) step(nd *node, k kind, label int, create bool) *node {
 	return nd.findChild(k, label)
 }
 
+// Group is a handle on one structure group of a trie: the group node
+// that every pseudoproduct of one structure is filed under. Members
+// share the structure (paper Property 1), so the complement vector
+// alone tells them apart: it is the paper's leaf vector L, stored as
+// the complement bits (bit i set = factor i complemented) rather than
+// L's "not complemented" bits. A handle holds its trie reachable.
+type Group struct {
+	t  *Trie
+	nd *node
+}
+
+// Group finds or creates the structure group of the product fs with
+// canonical mask canon, walking the structure path once; only the
+// factor masks of fs are read. Algorithm 2's pair loop takes one
+// handle per source group and complement difference, and probes it for
+// every pair with that difference.
+func (t *Trie) Group(canon uint64, fs []pcube.Factor) Group {
+	return Group{t, t.walk(canon, fs, true)}
+}
+
+// Find returns the member with complement vector cv, or nil.
+func (g Group) Find(cv uint64) *Entry {
+	for _, e := range g.nd.entries {
+		if e.CEX.CompVector() == cv {
+			return e
+		}
+	}
+	return nil
+}
+
+// Add stores c, which must have the group's structure and a complement
+// vector Find does not hold, as a new member and returns its entry.
+func (g Group) Add(c *pcube.CEX) *Entry {
+	e := &Entry{CEX: c}
+	if len(g.nd.entries) == 0 {
+		g.t.groups++
+	}
+	g.nd.entries = append(g.nd.entries, e)
+	g.t.size++
+	return e
+}
+
 // Insert adds the pseudoproduct to the trie. If an identical CEX is
 // already present it returns the existing entry and false; otherwise it
 // stores c itself and returns the new entry and true.
@@ -158,42 +200,25 @@ func (t *Trie) Insert(c *pcube.CEX) (*Entry, bool) {
 	if c.N != t.n {
 		panic("ptrie: CEX dimension mismatch")
 	}
-	return t.insert(c.Canon, c.Factors, c)
+	g := t.Group(c.Canon, c.Factors)
+	if e := g.Find(c.CompVector()); e != nil {
+		return e, false
+	}
+	return g.Add(c), true
 }
 
 // InsertFactors is Insert for a pseudoproduct given as its canonical
 // mask and CEX-ordered factors, typically pcube.UnionInto's scratch
-// output. The walk and the duplicate test read fs in place; only a
-// fresh insert copies it into a new sealed CEX, so a duplicate costs no
-// allocation and the caller may reuse fs as soon as the call returns.
+// output: the group handle's walk, probe and add. The walk and the
+// duplicate test read fs in place; only a fresh insert copies it into
+// a new sealed CEX, so a duplicate costs no allocation and the caller
+// may reuse fs as soon as the call returns.
 func (t *Trie) InsertFactors(canon uint64, fs []pcube.Factor) (*Entry, bool) {
-	return t.insert(canon, fs, nil)
-}
-
-// insert files (canon, fs) under its structure group and stores c, or a
-// fresh CEX copied from fs when c is nil. Members of a group share the
-// structure (paper Property 1), so the complement vector alone tells
-// them apart: it is the paper's leaf vector L, stored as the complement
-// bits (bit i set = factor i complemented) rather than L's
-// "not complemented" bits.
-func (t *Trie) insert(canon uint64, fs []pcube.Factor, c *pcube.CEX) (*Entry, bool) {
-	grp := t.walk(canon, fs, true)
-	cv := pcube.CompVectorOf(fs)
-	for _, e := range grp.entries {
-		if e.CEX.CompVector() == cv {
-			return e, false
-		}
+	g := t.Group(canon, fs)
+	if e := g.Find(pcube.CompVectorOf(fs)); e != nil {
+		return e, false
 	}
-	if c == nil {
-		c = pcube.NewCEX(t.n, canon, slices.Clone(fs))
-	}
-	e := &Entry{CEX: c}
-	if len(grp.entries) == 0 {
-		t.groups++
-	}
-	grp.entries = append(grp.entries, e)
-	t.size++
-	return e, true
+	return g.Add(pcube.NewCEX(t.n, canon, slices.Clone(fs))), true
 }
 
 // Search returns the entry with CEX equal to c, or nil.
@@ -202,13 +227,7 @@ func (t *Trie) Search(c *pcube.CEX) *Entry {
 	if grp == nil {
 		return nil
 	}
-	cv := c.CompVector()
-	for _, e := range grp.entries {
-		if e.CEX.CompVector() == cv {
-			return e
-		}
-	}
-	return nil
+	return Group{t, grp}.Find(c.CompVector())
 }
 
 // Groups visits every structure group (the entries sharing a parent),

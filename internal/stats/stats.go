@@ -166,6 +166,11 @@ const (
 	// levels. It does not vary with the worker count; it is a sched
 	// counter because it measures the index, not the algorithm.
 	CtrTrieNodes
+	// CtrTrieWalks counts the structure-path walks Algorithm 2's pair
+	// loop makes in the next-level trie: one per group and distinct
+	// complement difference δ, where a walk per union would be one per
+	// pair. Like CtrTrieNodes it measures the index.
+	CtrTrieWalks
 	// CtrExactNodes counts branch-and-bound nodes explored.
 	CtrExactNodes
 	// CtrExactBoundPrunes counts subtrees pruned against the incumbent.
@@ -204,6 +209,7 @@ var counterNames = [numCounters]string{
 	CtrCoverResolved:     "cover.warm_resolved_picks",
 	CtrCoverDirty:        "cover.warm_dirty_columns",
 	CtrTrieNodes:         "eppp.trie_nodes",
+	CtrTrieWalks:         "eppp.trie_walks",
 	CtrExactNodes:        "cover.exact_nodes",
 	CtrExactBoundPrunes:  "cover.exact_bound_prunes",
 	CtrExactLBPrunes:     "cover.exact_lb_prunes",

@@ -111,7 +111,7 @@ func TestCounterClassification(t *testing.T) {
 		CtrGreedyPicks, CtrGreedyReevals, CtrGreedyRedundant,
 		CtrReduceEssential, CtrReduceRowDom, CtrReduceColDom,
 		CtrCoverReplayed, CtrCoverResolved, CtrCoverDirty}
-	sched := []Counter{CtrTrieNodes, CtrExactNodes,
+	sched := []Counter{CtrTrieNodes, CtrTrieWalks, CtrExactNodes,
 		CtrExactBoundPrunes, CtrExactLBPrunes, CtrExactRootBranches}
 	for _, c := range det {
 		if !c.Deterministic() {
