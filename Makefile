@@ -145,8 +145,8 @@ bench-overload-smoke:
 # against Union and the union recomputed from points, and of the
 # canonicalizer against its reference copy (20s each), then of the PLA,
 # Verilog and BLIF readers, the incremental cover, the form parser, the
-# three EPPP builders against one another and the /v1/minimize request
-# envelope (10s each).
+# three EPPP builders against one another and the /v1/minimize and
+# /v1/jobs request envelopes (10s each).
 bench-smoke:
 	go test -short -run '^$$' -bench . -benchtime 1x ./...
 
@@ -161,6 +161,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParseForm$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzBuildEPPP$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzMinimizeEnvelope$$' -fuzztime 10s ./internal/service
+	go test -run '^$$' -fuzz '^FuzzJobsEnvelope$$' -fuzztime 10s ./internal/service
 
 # The repository benchmark (sppbench/) is a Go module of its own, so
 # the root `go build ./...` never compiles it: vet and test it in place,

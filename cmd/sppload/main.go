@@ -755,12 +755,7 @@ type editRow struct {
 	DeltaWarm     int64 `json:"delta_warm"`
 	DeltaCold     int64 `json:"delta_cold_fallback"`
 	DeltaBaseMiss int64 `json:"delta_base_miss"`
-	// DeltaCoverReused / DeltaCoverResolved split the warm resumes by
-	// covering outcome: served entirely from the previous cover snapshot
-	// vs. partially re-solved.
-	DeltaCoverReused   int64 `json:"delta_cover_reused"`
-	DeltaCoverResolved int64 `json:"delta_cover_resolved"`
-	CacheBytes         int64 `json:"cache_bytes"`
+	CacheBytes    int64 `json:"cache_bytes"`
 	// Errors counts the requests that failed, and Non200 splits them by
 	// HTTP status. BaseMissRecovered counts the 409 base misses that the
 	// full re-submission answered, which are not failures.
@@ -794,9 +789,9 @@ func runEditLoop(sh shape, rep, base *report) []string {
 	for _, warm := range []bool{false, true} {
 		res := editLoop(sh, warm, sets)
 		rows = append(rows, res)
-		fmt.Printf("edit-loop %-5s  %6.1f edits/s  p50 %6.2fms  p99 %7.2fms  cover %7.2fms/run  warm %3d (replay %d)  fallback %d  base-miss %d (recovered %d)\n",
+		fmt.Printf("edit-loop %-5s  %6.1f edits/s  p50 %6.2fms  p99 %7.2fms  cover %7.2fms/run  warm %3d  fallback %d  base-miss %d (recovered %d)\n",
 			res.Mode, res.EditsPerS, res.P50MS, res.P99MS, res.CoverMSMean,
-			res.DeltaWarm, res.DeltaCoverReused, res.DeltaCold, res.DeltaBaseMiss, res.BaseMissRecovered)
+			res.DeltaWarm, res.DeltaCold, res.DeltaBaseMiss, res.BaseMissRecovered)
 		failed = append(failed, statusFailures(res.Mode, res.Non200)...)
 	}
 
@@ -962,26 +957,24 @@ func editLoop(sh shape, warm bool, sets [][]int) editRow {
 	coverRuns, coverMean := editCoverStats(st, warm, sh.clients)
 	n := rec.n()
 	return editRow{
-		Scenario:           "edit-loop",
-		Mode:               mode,
-		Clients:            sh.clients,
-		Edits:              n,
-		EditK:              sh.editK,
-		ElapsedMS:          ms(elapsed),
-		EditsPerS:          float64(n) / elapsed.Seconds(),
-		P50MS:              rec.pct(0.50),
-		P99MS:              rec.pct(0.99),
-		DeltaWarm:          st.DeltaWarm,
-		DeltaCold:          st.DeltaCold,
-		DeltaBaseMiss:      st.DeltaBaseMiss,
-		DeltaCoverReused:   st.DeltaCoverReused,
-		DeltaCoverResolved: st.DeltaCoverResolved,
-		CacheBytes:         st.CacheBytes,
-		Errors:             int64(n - rec.n(http.StatusOK)),
-		Non200:             rec.unexpected(),
-		BaseMissRecovered:  recovered.Load(),
-		CoverMSMean:        coverMean,
-		CoverRuns:          coverRuns,
+		Scenario:          "edit-loop",
+		Mode:              mode,
+		Clients:           sh.clients,
+		Edits:             n,
+		EditK:             sh.editK,
+		ElapsedMS:         ms(elapsed),
+		EditsPerS:         float64(n) / elapsed.Seconds(),
+		P50MS:             rec.pct(0.50),
+		P99MS:             rec.pct(0.99),
+		DeltaWarm:         st.DeltaWarm,
+		DeltaCold:         st.DeltaCold,
+		DeltaBaseMiss:     st.DeltaBaseMiss,
+		CacheBytes:        st.CacheBytes,
+		Errors:            int64(n - rec.n(http.StatusOK)),
+		Non200:            rec.unexpected(),
+		BaseMissRecovered: recovered.Load(),
+		CoverMSMean:       coverMean,
+		CoverRuns:         coverRuns,
 	}
 }
 

@@ -15,6 +15,8 @@ func FuzzParsePLA(f *testing.F) {
 	f.Add(".i 1\n.o 1\n0 -\n")
 	f.Add("# only a comment\n")
 	f.Add(".i 64\n.o 1\n")
+	f.Add(".i 3\n.o 20700700000\n")
+	f.Add(dashCubePLA)
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := ParsePLA(strings.NewReader(src), "fuzz")
 		if err != nil {

@@ -11,6 +11,14 @@ import (
 	"repro/internal/bitvec"
 )
 
+// plaMaxLine caps the length of one PLA line, and so the number of
+// outputs a term line can carry.
+const plaMaxLine = 1 << 20
+
+// maxPLAMinterms caps the ON and DC minterms ParsePLA expands, summed
+// over all outputs.
+const maxPLAMinterms = 1 << 20
+
 // ParsePLA reads a Boolean function in the Berkeley/Espresso PLA format
 // (the format of the benchmark suite the paper evaluates on). Supported
 // directives: .i, .o, .p (ignored count), .ilb, .ob, .type (f, fr, fd,
@@ -23,15 +31,21 @@ import (
 //	~ or 4 → no meaning for this output
 //
 // Input cubes with '-' expand to all covered minterms, so functions must
-// be small enough to enumerate (the SPP algorithms are explicit anyway).
+// be small enough to enumerate (the SPP algorithms are explicit anyway):
+// ParsePLA fails once the expanded ON and DC minterms, summed over all
+// outputs, pass maxPLAMinterms (2^20, about 30 times the largest
+// built-in benchmark). It also rejects an .o count wider than a line,
+// which no term could carry.
 func ParsePLA(r io.Reader, name string) (*Multi, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(make([]byte, plaMaxLine), plaMaxLine)
 
 	ni, no := -1, -1
 	typ := "fd"
 	var onSets, dcSets [][]uint64
 	lineNo := 0
+	minterms := 0 // ON and DC minterms expanded so far, over all outputs
+	tooLarge := fmt.Errorf("more than %d ON and DC minterms", maxPLAMinterms)
 
 	addTerm := func(in string, out string) error {
 		if len(in) != ni {
@@ -39,6 +53,10 @@ func ParsePLA(r io.Reader, name string) (*Multi, error) {
 		}
 		if len(out) != no {
 			return fmt.Errorf("output part %q has %d columns, want %d", out, len(out), no)
+		}
+		free := strings.Count(in, "-") + strings.Count(in, "2")
+		if free > 62 || minterms+1<<free > maxPLAMinterms {
+			return tooLarge
 		}
 		// Expand the input cube into minterms.
 		pts := []uint64{0}
@@ -63,9 +81,11 @@ func ParsePLA(r io.Reader, name string) (*Multi, error) {
 		for o := 0; o < no; o++ {
 			switch out[o] {
 			case '1':
+				minterms += len(pts)
 				onSets[o] = append(onSets[o], pts...)
 			case '-', '2':
 				if typ == "fd" || typ == "fdr" {
+					minterms += len(pts)
 					dcSets[o] = append(dcSets[o], pts...)
 				}
 			case '0', '~', '4':
@@ -75,6 +95,9 @@ func ParsePLA(r io.Reader, name string) (*Multi, error) {
 				// terms are read).
 			default:
 				return fmt.Errorf("invalid output character %q", out[o])
+			}
+			if minterms > maxPLAMinterms {
+				return tooLarge
 			}
 		}
 		return nil
@@ -103,7 +126,7 @@ func ParsePLA(r io.Reader, name string) (*Multi, error) {
 					return nil, fmt.Errorf("pla %s:%d: malformed .o", name, lineNo)
 				}
 				v, err := strconv.Atoi(fields[1])
-				if err != nil || v < 1 {
+				if err != nil || v < 1 || v >= plaMaxLine {
 					return nil, fmt.Errorf("pla %s:%d: bad output count %q", name, lineNo, fields[1])
 				}
 				no = v

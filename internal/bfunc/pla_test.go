@@ -66,6 +66,9 @@ func TestParsePLAJoined(t *testing.T) {
 	}
 }
 
+// dashCubePLA is one 40-input cube of dashes: 2^40 minterms.
+var dashCubePLA = ".i 40\n.o 1\n" + strings.Repeat("-", 40) + " 1\n.e\n"
+
 func TestParsePLAErrors(t *testing.T) {
 	cases := []string{
 		".o 1\n10 1\n",            // .i missing
@@ -74,6 +77,9 @@ func TestParsePLAErrors(t *testing.T) {
 		".i 2\n.o 1\n10 x\n.e\n",  // bad output char
 		".i abc\n.o 1\n",          // bad .i
 		".i 2\n.o 1\n10 11\n.e\n", // output too wide
+		".i 3\n.o 20700700000\n",  // more outputs than a line can carry
+		dashCubePLA,               // 2^40 minterms
+		".i 2\n.o 1\n" + strings.Repeat("-- 1\n", maxPLAMinterms/4+1), // repeated terms past the cap
 	}
 	for i, src := range cases {
 		if _, err := ParsePLA(strings.NewReader(src), "bad"); err == nil {

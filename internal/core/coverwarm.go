@@ -14,54 +14,14 @@ import (
 // This file is the incremental covering layer of the warm engine: the
 // covering step shared by MinimizeExactWarm and ResumeExact, running
 // entirely in point space (columns are the candidates' covered-ON point
-// lists, never materialized as a cover.Instance on the greedy path),
-// plus the snapshot machinery that lets a resume replay the previous
-// run's greedy pick sequence instead of re-selecting it.
+// lists, never materialized as a cover.Instance on the greedy path).
 //
-// Byte-identity argument. The cold greedy selects by the total order
-// cover.Key.Better over exact (cost, new-count, column) keys; the lazy
-// heap guarantees each committed pick is the true argmin. A resume
-// replays the snapshot's pick trace and certifies each step against two
-// facts: (1) columns whose point lists are untouched by the patch have
-// the same true key at the same prefix of picks, and the recorded
-// runner-up bound is optimistic for all of them (cached heap counts are
-// upper bounds, so the cached key is a lower bound in the order); (2)
-// the columns the patch did touch — shrunk, grown or freshly built —
-// are few, and their exact keys are recomputed per step. A replayed
-// pick is certified when it strictly beats the recorded bound in the
-// column-independent part of the order and no dirty column's exact key
-// beats it; the first step that fails falls back to the heap — which,
-// run over all columns from the current coverage state, reproduces the
-// cold selection's continuation exactly (already-picked columns pop at
-// zero new count). The bound stored for the next generation is the old
-// bound folded with the live dirty keys, which stays optimistic under
-// composition of the two orders.
-
-// coverSnap is the solved cover state persisted in a WarmState: the
-// greedy pick trace (for replay) or the exact solution (for seeding),
-// the final selected terms and their total cost. Immutable — concurrent
-// resumes from one snapshot only read it.
-type coverSnap struct {
-	// picks is the greedy selection sequence before redundancy
-	// elimination, each with the runner-up bound observed when it was
-	// committed. Nil for exact solutions.
-	picks []coverPick
-	// final is the post-elimination (or exact) selection, in term order.
-	final []*pcube.CEX
-	cost  int
-	exact bool
-}
-
-// coverPick is one recorded greedy selection: the winning candidate and
-// an optimistic bound (in the cover.Key order, column index excluded)
-// on every other column that was still live at that step. boundOK is
-// false when the pick emptied the heap.
-type coverPick struct {
-	cex       *pcube.CEX
-	boundCost int
-	boundNW   int
-	boundOK   bool
-}
+// Byte-identity argument. A resume builds the same columns as a cold
+// warm run on the edited function — same candidates in the same
+// canonical order, each with the same covered-ON list — and then runs
+// the same selection over them, so it selects the same cover. What a
+// resume saves is the column construction: carried lists are shared or
+// patched, and only new candidates compute theirs.
 
 // pcol is one point-space covering column: a candidate, the sorted ON
 // points it covers (non-empty), and its cost.
@@ -80,7 +40,6 @@ const densePtSetMaxVars = 16
 type ptSet struct {
 	dense []uint64
 	m     map[uint64]struct{}
-	count int
 }
 
 func newPtSet(n int) *ptSet {
@@ -98,23 +57,12 @@ func (s *ptSet) has(p uint64) bool {
 	return ok
 }
 
-// add inserts p, reporting whether it was new.
-func (s *ptSet) add(p uint64) bool {
+func (s *ptSet) add(p uint64) {
 	if s.dense != nil {
-		w, b := p>>6, uint64(1)<<(p&63)
-		if s.dense[w]&b != 0 {
-			return false
-		}
-		s.dense[w] |= b
-		s.count++
-		return true
-	}
-	if _, ok := s.m[p]; ok {
-		return false
+		s.dense[p>>6] |= 1 << (p & 63)
+		return
 	}
 	s.m[p] = struct{}{}
-	s.count++
-	return true
 }
 
 // countNew returns how many of pts (sorted, unique) are not in the set.
@@ -170,71 +118,36 @@ func (c *ptCounts) get(p uint64) int32 {
 	return c.m[p]
 }
 
-// strictlyBetterNoCol reports whether a strictly precedes b in the
-// column-independent prefix of the cover.Key order (cost-per-new-row
-// ascending, then more new rows first). Equal ratio and equal count is
-// a tie — not strictly better — which is the conservative answer for
-// replay certification: the recorded bound might be the key of a column
-// whose index precedes the winner's.
-func strictlyBetterNoCol(a, b cover.Key) bool {
-	l := int64(a.Cost) * int64(b.NW)
-	r := int64(b.Cost) * int64(a.NW)
-	if l != r {
-		return l < r
-	}
-	return a.NW > b.NW
-}
-
-// minNoCol returns the smaller of a and b in the column-independent
-// order, preferring a on ties (either is a valid optimistic bound).
-func minNoCol(a, b cover.Key) cover.Key {
-	if strictlyBetterNoCol(b, a) {
-		return b
-	}
-	return a
-}
-
 // coverOut is warmSelectCover's result bundle.
 type coverOut struct {
 	form Form
 	// pts is every candidate's sorted covered-ON point list, aligned
 	// with the candidate list (empty for candidates covering only
-	// don't-cares), for the next snapshot. Nil when the covering
+	// don't-cares), for the next resume. Nil when the covering
 	// short-circuited trivially and nothing was computed.
 	pts     [][]uint64
-	snap    *coverSnap
 	time    time.Duration
 	optimal bool
-	// reused reports that the previous cover was served entirely from
-	// the snapshot — every greedy pick replayed (or a trivial form) —
-	// with no re-entry into heap selection.
-	reused bool
 }
 
 // warmSelectCover is the covering step shared by MinimizeExactWarm
 // (meta == nil: every candidate's ON intersection computed fresh) and
 // ResumeExact (meta from resumeEPPP: carried point lists re-associated
 // by index, patched only where the candidate's point signature
-// intersects the edit, only new candidates computed, and the previous
-// solution replayed or used as a seed). Both paths select over the same
-// point-space columns in the same candidate order, which is what makes
-// resume byte-identical to a cold warm run.
-func warmSelectCover(f *bfunc.Func, candidates []*pcube.CEX, meta *resumeMeta, prevPts [][]uint64, prevSnap *coverSnap, patch coverPatch, opts Options) (coverOut, error) {
+// intersects the edit, and only new candidates computed). Both paths
+// select over the same point-space columns in the same candidate order,
+// which is what makes resume byte-identical to a cold warm run.
+func warmSelectCover(f *bfunc.Func, candidates []*pcube.CEX, meta *resumeMeta, prevPts [][]uint64, patch coverPatch, opts Options) (coverOut, error) {
 	start := time.Now()
 	n := f.N()
 	resumed := meta != nil
 	if f.OnCount() == 0 {
-		stop := opts.Stats.Phase(stats.PhaseCoverPatch)
-		stop()
-		return coverOut{form: Form{N: n},
-			time: time.Since(start), optimal: true, reused: resumed}, nil
+		return coverOut{form: Form{N: n}, time: time.Since(start), optimal: true}, nil
 	}
 	if f.IsConstantOne() {
-		stop := opts.Stats.Phase(stats.PhaseCoverPatch)
-		stop()
 		one := &pcube.CEX{N: n, Canon: allMask(n)}
 		return coverOut{form: Form{N: n, Terms: []*pcube.CEX{one}},
-			time: time.Since(start), optimal: true, reused: resumed}, nil
+			time: time.Since(start), optimal: true}, nil
 	}
 	if err := opts.ctxErr(); err != nil {
 		return coverOut{}, err
@@ -259,8 +172,8 @@ func warmSelectCover(f *bfunc.Func, candidates []*pcube.CEX, meta *resumeMeta, p
 	// The association/patch pass is embarrassingly parallel (each slot
 	// writes only pts[i]/dirty[i]); per-shard fresh lists concatenate in
 	// shard order, which is ascending candidate order — the same list the
-	// serial loop built, so dirtyOrds and everything downstream are
-	// identical for every worker count.
+	// serial loop built, so everything downstream is identical for every
+	// worker count.
 	workers := opts.coverWorkers()
 	freshSh := make([][]int, workers)
 	shardSlice(len(candidates), workers, func(shard, lo, hi int) {
@@ -302,13 +215,13 @@ func warmSelectCover(f *bfunc.Func, candidates []*pcube.CEX, meta *resumeMeta, p
 		})
 	})
 	pcols := make([]pcol, 0, len(candidates))
-	var dirtyOrds []int
+	ndirty := 0
 	for i, c := range candidates {
 		if len(pts[i]) == 0 {
 			continue // covers only don't-cares
 		}
 		if dirty[i] {
-			dirtyOrds = append(dirtyOrds, len(pcols))
+			ndirty++
 		}
 		pcols = append(pcols, pcol{cex: c, pts: pts[i], cost: opts.Cost.of(c)})
 	}
@@ -335,18 +248,14 @@ func warmSelectCover(f *bfunc.Func, candidates []*pcube.CEX, meta *resumeMeta, p
 	}
 	stopCols()
 	if resumed && opts.Stats != nil {
-		opts.Stats.Add(stats.CtrCoverDirty, int64(len(dirtyOrds)))
+		opts.Stats.Add(stats.CtrCoverDirty, int64(ndirty))
 	}
 	if err := opts.ctxErr(); err != nil {
 		return coverOut{}, err
 	}
 
 	if !opts.CoverExact {
-		var snapIn *coverSnap
-		if resumed && prevSnap != nil && !prevSnap.exact {
-			snapIn = prevSnap
-		}
-		kept, snap, reused, err := warmGreedyCover(n, len(on), pcols, snapIn, dirtyOrds, resumed, opts)
+		kept, err := warmGreedyCover(n, len(on), pcols, opts)
 		if err != nil {
 			return coverOut{}, err
 		}
@@ -354,242 +263,55 @@ func warmSelectCover(f *bfunc.Func, candidates []*pcube.CEX, meta *resumeMeta, p
 		for _, j := range kept {
 			form.Terms = append(form.Terms, pcols[j].cex)
 		}
-		return coverOut{form: form, pts: pts, snap: snap,
-			time: time.Since(start), optimal: false, reused: reused}, nil
+		return coverOut{form: form, pts: pts, time: time.Since(start), optimal: false}, nil
 	}
 
 	if err := in.Validate(); err != nil {
 		return coverOut{}, fmt.Errorf("core: candidate set does not cover ON-set: %v", err)
 	}
-	exOpts := cover.ExactOptions{
+	res := cover.Exact(in, cover.ExactOptions{
 		MaxNodes: opts.CoverMaxNodes,
 		Workers:  opts.coverWorkers(),
 		Stats:    opts.Stats,
 		Ctx:      opts.Ctx,
-	}
-	if resumed && prevSnap != nil && prevSnap.exact && exOpts.Workers > 1 {
-		stopPatch := opts.Stats.Phase(stats.PhaseCoverPatch)
-		opts.Stats.Do(stats.PhaseCoverPatch, func() {
-			exOpts.WarmBound, exOpts.WarmFirst = warmExactSeed(n, len(on), prevSnap, candidates, pts, pcols, opts)
-		})
-		stopPatch()
-	}
-	res := cover.Exact(in, exOpts)
+	})
 	form := Form{N: n}
 	for _, j := range res.Picked {
 		form.Terms = append(form.Terms, pcols[j].cex)
 	}
-	snap := &coverSnap{final: form.Terms, cost: res.Cost, exact: true}
-	return coverOut{form: form, pts: pts, snap: snap,
-		time: time.Since(start), optimal: res.Optimal, reused: false}, nil
-}
-
-// warmExactSeed re-validates the previous exact solution against the
-// patched point lists and, when it still covers the edited ON-set,
-// returns its cost as the incumbent bound plus the column ordinals of
-// its picks as the branch-order seed. A dead pick (candidate no longer
-// in the set) or an uncovered point voids the seed — (0, nil) means run
-// unseeded. Picks whose patched point list went empty still cost into
-// the bound (it stays a valid cover's cost, just looser) but cannot
-// lead branches. Resolution maps only the few picks, never the whole
-// column set: one pass over candidates and one over pcols against a
-// pick-sized map.
-func warmExactSeed(n, onCount int, snap *coverSnap, candidates []*pcube.CEX, pts [][]uint64, pcols []pcol, opts Options) (int, []int) {
-	want := make(map[*pcube.CEX]int, len(snap.final))
-	for i, c := range snap.final {
-		want[c] = i
-	}
-	ptsOf := make([][]uint64, len(snap.final))
-	found := make([]bool, len(snap.final))
-	ords := make([]int, len(snap.final))
-	for i := range ords {
-		ords[i] = -1
-	}
-	for i, c := range candidates {
-		if k, ok := want[c]; ok {
-			ptsOf[k], found[k] = pts[i], true
-		}
-	}
-	for j := range pcols {
-		if k, ok := want[pcols[j].cex]; ok {
-			ords[k] = j
-		}
-	}
-	seen := newPtSet(n)
-	bound := 0
-	var first []int
-	for k, c := range snap.final {
-		if !found[k] {
-			return 0, nil
-		}
-		bound += opts.Cost.of(c)
-		seen.addAll(ptsOf[k])
-		if ords[k] >= 0 {
-			first = append(first, ords[k])
-		}
-	}
-	if seen.count != onCount {
-		return 0, nil
-	}
-	return bound, first
+	return coverOut{form: form, pts: pts, time: time.Since(start), optimal: res.Optimal}, nil
 }
 
 // warmGreedyCover runs the greedy covering over point-space columns:
-// replay the snapshot's pick trace as far as it can be certified, then
-// continue (or start, when snapIn is nil) with the lazy heap over all
-// columns from the current coverage state, then eliminate redundant
-// picks. Returns the kept column ordinals sorted ascending, the next
-// snapshot, and whether the whole selection was served by replay.
-func warmGreedyCover(n, nrows int, pcols []pcol, snapIn *coverSnap, dirtyOrds []int, resumed bool, opts Options) ([]int, *coverSnap, bool, error) {
+// the lazy heap over all columns, then redundancy elimination. Returns
+// the kept column ordinals sorted ascending.
+func warmGreedyCover(n, nrows int, pcols []pcol, opts Options) ([]int, error) {
 	covd := newPtSet(n)
-	remaining := nrows
-	var pickSeq []int
-	var trace []coverPick
-
-	if snapIn != nil {
-		stopPatch := opts.Stats.Phase(stats.PhaseCoverPatch)
-		opts.Stats.Do(stats.PhaseCoverPatch, func() {
-			pickSeq, trace, remaining = replayPicks(pcols, snapIn, dirtyOrds, covd, remaining)
-		})
-		stopPatch()
-	}
-	replayed := int64(len(pickSeq))
-
-	var kept []int
+	var picks, kept []int
 	var reevals int64
 	var lgErr error
 	stopGreedy := opts.Stats.Phase(stats.PhaseCoverGreedy)
 	opts.Stats.Do(stats.PhaseCoverGreedy, func() {
-		if remaining > 0 {
-			_, reevals, lgErr = cover.LazyGreedy(len(pcols), remaining,
-				func(j int) int { return pcols[j].cost },
-				func(j int) int { return len(pcols[j].pts) },
-				func(j int) int { return covd.countNew(pcols[j].pts) },
-				func(j int) { covd.addAll(pcols[j].pts) },
-				func(p cover.GreedyPick) {
-					pk := coverPick{cex: pcols[p.Col].cex}
-					if p.BoundOK {
-						pk.boundCost, pk.boundNW, pk.boundOK = p.Bound.Cost, p.Bound.NW, true
-					}
-					pickSeq = append(pickSeq, p.Col)
-					trace = append(trace, pk)
-				})
-		}
+		picks, reevals, lgErr = cover.LazyGreedy(len(pcols), nrows,
+			func(j int) int { return pcols[j].cost },
+			func(j int) int { return len(pcols[j].pts) },
+			func(j int) int { return covd.countNew(pcols[j].pts) },
+			func(j int) { covd.addAll(pcols[j].pts) })
 		if lgErr == nil {
-			kept = eliminateRedundantPts(n, pcols, pickSeq)
+			kept = eliminateRedundantPts(n, pcols, picks)
 		}
 	})
 	stopGreedy()
 	if lgErr != nil {
-		return nil, nil, false, fmt.Errorf("core: candidate set does not cover ON-set: %v", lgErr)
+		return nil, fmt.Errorf("core: candidate set does not cover ON-set: %v", lgErr)
 	}
-	resolved := int64(len(pickSeq)) - replayed
 	sort.Ints(kept)
-	cost := 0
-	final := make([]*pcube.CEX, len(kept))
-	for i, j := range kept {
-		cost += pcols[j].cost
-		final[i] = pcols[j].cex
-	}
 	if opts.Stats != nil {
-		opts.Stats.Add(stats.CtrGreedyPicks, int64(len(pickSeq)))
+		opts.Stats.Add(stats.CtrGreedyPicks, int64(len(picks)))
 		opts.Stats.Add(stats.CtrGreedyReevals, reevals)
-		opts.Stats.Add(stats.CtrGreedyRedundant, int64(len(pickSeq)-len(kept)))
-		if resumed {
-			opts.Stats.Add(stats.CtrCoverReplayed, replayed)
-			opts.Stats.Add(stats.CtrCoverResolved, resolved)
-		}
+		opts.Stats.Add(stats.CtrGreedyRedundant, int64(len(picks)-len(kept)))
 	}
-	snap := &coverSnap{picks: trace, final: final, cost: cost}
-	reused := resumed && snapIn != nil && resolved == 0
-	return kept, snap, reused, nil
-}
-
-// replayPicks replays the snapshot's greedy pick trace step by step,
-// certifying each recorded winner as the true argmin of the current
-// state. Clean winners (point list untouched by the patch) only need to
-// beat the exact keys of the live dirty columns: at the identical
-// covered prefix every clean column's key — including the winner's — is
-// exactly what it was in the generation that certified this pick as the
-// argmin over all of them, and the ordinal tiebreak between surviving
-// candidates is preserved by the canonical candidate order, so no clean
-// column can have overtaken a clean winner. A dirty winner's key DID
-// change, so it must additionally strictly beat the recorded runner-up
-// bound (optimistic over every clean column) in the column-independent
-// order. The replay stops at the first step that fails — the heap
-// continuation takes over from exactly that coverage state. Each
-// certified step re-records its bound for the next generation: the old
-// bound folded with the live dirty keys. A missing old bound (pick
-// emptied the heap) means no untouched column was live, so only the
-// dirty keys constrain the step.
-func replayPicks(pcols []pcol, snap *coverSnap, dirtyOrds []int, covd *ptSet, remaining int) ([]int, []coverPick, int) {
-	// Resolve ordinals for the recorded picks only: one pass over pcols
-	// against a pick-sized map, not a column-sized index of everything.
-	ordOf := make(map[*pcube.CEX]int, len(snap.picks))
-	for i := range snap.picks {
-		ordOf[snap.picks[i].cex] = -1
-	}
-	for i := range pcols {
-		if _, ok := ordOf[pcols[i].cex]; ok {
-			ordOf[pcols[i].cex] = i
-		}
-	}
-	dirtySet := make(map[int]bool, len(dirtyOrds))
-	for _, d := range dirtyOrds {
-		dirtySet[d] = true
-	}
-	var pickSeq []int
-	var trace []coverPick
-	for i := range snap.picks {
-		if remaining == 0 {
-			break
-		}
-		pk := &snap.picks[i]
-		ord := ordOf[pk.cex]
-		if ord < 0 { // pick's candidate no longer exists (or covers no ON point)
-			break
-		}
-		c := &pcols[ord]
-		nw := covd.countNew(c.pts)
-		if nw == 0 {
-			break
-		}
-		w := cover.Key{Cost: c.cost, NW: nw, Col: ord}
-		nb := cover.Key{Cost: pk.boundCost, NW: pk.boundNW}
-		nbOK := pk.boundOK
-		if dirtySet[ord] && nbOK && !strictlyBetterNoCol(w, nb) {
-			break
-		}
-		certified := true
-		for _, d := range dirtyOrds {
-			if d == ord {
-				continue
-			}
-			dc := &pcols[d]
-			dnw := covd.countNew(dc.pts)
-			if dnw == 0 {
-				continue
-			}
-			dk := cover.Key{Cost: dc.cost, NW: dnw, Col: d}
-			if dk.Better(w) {
-				certified = false
-				break
-			}
-			if nbOK {
-				nb = minNoCol(nb, cover.Key{Cost: dk.Cost, NW: dk.NW})
-			} else {
-				nb, nbOK = cover.Key{Cost: dk.Cost, NW: dk.NW}, true
-			}
-		}
-		if !certified {
-			break
-		}
-		covd.addAll(c.pts)
-		remaining -= nw
-		pickSeq = append(pickSeq, ord)
-		trace = append(trace, coverPick{cex: c.cex, boundCost: nb.Cost, boundNW: nb.NW, boundOK: nbOK})
-	}
-	return pickSeq, trace, remaining
+	return kept, nil
 }
 
 // eliminateRedundantPts is cover's eliminateRedundant in point space:

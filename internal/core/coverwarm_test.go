@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bfunc"
-	"repro/internal/cover"
 )
 
 // deltaFromBits builds a valid edit script from a fuzz-supplied point
@@ -42,12 +41,11 @@ func deltaFromBits(rng *rand.Rand, fn *bfunc.Func, bits uint64) Delta {
 }
 
 // FuzzIncrementalCover drives the incremental covering layer against
-// the cold oracle: every resume's patched cover — certified greedy
-// replay, heap continuation, or seeded exact search — must be
-// byte-identical to a cold warm-engine run on the edited function.
-// Chains two edits so the snapshot written by one resume feeds the
-// next, and flips between the greedy and exact solver paths (including
-// parallel exact, which takes the warm branch-and-bound seed).
+// the cold oracle: every resume's cover, selected over carried, patched
+// and fresh covered-ON lists, must be byte-identical to a cold
+// warm-engine run on the edited function. Chains two edits so the lists
+// written by one resume feed the next, and flips between the greedy,
+// serial exact and parallel exact solver paths.
 func FuzzIncrementalCover(f *testing.F) {
 	f.Add(uint64(0x9e37), uint64(0x3c5a), uint64(0x0180), uint64(0x41), uint64(0x212))
 	f.Add(uint64(7), uint64(0xffff), uint64(0), uint64(0x8001), uint64(0x18))
@@ -69,15 +67,12 @@ func FuzzIncrementalCover(f *testing.F) {
 		if seed&1 != 0 {
 			opts = Options{CoverExact: true, CoverMaxNodes: 1 << 16}
 			if seed&2 != 0 {
-				opts.CoverWorkers = 4 // parallel exact: warm seeding active
+				opts.CoverWorkers = 4 // parallel branch and bound
 			}
 		}
-		res, ws, err := MinimizeExactWarm(fn, opts)
+		_, ws, err := MinimizeExactWarm(fn, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if res.CoverReused {
-			t.Fatal("cold run reported a reused cover")
 		}
 		rng := rand.New(rand.NewSource(int64(seed)))
 		for _, bits := range []uint64{editBits, editBits2} {
@@ -87,11 +82,10 @@ func FuzzIncrementalCover(f *testing.F) {
 	})
 }
 
-func TestResumeExactCoverSeeded(t *testing.T) {
-	// With parallel workers the exact solver takes the warm-seed path:
-	// the previous solution's cost becomes the incumbent bound and its
-	// picks lead the root branch order. Identity against cold must hold
-	// across chained resumes.
+func TestResumeExactCoverParallel(t *testing.T) {
+	// With parallel workers the exact solver fans its root branches out
+	// over a worker pool. Identity against cold must hold across chained
+	// resumes.
 	rng := rand.New(rand.NewSource(13))
 	opts := Options{CoverExact: true, CoverMaxNodes: 1 << 20, CoverWorkers: 4}
 	for trial := 0; trial < 4; trial++ {
@@ -109,9 +103,9 @@ func TestResumeExactCoverSeeded(t *testing.T) {
 
 func TestResumeConcurrentSharedSnapshot(t *testing.T) {
 	// Eight concurrent resumes from ONE canonical snapshot: every
-	// goroutine replays (and, on the exact path, seeds from) the same
-	// immutable coverSnap. Must neither race nor diverge from the cold
-	// oracle. Run under -race via make check-race.
+	// goroutine shares the same immutable groups and covered-ON lists.
+	// Must neither race nor diverge from the cold oracle. Run under
+	// -race via make check-race.
 	for _, tc := range []struct {
 		name string
 		n    int
@@ -176,26 +170,6 @@ func TestResumeConcurrentSharedSnapshot(t *testing.T) {
 	}
 }
 
-func TestCoverReusedFlag(t *testing.T) {
-	// A resume whose edit empties the ON-set is served trivially from
-	// the warm state and reports CoverReused; cold runs never do.
-	f := bfunc.New(4, []uint64{3, 5})
-	res, ws, err := MinimizeExactWarm(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CoverReused {
-		t.Fatal("cold run reported a reused cover")
-	}
-	res2, _, err := ResumeExact(ws, Delta{RemoveOn: []uint64{3, 5}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.CoverReused {
-		t.Fatal("trivial resume did not report a reused cover")
-	}
-}
-
 func TestPtSetRepresentations(t *testing.T) {
 	// Dense bitset below the gate, hash set above — same behavior.
 	for _, n := range []int{4, densePtSetMaxVars + 1} {
@@ -206,13 +180,8 @@ func TestPtSetRepresentations(t *testing.T) {
 		if n > densePtSetMaxVars && s.m == nil {
 			t.Fatalf("n=%d: expected sparse representation", n)
 		}
-		if !s.add(3) || s.add(3) {
-			t.Fatalf("n=%d: add dedup broken", n)
-		}
+		s.add(3)
 		s.addAll([]uint64{1, 3, 7})
-		if s.count != 3 {
-			t.Fatalf("n=%d: count: got %d want 3", n, s.count)
-		}
 		if !s.has(7) || s.has(2) {
 			t.Fatalf("n=%d: membership broken", n)
 		}
@@ -238,31 +207,5 @@ func TestPtCountsRepresentations(t *testing.T) {
 		if got := c.get(0); got != 0 {
 			t.Fatalf("n=%d: get(0): got %d want 0", n, got)
 		}
-	}
-}
-
-func TestStrictlyBetterNoCol(t *testing.T) {
-	cases := []struct {
-		a, b cover.Key
-		want bool
-	}{
-		{cover.Key{Cost: 1, NW: 4}, cover.Key{Cost: 1, NW: 3}, true},  // better ratio
-		{cover.Key{Cost: 1, NW: 3}, cover.Key{Cost: 1, NW: 4}, false}, // worse ratio
-		{cover.Key{Cost: 2, NW: 4}, cover.Key{Cost: 1, NW: 2}, true},  // equal ratio, more rows
-		{cover.Key{Cost: 1, NW: 2}, cover.Key{Cost: 2, NW: 4}, false}, // equal ratio, fewer rows
-		{cover.Key{Cost: 3, NW: 5}, cover.Key{Cost: 3, NW: 5}, false}, // exact tie
-	}
-	for i, tc := range cases {
-		if got := strictlyBetterNoCol(tc.a, tc.b); got != tc.want {
-			t.Errorf("case %d: strictlyBetterNoCol(%v, %v) = %v want %v", i, tc.a, tc.b, got, tc.want)
-		}
-	}
-	// minNoCol prefers its first argument on ties.
-	a, b := cover.Key{Cost: 3, NW: 5, Col: 1}, cover.Key{Cost: 3, NW: 5, Col: 2}
-	if got := minNoCol(a, b); got.Col != 1 {
-		t.Errorf("minNoCol tie: got col %d want 1", got.Col)
-	}
-	if got := minNoCol(b, cover.Key{Cost: 1, NW: 4}); got.Cost != 1 {
-		t.Errorf("minNoCol: expected the strictly better key to win")
 	}
 }

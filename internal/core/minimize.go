@@ -25,11 +25,6 @@ type Result struct {
 	// count is an upper bound — exactly the caveat the paper states for
 	// its Table 1.
 	CoverOptimal bool
-	// CoverReused reports that a warm resume served the covering
-	// solution entirely from the previous snapshot — every greedy pick
-	// replayed (or a trivial form) with no re-entry into heap
-	// selection. Always false on cold runs and exact-solver runs.
-	CoverReused bool
 }
 
 // Literals returns the cost of the selected form (#L).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bfunc"
+	"repro/internal/cover"
 	"repro/internal/pcube"
 )
 
@@ -178,5 +179,140 @@ func TestBuildEPPPExhaustive(t *testing.T) {
 			on = append(on, uint64(bits.TrailingZeros(r)))
 		}
 		o4.check(t, bfunc.New(4, on), uint16(m))
+	}
+}
+
+// minimum is the fewest literals of any SPP form of the function with
+// ON point mask on and ON∪DC point mask care: an exact cover of the ON
+// points by every pseudocube inside care. An empty ON-set needs no
+// term, and care = B^n is the constant 1: neither costs a literal.
+func (o *smallOracle) minimum(t *testing.T, on, care uint16) int {
+	if on == 0 || int(care) == 1<<(1<<o.n)-1 {
+		return 0
+	}
+	var row [16]int
+	in := &cover.Instance{}
+	for p := 0; p < 1<<o.n; p++ {
+		if on&(1<<p) != 0 {
+			row[p] = in.NRows
+			in.NRows++
+		}
+	}
+	for _, pc := range o.pcs {
+		if pc.pts&^care != 0 || pc.pts&on == 0 {
+			continue
+		}
+		var rows []int
+		for m := pc.pts & on; m != 0; m &= m - 1 {
+			rows = append(rows, row[bits.TrailingZeros16(m)])
+		}
+		in.Cols = append(in.Cols, cover.Column{Cost: pc.cost, Rows: rows})
+	}
+	res := cover.Exact(in, cover.ExactOptions{})
+	if !res.Optimal {
+		t.Fatalf("on %#x care %#x: exact cover over all pseudocubes ran out of nodes", on, care)
+	}
+	return res.Cost
+}
+
+// TestExactSPPMinimum holds exact SPP to the true minimum, the paper's
+// claim that Algorithm 2 plus an exact cover is exact: on every ON/DC/OFF
+// assignment at n = 3, and on one function per P-class at n = 4 (the
+// smallest truth table under the 24 variable permutations),
+// MinimizeExact with CoverExact costs what an exact cover over every
+// pseudocube inside ON∪DC costs. On the n = 4 representatives, SPP_k
+// is never below that minimum and reaches it at k = n − 1 (running the
+// heuristics at n = 3 too would add half the test's time). Runs
+// alternate serial and parallel branch and bound.
+func TestExactSPPMinimum(t *testing.T) {
+	runs := 0
+	check := func(o *smallOracle, on, dc []uint64, onMask, care uint16, heuristics bool) {
+		f := bfunc.NewDC(o.n, on, dc)
+		want := o.minimum(t, onMask, care)
+		opts := Options{CoverExact: true, CoverWorkers: 1 + runs%2}
+		runs++
+		res, err := MinimizeExact(f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Literals(); got != want || !res.CoverOptimal {
+			t.Fatalf("n=%d on %#x care %#x: exact SPP %d literals (optimal %v), minimum %d",
+				o.n, onMask, care, got, res.CoverOptimal, want)
+		}
+		for k := 0; heuristics && k < o.n; k++ {
+			h, err := Heuristic(f, k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Literals(); got < want || k == o.n-1 && got != want {
+				t.Fatalf("n=%d on %#x care %#x: SPP_%d %d literals, minimum %d",
+					o.n, onMask, care, k, got, want)
+			}
+		}
+	}
+
+	o3 := newSmallOracle(t, 3)
+	for a := 0; a < 6561; a++ {
+		var on, dc []uint64
+		var onMask, care uint16
+		for p, r := uint64(0), a; p < 8; p, r = p+1, r/3 {
+			switch r % 3 {
+			case 1:
+				on = append(on, p)
+				onMask |= 1 << p
+			case 2:
+				dc = append(dc, p)
+			}
+			if r%3 != 0 {
+				care |= 1 << p
+			}
+		}
+		check(o3, on, dc, onMask, care, false)
+	}
+
+	// The 24 permutations of four variables, each as a point map.
+	var perms [][16]uint16
+	for a := 0; a < 4; a++ {
+		for b := 0; b < 4; b++ {
+			for c := 0; c < 4; c++ {
+				d := 6 - a - b - c
+				if a == b || a == c || b == c || d == a || d == b || d == c {
+					continue
+				}
+				var pm [16]uint16
+				for p := 0; p < 16; p++ {
+					pm[p] = uint16(p&1<<a | p>>1&1<<b | p>>2&1<<c | p>>3&1<<d)
+				}
+				perms = append(perms, pm)
+			}
+		}
+	}
+	o4 := newSmallOracle(t, 4)
+	reps := 0
+	on := make([]uint64, 0, 16)
+	for tt := 1; tt < 1<<16-1; tt++ {
+		rep := true
+		for _, pm := range perms {
+			var u int
+			for m := tt; m != 0; m &= m - 1 {
+				u |= 1 << pm[bits.TrailingZeros(uint(m))]
+			}
+			if u < tt {
+				rep = false
+				break
+			}
+		}
+		if !rep {
+			continue
+		}
+		reps++
+		on = on[:0]
+		for m := uint(tt); m != 0; m &= m - 1 {
+			on = append(on, uint64(bits.TrailingZeros(m)))
+		}
+		check(o4, on, nil, uint16(tt), uint16(tt), true)
+	}
+	if reps != 3982 {
+		t.Fatalf("found %d non-constant P-classes at n = 4, want 3982", reps)
 	}
 }

@@ -68,11 +68,7 @@ type WarmState struct {
 	// covering step short-circuited trivially (nothing was computed).
 	cands   []*pcube.CEX
 	candPts [][]uint64
-	// cover is the solved cover state: the greedy pick trace (replayed
-	// on resume) or the exact solution (seeded into the next B&B). Nil
-	// when the covering step short-circuited trivially.
-	cover *coverSnap
-	bytes int64
+	bytes   int64
 }
 
 // N returns the input arity of the snapshotted function.
@@ -285,17 +281,16 @@ func MinimizeExactWarm(f *bfunc.Func, opts Options) (*Result, *WarmState, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := warmSelectCover(f, set.Candidates, nil, nil, nil, coverPatch{}, opts)
+	out, err := warmSelectCover(f, set.Candidates, nil, nil, coverPatch{}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	if out.pts != nil {
 		ws.cands, ws.candPts = set.Candidates, out.pts
 	}
-	ws.cover = out.snap
 	ws.computeBytes()
 	return &Result{Form: out.form, Build: set.Stats, CoverTime: out.time,
-		CoverOptimal: out.optimal, CoverReused: out.reused}, ws, nil
+		CoverOptimal: out.optimal}, ws, nil
 }
 
 // buildEPPPWarm is the serial Algorithm 2 loop of BuildEPPP with
@@ -406,17 +401,16 @@ func ResumeExact(ws *WarmState, d Delta, opts Options) (*Result, *WarmState, err
 		removedOn: diffSorted(ws.f.On(), edited.On()),
 		dcToOn:    intersectSorted(edited.On(), ws.f.DC()),
 	}
-	out, err := warmSelectCover(edited, set.Candidates, meta, ws.candPts, ws.cover, patch, opts)
+	out, err := warmSelectCover(edited, set.Candidates, meta, ws.candPts, patch, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	if out.pts != nil {
 		nws.cands, nws.candPts = set.Candidates, out.pts
 	}
-	nws.cover = out.snap
 	nws.computeBytes()
 	return &Result{Form: out.form, Build: set.Stats, CoverTime: out.time,
-		CoverOptimal: out.optimal, CoverReused: out.reused}, nws, nil
+		CoverOptimal: out.optimal}, nws, nil
 }
 
 // resumer carries the per-resume state threaded through group patching.
@@ -723,8 +717,7 @@ type coverPatch struct {
 
 // patchPoints updates one candidate's covered-ON list under the patch.
 // The old list is shared (and returned as-is, changed == false) when
-// nothing changes — which is also how the replay layer learns which
-// columns the patch dirtied.
+// nothing changes; changed feeds the cover.warm_dirty_columns counter.
 func patchPoints(old []uint64, c *pcube.CEX, patch coverPatch) (_ []uint64, changed bool) {
 	var adds []uint64
 	for _, p := range patch.dcToOn {
@@ -777,9 +770,6 @@ func (ws *WarmState) computeBytes() {
 	b += int64(len(ws.cands)) * 8
 	for _, pts := range ws.candPts {
 		b += 56 + int64(len(pts))*8
-	}
-	if ws.cover != nil {
-		b += 64 + int64(len(ws.cover.picks))*32 + int64(len(ws.cover.final))*8
 	}
 	ws.bytes = b
 }

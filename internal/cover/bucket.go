@@ -27,8 +27,8 @@ import (
 // Every operation is O(1) plus amortized sorting of ints, against the
 // heap's O(log ncols) Key sift per re-evaluation — and the engine
 // choice is invisible: both maintain the same stored-key multiset and
-// always verify its exact minimum, so picks, re-evaluation counts and
-// recorded runner-up bounds are bit-identical.
+// always verify its exact minimum, so picks and re-evaluation counts
+// are bit-identical.
 
 // keyPair is one (cost, new-count) grid point.
 type keyPair struct{ cost, nw int32 }
@@ -101,7 +101,7 @@ func ratioTableFor(costCap, nwCap int) *ratioTable {
 
 // bucketGreedy is the bucket-queue selection loop. Callers have already
 // established that every live column's (cost, size) fits t's grid.
-func bucketGreedy(t *ratioTable, live []int32, sizes []int32, remaining int, cost, countNew func(int) int, commit func(int), onPick func(GreedyPick)) ([]int, int64, error) {
+func bucketGreedy(t *ratioTable, live []int32, sizes []int32, remaining int, cost, countNew func(int) int, commit func(int)) ([]int, int64, error) {
 	buckets := make([][]int32, len(t.pairs))
 	for k, j := range live {
 		r := t.rankOf(int32(cost(int(j))), sizes[k])
@@ -141,38 +141,7 @@ func bucketGreedy(t *ratioTable, live []int32, sizes []int32, remaining int, cos
 			picks = append(picks, col)
 			commit(col)
 			remaining -= nw
-			if onPick != nil {
-				p := GreedyPick{Col: col}
-				if bk, bcol, ok := bucketPeek(t, buckets, cur, sorted); ok {
-					p.Bound, p.BoundOK = Key{Cost: int(bk.cost), NW: int(bk.nw), Col: bcol}, true
-				}
-				onPick(p)
-			}
 		}
 	}
 	return picks, reevals, nil
-}
-
-// bucketPeek returns the minimum stored key at or after rank cur
-// without consuming it — the runner-up bound a pick records. Unsorted
-// buckets are scanned, not sorted: sorting here would race the
-// no-files-after-sort invariant, since later re-files may still land in
-// the peeked rank.
-func bucketPeek(t *ratioTable, buckets [][]int32, cur, sorted int) (keyPair, int, bool) {
-	for ; cur < len(buckets); cur++ {
-		b := buckets[cur]
-		if len(b) == 0 {
-			continue
-		}
-		col := b[0]
-		if cur != sorted {
-			for _, c := range b[1:] {
-				if c < col {
-					col = c
-				}
-			}
-		}
-		return t.pairs[cur], int(col), true
-	}
-	return keyPair{}, 0, false
 }

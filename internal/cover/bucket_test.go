@@ -7,15 +7,13 @@ import (
 
 // TestBucketHeapEquivalence drives random instances through LazyGreedy
 // with the bucket engine on and off and asserts the two engines are
-// bit-identical observably: same picks in the same order, same
-// re-evaluation count, and the same runner-up bound recorded at every
-// pick. This is the contract warm-resume replay certification depends
-// on — the engines must be interchangeable down to the recorded traces.
+// bit-identical observably: same picks in the same order and the same
+// re-evaluation count. Every greedy cover, cold or warm, depends on
+// this — the engine a cover runs on must never change what it selects.
 func TestBucketHeapEquivalence(t *testing.T) {
 	type trace struct {
 		picks   []int
 		reevals int64
-		bounds  []GreedyPick
 	}
 	run := func(in *Instance, bucket bool) trace {
 		old := bucketEnabled
@@ -28,8 +26,7 @@ func TestBucketHeapEquivalence(t *testing.T) {
 			func(j int) int { return in.Cols[j].Cost },
 			func(j int) int { return len(in.Cols[j].Rows) },
 			func(j int) int { return covered.countNew(bs[j]) },
-			func(j int) { covered.orWith(bs[j]) },
-			func(p GreedyPick) { tr.bounds = append(tr.bounds, p) })
+			func(j int) { covered.orWith(bs[j]) })
 		if err != nil {
 			t.Fatalf("LazyGreedy(bucket=%v): %v", bucket, err)
 		}
@@ -66,11 +63,6 @@ func TestBucketHeapEquivalence(t *testing.T) {
 		for i := range b.picks {
 			if b.picks[i] != h.picks[i] {
 				t.Fatalf("trial %d pick %d: bucket col %d vs heap col %d", trial, i, b.picks[i], h.picks[i])
-			}
-		}
-		for i := range b.bounds {
-			if b.bounds[i] != h.bounds[i] {
-				t.Fatalf("trial %d bound %d: bucket %+v vs heap %+v", trial, i, b.bounds[i], h.bounds[i])
 			}
 		}
 	}

@@ -79,9 +79,9 @@ func (in *Instance) Validate() error {
 // Key is one lazy-heap entry: column Col with its cost and a cached
 // (possibly stale) count NW of rows it would newly cover. Coverage only
 // grows, so the cached count is an upper bound on the true one and the
-// cached key is an optimistic lower bound in the heap order. Keys are
-// exported so warm-resume layers can replay and verify pick traces
-// against the exact selection order.
+// cached key is an optimistic lower bound in the heap order. Better on
+// Keys is the selection order every LazyGreedy caller gets, heap or
+// bucket engine alike.
 type Key struct {
 	Cost int
 	NW   int
@@ -170,8 +170,7 @@ func GreedyStats(in *Instance, rec *stats.Recorder) Result {
 		func(j int) int { return in.Cols[j].Cost },
 		func(j int) int { return len(in.Cols[j].Rows) },
 		func(j int) int { return covered.countNew(bs[j]) },
-		func(j int) { covered.orWith(bs[j]) },
-		nil)
+		func(j int) { covered.orWith(bs[j]) })
 	if err != nil {
 		panic("cover: uncoverable row in Greedy (call Validate first)")
 	}
@@ -190,18 +189,6 @@ func GreedyStats(in *Instance, rec *stats.Recorder) Result {
 	return Result{Picked: picked, Cost: cost}
 }
 
-// GreedyPick is one committed greedy selection as observed by a
-// LazyGreedy onPick hook. Bound is the heap's cached top immediately
-// after the pick was popped: because cached counts are upper bounds,
-// Bound is an optimistic (never pessimistic) lower bound in the Better
-// order on every other column still alive at that step. BoundOK is
-// false when the pick emptied the heap, leaving nothing to bound.
-type GreedyPick struct {
-	Col     int
-	Bound   Key
-	BoundOK bool
-}
-
 // LazyGreedy is the reusable core of the greedy selection loop over an
 // abstract column space: ncols columns identified by index, remaining
 // uncovered rows, per-column cost and initial size accessors, countNew
@@ -211,12 +198,13 @@ type GreedyPick struct {
 // number of lazy re-evaluations. Columns with size(j) == 0 never enter
 // the heap. The selection sequence is a pure function of the instance —
 // identical to GreedyStats on an equivalent Instance — which is what
-// lets warm-resume layers replay recorded picks against it.
+// lets the warm engine's point-space columns select the same cover as
+// an Instance would.
 //
 // An error (rather than GreedyStats's panic) is returned when the heap
 // empties with rows still uncovered, so callers that skipped a
 // Validate pass can surface the uncoverable-row condition.
-func LazyGreedy(ncols, remaining int, cost, size, countNew func(int) int, commit func(int), onPick func(GreedyPick)) ([]int, int64, error) {
+func LazyGreedy(ncols, remaining int, cost, size, countNew func(int) int, commit func(int)) ([]int, int64, error) {
 	// Small (cost, size) grids take the bucket-queue engine (bucket.go),
 	// which pops in exactly the same order with O(1) operations. The
 	// grid test is a pure function of the instance, so the engine choice
@@ -243,7 +231,7 @@ func LazyGreedy(ncols, remaining int, cost, size, countNew func(int) int, commit
 	if bucketEnabled && len(live) > 0 && costMin >= 1 {
 		costCap, nwCap := pow2AtLeast(costMax), pow2AtLeast(sizeMax)
 		if costCap*nwCap <= maxBucketRanks {
-			return bucketGreedy(ratioTableFor(costCap, nwCap), live, sizes, remaining, cost, countNew, commit, onPick)
+			return bucketGreedy(ratioTableFor(costCap, nwCap), live, sizes, remaining, cost, countNew, commit)
 		}
 	}
 	h := make(greedyHeap, 0, len(live))
@@ -272,13 +260,6 @@ func LazyGreedy(ncols, remaining int, cost, size, countNew func(int) int, commit
 			picks = append(picks, top.Col)
 			commit(top.Col)
 			remaining -= nw
-			if onPick != nil {
-				p := GreedyPick{Col: top.Col}
-				if len(h) > 0 {
-					p.Bound, p.BoundOK = h[0], true
-				}
-				onPick(p)
-			}
 		}
 	}
 	return picks, reevals, nil

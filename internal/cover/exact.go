@@ -37,24 +37,6 @@ type ExactOptions struct {
 	// Optimal=false. Without it a hung exact-cover run could only be
 	// stopped by the node budget.
 	Ctx context.Context
-	// WarmBound, when > 0, is the cost of a known valid cover of the
-	// full instance (typically a previous run's solution on a warm
-	// resume). The parallel search publishes it as the initial shared
-	// upper bound, so subtrees costlier than the previous solution prune
-	// immediately. It must be the cost of a genuinely valid cover: the
-	// strict-pruning determinism argument needs bound >= optimum.
-	// Results are byte-identical with or without a valid WarmBound; only
-	// the nodes explored change. Ignored by the serial solver (Workers
-	// <= 1), whose node-for-node seed equivalence would not survive a
-	// foreign bound.
-	WarmBound int
-	// WarmFirst lists full-instance column indices (typically the
-	// previous solution's picks) whose root branches should be searched
-	// first. It permutes only the order workers claim branches — the
-	// branch list, per-branch search and final reduction are unchanged —
-	// so results stay deterministic while good incumbents publish early.
-	// Ignored by the serial solver.
-	WarmFirst []int
 }
 
 // ctxCheckNodes is how many search nodes a solver expands between
@@ -104,26 +86,7 @@ func Exact(in *Instance, opts ExactOptions) Result {
 	var nodes int64
 	stopSearch := rec.Phase(stats.PhaseCoverExact)
 	if opts.Workers > 1 {
-		warmBound, warmFirst := 0, []int(nil)
-		if opts.WarmBound > 0 {
-			// The warm bound covers the full instance; the residual
-			// search competes net of the forced columns' cost. Any valid
-			// full cover contains every essential column, so the
-			// difference still upper-bounds the residual optimum.
-			warmBound = opts.WarmBound - red.cost
-			if len(opts.WarmFirst) > 0 {
-				inv := make(map[int]int, len(red.colMap))
-				for rj, fj := range red.colMap {
-					inv[fj] = rj
-				}
-				for _, fj := range opts.WarmFirst {
-					if rj, ok := inv[fj]; ok {
-						warmFirst = append(warmFirst, rj)
-					}
-				}
-			}
-		}
-		best, bestUB, nodes = searchParallel(red.residual, seed, budget, opts.Workers, opts.Ctx, rec, warmBound, warmFirst)
+		best, bestUB, nodes = searchParallel(red.residual, seed, budget, opts.Workers, opts.Ctx, rec)
 	} else {
 		s := newSolver(red.residual, red.residual.colBitsets(), rowToCols(red.residual), seed, budget)
 		s.ctx = opts.Ctx
@@ -435,19 +398,11 @@ func (s *solver) search(cost int) {
 // strict pruning against min(local, shared) bound. The result reduction
 // keeps the cheapest branch solution, lowest branch index first, which
 // is the same solution the serial depth-first search commits to.
-func searchParallel(in *Instance, seed Result, budget int64, workers int, ctx context.Context, rec *stats.Recorder, warmBound int, warmFirst []int) (best []int, bestUB int, nodes int64) {
+func searchParallel(in *Instance, seed Result, budget int64, workers int, ctx context.Context, rec *stats.Recorder) (best []int, bestUB int, nodes int64) {
 	bs := in.colBitsets()
 	rowCols := rowToCols(in)
 	par := &parShared{}
 	par.bestUB.Store(int64(seed.Cost))
-	if warmBound > 0 && warmBound < seed.Cost {
-		// A previous solution beats the greedy seed: publish it so every
-		// branch prunes against it from node one. Local incumbents still
-		// start at seed.Cost — a branch records only genuine
-		// improvements over the seed, keeping the reduction identical to
-		// the unseeded run.
-		par.bestUB.Store(int64(warmBound))
-	}
 
 	root := newSolver(in, bs, rowCols, seed, budget)
 	root.par = par
@@ -470,32 +425,6 @@ func searchParallel(in *Instance, seed Result, budget int64, workers int, ctx co
 	results := make([]branchResult, len(cands))
 	if workers > len(cands) {
 		workers = len(cands)
-	}
-	// order is the claim order workers take branches in: warm-led
-	// branches (previous picks) first, everything else in canonical
-	// order. results stays indexed by the canonical branch index, so the
-	// reduction — and therefore the returned solution — is independent
-	// of the permutation.
-	order := make([]int, 0, len(cands))
-	if len(warmFirst) > 0 {
-		lead := make(map[int]bool, len(warmFirst))
-		for _, j := range warmFirst {
-			lead[j] = true
-		}
-		for i, c := range cands {
-			if lead[c.col] {
-				order = append(order, i)
-			}
-		}
-		for i, c := range cands {
-			if !lead[c.col] {
-				order = append(order, i)
-			}
-		}
-	} else {
-		for i := range cands {
-			order = append(order, i)
-		}
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -520,8 +449,7 @@ func searchParallel(in *Instance, seed Result, budget int64, workers int, ctx co
 					if idx >= len(cands) || s.overBudget() {
 						return
 					}
-					i := order[idx]
-					j := cands[i].col
+					j := cands[idx].col
 					// Reset all per-branch state: the local incumbent must
 					// depend only on the branch index, not on which worker
 					// ran it or what it ran before, or determinism is lost.
@@ -533,7 +461,7 @@ func searchParallel(in *Instance, seed Result, budget int64, workers int, ctx co
 					s.cover(j)
 					s.search(in.Cols[j].Cost)
 					if s.bestUB < seed.Cost {
-						results[i] = branchResult{
+						results[idx] = branchResult{
 							cost:   s.bestUB,
 							picked: append([]int(nil), s.best...),
 							found:  true,

@@ -328,11 +328,9 @@ func TestDeltaCanonicalSharing(t *testing.T) {
 	if sz.DeltaWarm != 1 {
 		t.Fatalf("delta_warm = %d, want 1", sz.DeltaWarm)
 	}
-	// Every warm resume is classified as either fully replayed from the
-	// cover snapshot or partially re-solved.
-	if sz.DeltaCoverReused+sz.DeltaCoverResolved != sz.DeltaWarm {
-		t.Fatalf("delta_cover_reused (%d) + delta_cover_resolved (%d) != delta_warm (%d)",
-			sz.DeltaCoverReused, sz.DeltaCoverResolved, sz.DeltaWarm)
+	// Every warm resume selects its cover afresh; none is replayed.
+	if sz.DeltaCoverReused != 0 {
+		t.Fatalf("delta_cover_reused = %d, want 0", sz.DeltaCoverReused)
 	}
 	// Engine runs: the seed and the resume. The permuted submission was
 	// served entirely from the canonical cache.

@@ -319,13 +319,11 @@ type Statsz struct {
 	DeltaCold     int64 `json:"delta_cold_fallback"`
 	DeltaBaseMiss int64 `json:"delta_base_miss"`
 	DeltaTrivial  int64 `json:"delta_trivial"`
-	// Cover-phase split of the warm resumes: DeltaCoverReused counts
-	// resumes whose covering solution was served entirely by replaying
-	// the snapshot's pick trace; DeltaCoverResolved counts resumes that
-	// had to re-enter greedy/B&B selection for part of the cover.
-	// Reused + Resolved == DeltaWarm for greedy-cover workloads.
-	DeltaCoverReused   int64 `json:"delta_cover_reused"`
-	DeltaCoverResolved int64 `json:"delta_cover_resolved"`
+	// DeltaCoverReused is always 0: every warm resume selects its
+	// cover afresh over the patched columns, and none reuses the
+	// previous cover. The field stays because the repository benchmark
+	// (sppbench) still reads it.
+	DeltaCoverReused int64 `json:"delta_cover_reused"`
 	// Portfolio-engine counters: EngineRaces counts form=auto requests
 	// that actually raced backends (all-cached auto requests are plain
 	// cache hits); EngineWinsByForm tallies which backend won each race
@@ -461,9 +459,8 @@ type counters struct {
 	hits, misses      int64
 	waiters, detached int64
 
-	deltaWarm, deltaCold                int64
-	deltaBaseMiss, deltaTrivial         int64
-	deltaCoverReused, deltaCoverResolve int64
+	deltaWarm, deltaCold        int64
+	deltaBaseMiss, deltaTrivial int64
 
 	engineRaces, engineCancelled int64
 	winsByForm                   map[string]int64
@@ -705,8 +702,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		DeltaCold:            ctr.deltaCold,
 		DeltaBaseMiss:        ctr.deltaBaseMiss,
 		DeltaTrivial:         ctr.deltaTrivial,
-		DeltaCoverReused:     ctr.deltaCoverReused,
-		DeltaCoverResolved:   ctr.deltaCoverResolve,
 		EngineRaces:          ctr.engineRaces,
 		EngineWinsByForm:     wins,
 		EngineCancelled:      ctr.engineCancelled,
@@ -1403,8 +1398,7 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 // holding an admission slot like any engine run — and stores the
 // resumed state at the edited function's canonical warm-state key plus
 // a thin pointer entry at wkey for this client to chain on. Each
-// successful resume counts once in delta_warm and once in either
-// delta_cover_reused or delta_cover_resolved.
+// successful resume counts once in delta_warm.
 func (s *Server) computeDelta(ctx context.Context, base cacheEntry, warm *core.WarmState, cd core.Delta, edited, editedCanon *bfunc.Func, wkey fcache.Key, opts engine.Options, waiters func() int64) (cacheEntry, *stats.Report, error) {
 	var res *core.Result
 	var nws *core.WarmState
@@ -1418,11 +1412,6 @@ func (s *Server) computeDelta(ctx context.Context, base cacheEntry, warm *core.W
 	}
 	s.statsMu.Lock()
 	s.ctr.deltaWarm++
-	if res.CoverReused {
-		s.ctr.deltaCoverReused++
-	} else {
-		s.ctr.deltaCoverResolve++
-	}
 	s.statsMu.Unlock()
 
 	r := cacheEntry{

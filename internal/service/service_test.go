@@ -598,6 +598,10 @@ func TestMinimizeBadRequests(t *testing.T) {
 		{"unknown bench", `{"bench":"no-such-bench"}`},
 		{"bad output", `{"bench":"adr4","output":99}`},
 		{"n too large", `{"n":40,"on":[1]}`},
+		// PLA bodies the parser refuses before it allocates: more
+		// outputs than a term line can carry, and a 2^40-minterm cube.
+		{"pla output count", `{"pla":".i 3\n.o 20700700000\n"}`},
+		{"pla dash cube", `{"pla":".i 40\n.o 1\n` + strings.Repeat("-", 40) + ` 1\n"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

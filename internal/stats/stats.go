@@ -60,11 +60,6 @@ const (
 	PhaseCoverExact
 	// PhaseVerify is post-minimization exhaustive verification.
 	PhaseVerify
-	// PhaseCoverPatch is the warm-resume cover work outside greedy/exact
-	// selection: snapshot patching, pick replay and trivial
-	// short-circuits. Disjoint from the other cover phases, so resume
-	// profiles split patch vs. greedy vs. B&B time.
-	PhaseCoverPatch
 
 	// --- portfolio-engine phases: one per non-SPP backend, so a raced
 	// run's report attributes wall time to the backend that spent it.
@@ -93,7 +88,6 @@ var phaseNames = [numPhases]string{
 	PhaseCoverGreedy:  "cover.greedy",
 	PhaseCoverExact:   "cover.exact",
 	PhaseVerify:       "verify",
-	PhaseCoverPatch:   "cover.patch",
 	PhaseEngineSOP:    "engine.sop",
 	PhaseEngineESOP:   "engine.esop",
 	PhaseEngineDSOP:   "engine.dsop",
@@ -150,12 +144,6 @@ const (
 	CtrReduceRowDom
 	// CtrReduceColDom counts columns removed by column dominance.
 	CtrReduceColDom
-	// CtrCoverReplayed counts warm-resume greedy picks served by
-	// replaying the previous run's pick trace (no heap work).
-	CtrCoverReplayed
-	// CtrCoverResolved counts warm-resume greedy picks that re-entered
-	// heap selection because the replay check could not certify them.
-	CtrCoverResolved
 	// CtrCoverDirty counts candidate columns whose covered-ON point
 	// lists changed under a resume patch (dropped, grown, or fresh).
 	CtrCoverDirty
@@ -205,8 +193,6 @@ var counterNames = [numCounters]string{
 	CtrReduceEssential:   "cover.reduce_essential",
 	CtrReduceRowDom:      "cover.reduce_row_dominated",
 	CtrReduceColDom:      "cover.reduce_col_dominated",
-	CtrCoverReplayed:     "cover.warm_replayed",
-	CtrCoverResolved:     "cover.warm_resolved_picks",
 	CtrCoverDirty:        "cover.warm_dirty_columns",
 	CtrTrieNodes:         "eppp.trie_nodes",
 	CtrTrieWalks:         "eppp.trie_walks",

@@ -110,7 +110,7 @@ func TestCounterClassification(t *testing.T) {
 		CtrCoverColumns, CtrCoverDCOnly, CtrCoverGray, CtrCoverContains,
 		CtrGreedyPicks, CtrGreedyReevals, CtrGreedyRedundant,
 		CtrReduceEssential, CtrReduceRowDom, CtrReduceColDom,
-		CtrCoverReplayed, CtrCoverResolved, CtrCoverDirty}
+		CtrCoverDirty}
 	sched := []Counter{CtrTrieNodes, CtrTrieWalks, CtrExactNodes,
 		CtrExactBoundPrunes, CtrExactLBPrunes, CtrExactRootBranches}
 	for _, c := range det {
