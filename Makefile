@@ -1,8 +1,8 @@
 # Check tiers. `check` is the tier-1 gate every PR must keep green;
 # `check-race` additionally vets and runs the suite under the race
-# detector (the parallel paths that remain, across outputs, covering
-# shards, the exact cover's branch and bound and the serving layer, are
-# exercised with forced worker counts even on single-core hosts).
+# detector (the parallel paths that remain, across outputs, the exact
+# cover's root branches and the serving layer, are exercised with
+# forced worker counts even on single-core hosts).
 
 .PHONY: check check-race lint artifact-check fmt-check pkgdoc-check docs-check server-smoke jobs-crash-smoke bench-cover bench bench-serve bench-serve-smoke bench-delta bench-delta-smoke bench-jobs bench-jobs-smoke bench-forms bench-forms-smoke bench-overload bench-overload-smoke bench-smoke bench-module-check fuzz-smoke fuzz-delta-smoke
 
@@ -66,8 +66,10 @@ server-smoke:
 jobs-crash-smoke:
 	sh scripts/jobs_crash_smoke.sh
 
-# Covering-phase comparison (seed map-and-rescan path vs the bitset
-# engine); writes BENCH_cover.json and asserts identical literal counts.
+# Covering-phase comparison (seed map-and-rescan path vs
+# core.SelectCover's point-space cover, both serial); writes
+# BENCH_cover.json with the host it ran on and asserts identical
+# literal counts.
 bench-cover:
 	go test -run '^$$' -bench '^BenchmarkCover$$' -benchtime 200x .
 

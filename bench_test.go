@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -333,7 +334,8 @@ func BenchmarkExtensionSharedOutputs(b *testing.B) {
 // column construction enumerating every candidate's points through a
 // map[uint64]int, and the full-rescan float-ratio greedy with the
 // OR-rebuild redundancy elimination — exactly what internal/cover and
-// SelectCover did before the word-parallel bitset engine.
+// SelectCover did before the lazy greedy. SelectCover now covers in
+// point space: Gray-code column lists and the lazy greedy over them.
 
 type seedBits []uint64
 
@@ -475,13 +477,12 @@ var coverBenchCases = []harness.OutputCase{
 }
 
 // BenchmarkCover measures the covering phase (Algorithm 2 step 3) on
-// Table 1/2 functions: the seed map-and-rescan path against the
-// word-parallel bitset engine at CoverWorkers=NumCPU, writing the
-// comparison to BENCH_cover.json. The report step asserts both paths
-// select forms with identical literal counts; under -short (the CI
-// smoke run) it checks them but leaves BENCH_cover.json alone.
+// Table 1/2 functions: the seed map-and-rescan path against
+// core.SelectCover, writing the comparison and the host it ran on to
+// BENCH_cover.json. The report step asserts both paths select forms
+// with identical literal counts; under -short (the CI smoke run) it
+// checks them but leaves BENCH_cover.json alone.
 func BenchmarkCover(b *testing.B) {
-	workers := runtime.NumCPU()
 	for _, c := range coverBenchCases {
 		f := bench.MustLoad(c.Func).Output(c.Output)
 		set, err := core.BuildEPPP(f, core.Options{})
@@ -499,19 +500,18 @@ func BenchmarkCover(b *testing.B) {
 			coverBenchNsOp[c.String()+"/seed"] = float64(time.Since(start).Nanoseconds()) / float64(b.N)
 			coverBenchLits[c.String()+"/seed"] = lits
 		})
-		b.Run(c.String()+"/bitset", func(b *testing.B) {
-			opts := core.Options{CoverWorkers: workers}
+		b.Run(c.String()+"/select-cover", func(b *testing.B) {
 			lits := 0
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				form, _, _, err := core.SelectCover(f, set, opts)
+				form, _, _, err := core.SelectCover(f, set, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				lits = form.Literals()
 			}
-			coverBenchNsOp[c.String()+"/bitset"] = float64(time.Since(start).Nanoseconds()) / float64(b.N)
-			coverBenchLits[c.String()+"/bitset"] = lits
+			coverBenchNsOp[c.String()+"/select-cover"] = float64(time.Since(start).Nanoseconds()) / float64(b.N)
+			coverBenchLits[c.String()+"/select-cover"] = lits
 		})
 	}
 	b.Run("report", func(b *testing.B) {
@@ -519,36 +519,41 @@ func BenchmarkCover(b *testing.B) {
 			// Runs after the timed sub-benchmarks to persist their results.
 		}
 		type row struct {
-			Function  string  `json:"function"`
-			Workers   int     `json:"workers"`
-			CPUs      int     `json:"cpus"`
-			SeedSec   float64 `json:"seed_sec_per_op"`
-			BitsetSec float64 `json:"bitset_sec_per_op"`
-			Speedup   float64 `json:"speedup_vs_seed"`
-			Literals  int     `json:"literals"`
+			Function       string  `json:"function"`
+			SeedSec        float64 `json:"seed_sec_per_op"`
+			SelectCoverSec float64 `json:"select_cover_sec_per_op"`
+			Speedup        float64 `json:"select_cover_speedup_vs_seed"`
+			Literals       int     `json:"literals"`
+		}
+		type host struct {
+			Go         string `json:"go"`
+			GOMAXPROCS int    `json:"gomaxprocs"`
+			NumCPU     int    `json:"nproc"`
+			CPU        string `json:"cpu"`
 		}
 		out := struct {
 			Bench string `json:"bench"`
-			CPUs  int    `json:"cpus"`
+			Host  host   `json:"host"`
 			Rows  []row  `json:"rows"`
-		}{Bench: "covering phase: seed vs bitset engine", CPUs: runtime.NumCPU()}
+		}{
+			Bench: "covering phase, serial: seed map-and-rescan path vs core.SelectCover (point-space columns, lazy greedy)",
+			Host:  host{Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), CPU: cpuModel()},
+		}
 		for _, c := range coverBenchCases {
 			seedNs := coverBenchNsOp[c.String()+"/seed"]
-			bitNs := coverBenchNsOp[c.String()+"/bitset"]
-			if seedNs == 0 || bitNs == 0 {
+			selNs := coverBenchNsOp[c.String()+"/select-cover"]
+			if seedNs == 0 || selNs == 0 {
 				continue
 			}
-			if sl, bl := coverBenchLits[c.String()+"/seed"], coverBenchLits[c.String()+"/bitset"]; sl != bl {
-				b.Fatalf("%s: literal counts diverge: seed %d, bitset %d", c.String(), sl, bl)
+			if sl, cl := coverBenchLits[c.String()+"/seed"], coverBenchLits[c.String()+"/select-cover"]; sl != cl {
+				b.Fatalf("%s: literal counts diverge: seed %d, SelectCover %d", c.String(), sl, cl)
 			}
 			out.Rows = append(out.Rows, row{
-				Function:  c.String(),
-				Workers:   workers,
-				CPUs:      runtime.NumCPU(),
-				SeedSec:   seedNs / 1e9,
-				BitsetSec: bitNs / 1e9,
-				Speedup:   seedNs / bitNs,
-				Literals:  coverBenchLits[c.String()+"/bitset"],
+				Function:       c.String(),
+				SeedSec:        seedNs / 1e9,
+				SelectCoverSec: selNs / 1e9,
+				Speedup:        seedNs / selNs,
+				Literals:       coverBenchLits[c.String()+"/select-cover"],
 			})
 		}
 		if testing.Short() {
@@ -562,4 +567,19 @@ func BenchmarkCover(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// cpuModel reads the first CPU model name from /proc/cpuinfo, or
+// "unknown" where there is none.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }

@@ -38,7 +38,7 @@ func main() {
 		exactCov  = flag.Bool("exact-cover", false, "use exact (branch-and-bound) covering")
 		share     = flag.Bool("share", false, "jointly minimize all outputs with a shared pseudoproduct pool")
 		workers   = flag.Int("workers", 0, "outputs built at once by -share and the -verilog/-blif export (0 = GOMAXPROCS, 1 = serial)")
-		coverWork = flag.Int("cover-workers", 0, "parallel workers for the covering phase (0 = follow -workers, 1 = serial)")
+		coverWork = flag.Int("cover-workers", 0, "parallel root branches of the -exact-cover branch and bound (0 = follow -workers, 1 = serial)")
 		maxNodes  = flag.Int64("cover-max-nodes", 0, "node budget for exact covering (0 = solver default)")
 		statsPath = flag.String("stats", "", "write a machine-readable run report (JSON) to this file, - for stdout")
 		verbose   = flag.Bool("v", false, "print a per-phase timing and counter summary to stderr")

@@ -1,5 +1,5 @@
 // Command sppserve runs the SPP minimization HTTP service: a JSON API
-// over the exact/naive/SPP_k engines with a canonical-function result
+// over the exact and SPP_k engines with a canonical-function result
 // cache, bounded concurrency, per-request deadlines and an spp-stats/v1
 // observability endpoint (see internal/service and ARCHITECTURE.md).
 //

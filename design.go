@@ -87,9 +87,9 @@ func MinimizeDesign(d *Design, k int, opts *Options) *DesignResult {
 		workers = max(1, inner.Workers)
 	}
 	workers = min(workers, nOut)
-	// Each output's covering gets the workers the outer pool leaves
-	// over, serial unless Workers exceeds the output count, so the CPUs
-	// are not oversubscribed. An explicit CoverWorkers wins.
+	// Each output's exact branch and bound gets the workers the outer
+	// pool leaves over, serial unless Workers exceeds the output count,
+	// so the CPUs are not oversubscribed. An explicit CoverWorkers wins.
 	if inner.CoverWorkers == 0 {
 		inner.CoverWorkers = max(1, inner.Workers/max(1, workers))
 	}

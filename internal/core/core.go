@@ -104,9 +104,9 @@ type Options struct {
 	// Every worker count produces the same result.
 	Workers int
 
-	// CoverWorkers sets the worker count for the covering phase: the
-	// column construction shards of SelectCover/MinimizeMulti and the
-	// root branches of the exact branch and bound. 0 follows the
+	// CoverWorkers sets how many root branches of the exact branch and
+	// bound (CoverExact) run at once. Covering columns and the greedy
+	// cover are always built on the calling goroutine. 0 follows the
 	// resolution of Workers, so leaving both at 0 means GOMAXPROCS
 	// workers; 1 (or negative) means serial. Every setting produces the
 	// same forms.

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"repro/internal/bfunc"
 )
 
 func formKeys(f Form) []string {
@@ -29,10 +27,10 @@ func sameForm(t *testing.T, label string, got, want Form) {
 	}
 }
 
-// TestSelectCoverWorkersIdentical: the sharded bitset column
-// construction and the parallel exact solver produce the same form as
-// CoverWorkers=1 for every worker count, with both greedy and exact
-// covering, mirroring the EPPP determinism properties.
+// TestSelectCoverWorkersIdentical: SelectCover produces the same form
+// as CoverWorkers=1 for every worker count, with both greedy and exact
+// covering. CoverWorkers reaches only the exact branch and bound's root
+// branches, so the exact case is the one that fans out.
 func TestSelectCoverWorkersIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	coverWorkerCounts := []int{1, 2, 4, runtime.NumCPU()}
@@ -67,53 +65,6 @@ func TestSelectCoverWorkersIdentical(t *testing.T) {
 						trial, exact, w, gotOpt, wantOpt)
 				}
 				sameForm(t, "SelectCover", got, want)
-			}
-		}
-	}
-}
-
-// TestMinimizeMultiCoverWorkersIdentical: the joint multi-output
-// covering is likewise identical for every covering worker count.
-func TestMinimizeMultiCoverWorkersIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	coverWorkerCounts := []int{1, 2, 4, runtime.NumCPU()}
-	for trial := 0; trial < 6; trial++ {
-		n := 3 + rng.Intn(2)
-		outs := make([]*bfunc.Func, 2+rng.Intn(2))
-		for o := range outs {
-			outs[o] = randomFunc(rng, n, 0.4, trial%2 == 0)
-		}
-		m := &bfunc.Multi{Name: "t", Inputs: n, Outputs: outs}
-		base := Options{Workers: 1, CoverWorkers: 1}
-		want, err := MinimizeMulti(m, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range coverWorkerCounts {
-			opts := base
-			opts.CoverWorkers = w
-			got, err := MinimizeMulti(m, opts)
-			if err != nil {
-				t.Fatalf("trial %d cover-workers=%d: %v", trial, w, err)
-			}
-			if got.SharedLiterals != want.SharedLiterals || len(got.Terms) != len(want.Terms) {
-				t.Fatalf("trial %d cover-workers=%d: %d terms/%d literals, want %d/%d",
-					trial, w, len(got.Terms), got.SharedLiterals, len(want.Terms), want.SharedLiterals)
-			}
-			for i := range want.Terms {
-				if got.Terms[i].Key() != want.Terms[i].Key() {
-					t.Fatalf("trial %d cover-workers=%d: term %d differs", trial, w, i)
-				}
-			}
-			for o := range want.Drives {
-				if len(got.Drives[o]) != len(want.Drives[o]) {
-					t.Fatalf("trial %d cover-workers=%d: output %d drives differ", trial, w, o)
-				}
-				for i := range want.Drives[o] {
-					if got.Drives[o][i] != want.Drives[o][i] {
-						t.Fatalf("trial %d cover-workers=%d: output %d drive %d differs", trial, w, o, i)
-					}
-				}
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/bfunc"
 )
 
@@ -170,42 +172,93 @@ func TestResumeConcurrentSharedSnapshot(t *testing.T) {
 	}
 }
 
-func TestPtSetRepresentations(t *testing.T) {
-	// Dense bitset below the gate, hash set above — same behavior.
-	for _, n := range []int{4, densePtSetMaxVars + 1} {
-		s := newPtSet(n)
-		if n <= densePtSetMaxVars && s.dense == nil {
-			t.Fatalf("n=%d: expected dense representation", n)
-		}
-		if n > densePtSetMaxVars && s.m == nil {
-			t.Fatalf("n=%d: expected sparse representation", n)
-		}
-		s.add(3)
-		s.addAll([]uint64{1, 3, 7})
-		if !s.has(7) || s.has(2) {
-			t.Fatalf("n=%d: membership broken", n)
-		}
-		if got := s.countNew([]uint64{0, 1, 2, 3}); got != 2 {
-			t.Fatalf("n=%d: countNew: got %d want 2", n, got)
+// TestSelectCoverMatchesWarm: SelectCover is the warm engine's covering
+// with nothing carried, so over a warm state's candidate list it
+// returns MinimizeExactWarm's form byte for byte, under greedy and
+// exact covering, on random functions and Table 1 outputs.
+func TestSelectCoverMatchesWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var fs []*bfunc.Func
+	for trial := 0; trial < 10; trial++ {
+		fs = append(fs, randomFunc(rng, 4+trial%3, 0.4, trial%2 == 0))
+	}
+	fs = append(fs, bench.MustLoad("m3").Output(3), bench.MustLoad("dist").Output(1))
+	for i, f := range fs {
+		// One branch-and-bound worker: a parallel search that runs out
+		// of nodes may stop at a different incumbent from run to run.
+		for _, opts := range []Options{{}, {CoverExact: true, CoverMaxNodes: 20_000, CoverWorkers: 1}} {
+			warm, ws, err := MinimizeExactWarm(f, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := &EPPPSet{N: f.N(), Candidates: ws.cands}
+			form, _, optimal, err := SelectCover(f, set, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameForm(t, fmt.Sprintf("function %d exact=%v", i, opts.CoverExact), form, warm.Form)
+			if optimal != warm.CoverOptimal {
+				t.Fatalf("function %d exact=%v: optimal %v, warm %v", i, opts.CoverExact, optimal, warm.CoverOptimal)
+			}
 		}
 	}
 }
 
-func TestPtCountsRepresentations(t *testing.T) {
-	for _, n := range []int{4, densePtSetMaxVars + 1} {
-		c := newPtCounts(n)
-		c.inc(5)
-		c.inc(5)
-		c.inc(9)
-		c.dec(5)
-		if got := c.get(5); got != 1 {
-			t.Fatalf("n=%d: get(5): got %d want 1", n, got)
+// clusteredFunc is a sparse wide function whose ON points come in
+// clusters: each cluster is a random affine subspace of dimension dim
+// (a random offset plus dim random directions). Points of one cluster
+// span high-degree pseudocubes; points of two clusters pair into prime
+// lines, so the candidate set is wide (about (clusters·2^dim)²/2
+// columns) while the ON-set stays small.
+func clusteredFunc(rng *rand.Rand, n, clusters, dim int) *bfunc.Func {
+	mask := uint64(1)<<uint(n) - 1
+	seen := map[uint64]bool{}
+	var on []uint64
+	for c := 0; c < clusters; c++ {
+		base := rng.Uint64() & mask
+		dirs := make([]uint64, dim)
+		for i := range dirs {
+			dirs[i] = rng.Uint64() & mask
 		}
-		if got := c.get(9); got != 1 {
-			t.Fatalf("n=%d: get(9): got %d want 1", n, got)
+		for k := 0; k < 1<<uint(dim); k++ {
+			p := base
+			for i, d := range dirs {
+				if k&(1<<uint(i)) != 0 {
+					p ^= d
+				}
+			}
+			if !seen[p] {
+				seen[p] = true
+				on = append(on, p)
+			}
 		}
-		if got := c.get(0); got != 0 {
-			t.Fatalf("n=%d: get(0): got %d want 0", n, got)
+	}
+	return bfunc.New(n, on)
+}
+
+// BenchmarkSelectCoverWide times the single-output covering step on
+// clustered functions at n = 18 and n = 20, past the dense point-set
+// sizes of narrow functions, with the EPPP build outside the timer.
+// Allocations are reported: the point-space columns are the bytes a
+// wide cover holds.
+func BenchmarkSelectCoverWide(b *testing.B) {
+	for _, n := range []int{18, 20} {
+		f := clusteredFunc(rand.New(rand.NewSource(int64(n))), n, 22, 3)
+		set, err := BuildEPPP(f, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("n=%d/cover-workers=%d", n, workers), func(b *testing.B) {
+				opts := Options{CoverWorkers: workers}
+				b.ReportAllocs()
+				b.ReportMetric(float64(len(set.Candidates)), "candidates")
+				for i := 0; i < b.N; i++ {
+					if _, _, _, err := SelectCover(f, set, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,16 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/bfunc"
-	"repro/internal/cover"
 	"repro/internal/pcube"
-	"repro/internal/stats"
 )
 
 // Result is a minimized SPP form together with the work statistics of
@@ -32,48 +28,15 @@ func (r *Result) Literals() int { return r.Form.Literals() }
 
 // SelectCover solves the covering problem of Algorithm 2 step 3: choose
 // pseudoproducts from the candidate set covering every ON minterm of f
-// at minimum total cost.
+// at minimum total cost. It is the warm engine's covering with nothing
+// carried, so it selects exactly what MinimizeExactWarm would over the
+// same candidate list.
 func SelectCover(f *bfunc.Func, set *EPPPSet, opts Options) (Form, time.Duration, bool, error) {
-	start := time.Now()
-	n := f.N()
-	if f.OnCount() == 0 {
-		return Form{N: n}, time.Since(start), true, nil
-	}
-	if f.IsConstantOne() {
-		// The whole space is a pseudocube with the empty CEX.
-		one := &pcube.CEX{N: n, Canon: allMask(n)}
-		return Form{N: n, Terms: []*pcube.CEX{one}}, time.Since(start), true, nil
-	}
-
-	if err := opts.ctxErr(); err != nil {
+	out, err := selectCover(f, set.Candidates, nil, nil, coverPatch{}, opts)
+	if err != nil {
 		return Form{}, 0, false, err
 	}
-	on := f.On()
-	stopCols := opts.Stats.Phase(stats.PhaseCoverColumns)
-	in, cols := buildCoverColumns(n, on, set.Candidates, opts)
-	stopCols()
-	if err := in.Validate(); err != nil {
-		return Form{}, 0, false, fmt.Errorf("core: candidate set does not cover ON-set: %v", err)
-	}
-	if err := opts.ctxErr(); err != nil {
-		return Form{}, 0, false, err
-	}
-	var res cover.Result
-	if opts.CoverExact {
-		res = cover.Exact(in, cover.ExactOptions{
-			MaxNodes: opts.CoverMaxNodes,
-			Workers:  opts.coverWorkers(),
-			Stats:    opts.Stats,
-			Ctx:      opts.Ctx,
-		})
-	} else {
-		res = cover.GreedyStats(in, opts.Stats)
-	}
-	form := Form{N: n}
-	for _, j := range res.Picked {
-		form.Terms = append(form.Terms, cols[j])
-	}
-	return form, time.Since(start), res.Optimal, nil
+	return out.form, out.time, out.optimal, nil
 }
 
 func allMask(n int) uint64 {
@@ -86,8 +49,10 @@ func allMask(n int) uint64 {
 // pointIndex maps points of B^n to their index in a sorted point list.
 // For small n a dense array gives O(1) lookups; beyond the gate the
 // fallback is binary search on the sorted list. Read-only after
-// construction, so shared freely across workers.
+// construction.
 type pointIndex struct {
+	// dense holds index+1 per point, so the zeroed table already reads
+	// "absent" everywhere but at the listed points.
 	dense []int32
 	pts   []uint64
 }
@@ -99,11 +64,8 @@ func newPointIndex(n int, pts []uint64) *pointIndex {
 	ix := &pointIndex{pts: pts}
 	if n <= densePointIndexMaxVars {
 		ix.dense = make([]int32, uint64(1)<<uint(n))
-		for i := range ix.dense {
-			ix.dense[i] = -1
-		}
 		for i, p := range pts {
-			ix.dense[p] = int32(i)
+			ix.dense[p] = int32(i + 1)
 		}
 	}
 	return ix
@@ -112,7 +74,7 @@ func newPointIndex(n int, pts []uint64) *pointIndex {
 // lookup returns the index of p in the point list, or -1.
 func (ix *pointIndex) lookup(p uint64) int {
 	if ix.dense != nil {
-		return int(ix.dense[p])
+		return int(ix.dense[p]) - 1
 	}
 	lo, hi := 0, len(ix.pts)
 	for lo < hi {
@@ -192,98 +154,6 @@ func candidateRows(c *pcube.CEX, on []uint64, ix *pointIndex, rows []int, basis 
 		}
 	}
 	return rows, basis, false
-}
-
-// buildCoverColumns intersects every candidate's affine subspace with
-// the ON-set to form the covering columns, sharding candidates
-// contiguously over the covering worker pool. Shard outputs are
-// concatenated in candidate order, so the instance — and everything
-// downstream of it — is identical for every worker count.
-func buildCoverColumns(n int, on []uint64, candidates []*pcube.CEX, opts Options) (*cover.Instance, []*pcube.CEX) {
-	ix := newPointIndex(n, on)
-	type shardOut struct {
-		cols []cover.Column
-		kept []*pcube.CEX
-	}
-	workers := opts.coverWorkers()
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	outs := make([]shardOut, workers)
-	shards := make([]stats.Shard, workers)
-	shardSlice(len(candidates), workers, func(shard, lo, hi int) {
-		opts.Stats.Do(stats.PhaseCoverColumns, func() {
-			out := &outs[shard]
-			sh := &shards[shard]
-			record := opts.Stats != nil
-			var scratch []int
-			var basis []uint64
-			for _, c := range candidates[lo:hi] {
-				var gray bool
-				scratch, basis, gray = candidateRows(c, on, ix, scratch[:0], basis)
-				if record {
-					if gray {
-						sh.Add(stats.CtrCoverGray, 1)
-					} else {
-						sh.Add(stats.CtrCoverContains, 1)
-					}
-				}
-				if len(scratch) == 0 {
-					if record {
-						sh.Add(stats.CtrCoverDCOnly, 1)
-					}
-					continue // covers only don't-cares
-				}
-				out.cols = append(out.cols, cover.Column{
-					Cost: opts.Cost.of(c),
-					Rows: append([]int(nil), scratch...),
-				})
-				out.kept = append(out.kept, c)
-			}
-			if record {
-				sh.Add(stats.CtrCoverColumns, int64(len(out.cols)))
-			}
-		})
-	})
-	in := &cover.Instance{NRows: len(on)}
-	var cols []*pcube.CEX
-	for i := range outs {
-		in.Cols = append(in.Cols, outs[i].cols...)
-		cols = append(cols, outs[i].kept...)
-		opts.Stats.Merge(&shards[i])
-	}
-	return in, cols
-}
-
-// shardSlice splits [0, n) into contiguous order-preserving shards, one
-// per worker (shard s covers [n*s/w, n*(s+1)/w)), and runs fn for each
-// shard concurrently. With one worker (or n <= 1) fn runs inline. It is
-// the fan-out primitive of the covering-column passes (SelectCover,
-// MinimizeMulti and the warm resume), whose shard outputs are
-// concatenated back in shard order.
-func shardSlice(n, workers int, fn func(shard, lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, 0, n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		lo, hi := n*s/workers, n*(s+1)/workers
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, hi)
-	}
-	wg.Wait()
 }
 
 // MinimizeExact runs the full exact SPP minimization (Algorithm 2):

@@ -139,81 +139,50 @@ func MinimizeMulti(m *bfunc.Multi, opts Options) (*MultiResult, error) {
 	}
 
 	// One column per pooled candidate, covering the ON rows of every
-	// output whose care set contains the whole pseudocube. Candidates
-	// are sharded contiguously over the covering workers and the shard
-	// outputs concatenated in pool order, so the instance is identical
-	// for every worker count. Points are enumerated sorted, so the row
-	// lists come out sorted without a final sort.
-	cands := make([]*pcube.CEX, len(keys))
-	for i, k := range keys {
-		cands[i] = pool[k]
-	}
-	type shardOut struct {
-		cols []cover.Column
-		kept []*pcube.CEX
-	}
-	workers := opts.coverWorkers()
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// output whose care set contains the whole pseudocube, in pool
+	// order. Points are enumerated sorted, so the row lists come out
+	// sorted without a final sort.
 	stopCols := opts.Stats.Phase(stats.PhaseCoverColumns)
-	outs := make([]shardOut, workers)
-	shards := make([]stats.Shard, workers)
-	shardSlice(len(cands), workers, func(shard, lo, hi int) {
-		opts.Stats.Do(stats.PhaseCoverColumns, func() {
-			out := &outs[shard]
-			var rows []int
-			for _, c := range cands[lo:hi] {
-				pts := c.SortedPoints()
-				rows = rows[:0]
-				for o := 0; o < nOut; o++ {
-					f := outFns[o]
-					valid := true
-					for _, p := range pts {
-						if !f.IsCare(p) {
-							valid = false
-							break
-						}
-					}
-					if !valid {
-						continue
-					}
-					for _, p := range pts {
-						if r := onIdx[o].lookup(p); r >= 0 {
-							rows = append(rows, base[o]+r)
-						}
-					}
-				}
-				if len(rows) == 0 {
-					if opts.Stats != nil {
-						shards[shard].Add(stats.CtrCoverDCOnly, 1)
-					}
-					continue
-				}
-				cost := opts.Cost.of(c)
-				if cost == 0 {
-					cost = 1 // constant-one candidate on a non-constant instance
-				}
-				out.cols = append(out.cols, cover.Column{
-					Cost: cost,
-					Rows: append([]int(nil), rows...),
-				})
-				out.kept = append(out.kept, c)
-			}
-			if opts.Stats != nil {
-				shards[shard].Add(stats.CtrCoverColumns, int64(len(out.cols)))
-			}
-		})
-	})
 	in := &cover.Instance{NRows: nRows}
 	var cols []*pcube.CEX
-	for i := range outs {
-		in.Cols = append(in.Cols, outs[i].cols...)
-		cols = append(cols, outs[i].kept...)
-		opts.Stats.Merge(&shards[i])
+	opts.Stats.Do(stats.PhaseCoverColumns, func() {
+		var rows []int
+		for _, k := range keys {
+			c := pool[k]
+			pts := c.SortedPoints()
+			rows = rows[:0]
+			for o := 0; o < nOut; o++ {
+				f := outFns[o]
+				valid := true
+				for _, p := range pts {
+					if !f.IsCare(p) {
+						valid = false
+						break
+					}
+				}
+				if !valid {
+					continue
+				}
+				for _, p := range pts {
+					if r := onIdx[o].lookup(p); r >= 0 {
+						rows = append(rows, base[o]+r)
+					}
+				}
+			}
+			if len(rows) == 0 {
+				continue
+			}
+			cost := opts.Cost.of(c)
+			if cost == 0 {
+				cost = 1 // constant-one candidate on a non-constant instance
+			}
+			in.Cols = append(in.Cols, cover.Column{Cost: cost, Rows: append([]int(nil), rows...)})
+			cols = append(cols, c)
+		}
+	})
+	if opts.Stats != nil {
+		opts.Stats.Add(stats.CtrCoverColumns, int64(len(in.Cols)))
+		opts.Stats.Add(stats.CtrCoverDCOnly, int64(len(keys)-len(in.Cols)))
 	}
 	stopCols()
 	if err := in.Validate(); err != nil {

@@ -121,9 +121,9 @@ func TestMinimizeMultiEmptyAndBudget(t *testing.T) {
 
 // workerCounts exercised against Workers=1 by the tests of the parallel
 // paths that remain: outputs built at once by MinimizeMulti, and the
-// covering shards Workers seeds. NumCPU on the test host may be 1, so
-// forcing several explicit counts (including one above the output
-// count) is what actually drives them.
+// exact cover's root branches Workers seeds. NumCPU on the test host
+// may be 1, so forcing several explicit counts (including one above
+// the output count) is what actually drives them.
 var workerCounts = []int{2, 3, 4, 8}
 
 // TestParallelMinimizeMultiIdentical checks the joint multi-output

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/bfunc"
 	"repro/internal/stats"
 )
@@ -75,8 +76,7 @@ func TestStatsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestStatsDeterministicMulti covers the joint multi-output path, whose
-// column construction and EPPP builds shard differently per worker
-// count.
+// EPPP builds run on as many goroutines as the worker count allows.
 func TestStatsDeterministicMulti(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 5; trial++ {
@@ -136,6 +136,83 @@ func TestStatsPhasesRecorded(t *testing.T) {
 	for _, want := range []string{"heuristic.seed", "heuristic.descend", "heuristic.ascend"} {
 		if !got[want] {
 			t.Fatalf("heuristic run phases %v missing %q", rep.Phases, want)
+		}
+	}
+}
+
+// TestColumnCountersPinned pins the covering-column counters of cold
+// MinimizeExact runs: on m3(3), a Table 1 output, and on a small
+// function with don't-cares that exercises all four counters. The
+// warm capture builds the same columns over the same candidate set, so
+// its report carries the same values.
+func TestColumnCountersPinned(t *testing.T) {
+	var dc []uint64
+	for p := uint64(16); p < 32; p++ {
+		if p != 21 && p != 26 {
+			dc = append(dc, p)
+		}
+	}
+	for _, c := range []struct {
+		name                           string
+		f                              *bfunc.Func
+		built, dcOnly, gray, fallbacks int64
+	}{
+		{"m3(3)", bench.MustLoad("m3").Output(3), 1556, 0, 1556, 0},
+		{"dc", bfunc.NewDC(5, []uint64{0, 3, 5, 6, 9, 10, 12, 15}, dc), 7, 6, 12, 1},
+	} {
+		check := func(label string, rec *stats.Recorder) {
+			t.Helper()
+			for _, w := range []struct {
+				ctr  stats.Counter
+				want int64
+			}{
+				{stats.CtrCoverColumns, c.built},
+				{stats.CtrCoverDCOnly, c.dcOnly},
+				{stats.CtrCoverGray, c.gray},
+				{stats.CtrCoverContains, c.fallbacks},
+			} {
+				if got := rec.Get(w.ctr); got != w.want {
+					t.Errorf("%s %s: %s = %d, want %d", c.name, label, w.ctr, got, w.want)
+				}
+			}
+		}
+		rec := stats.New()
+		if _, err := MinimizeExact(c.f, Options{Stats: rec}); err != nil {
+			t.Fatal(err)
+		}
+		check("cold", rec)
+		rec = stats.New()
+		_, ws, err := MinimizeExactWarm(c.f, Options{Stats: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("warm", rec)
+
+		// A resume reports the edited function's columns; it walks only
+		// the columns it computes fresh.
+		d := Delta{RemoveOn: []uint64{c.f.On()[0]}}
+		if len(c.f.DC()) > 0 {
+			d = Delta{AddOn: []uint64{c.f.DC()[0]}}
+		}
+		edited, err := ws.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldRec, resRec := stats.New(), stats.New()
+		if _, _, err := MinimizeExactWarm(edited, Options{Stats: coldRec}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ResumeExact(ws, d, Options{Stats: resRec}); err != nil {
+			t.Fatal(err)
+		}
+		for _, ctr := range []stats.Counter{stats.CtrCoverColumns, stats.CtrCoverDCOnly} {
+			if got, want := resRec.Get(ctr), coldRec.Get(ctr); got != want {
+				t.Errorf("%s resume: %s = %d, cold %d", c.name, ctr, got, want)
+			}
+		}
+		walked := resRec.Get(stats.CtrCoverGray) + resRec.Get(stats.CtrCoverContains)
+		if all := coldRec.Get(stats.CtrCoverGray) + coldRec.Get(stats.CtrCoverContains); walked >= all {
+			t.Errorf("%s resume: computed %d columns fresh, a cold run %d", c.name, walked, all)
 		}
 	}
 }

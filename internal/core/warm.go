@@ -274,14 +274,14 @@ func intersectSorted(a, b []uint64) []uint64 {
 // ResumeExact can patch under a small edit. The form is equivalent to
 // MinimizeExact's — same candidate set, same cost — but may differ
 // textually where the covering heuristic broke a tie by candidate
-// order. The EPPP build is serial, like every build;
-// Options.CoverWorkers still parallelizes covering.
+// order. The EPPP build and the covering columns are serial, like every
+// build; Options.CoverWorkers reaches only the exact branch and bound.
 func MinimizeExactWarm(f *bfunc.Func, opts Options) (*Result, *WarmState, error) {
 	set, ws, err := buildEPPPWarm(f, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := warmSelectCover(f, set.Candidates, nil, nil, coverPatch{}, opts)
+	out, err := selectCover(f, set.Candidates, nil, nil, coverPatch{}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -401,7 +401,7 @@ func ResumeExact(ws *WarmState, d Delta, opts Options) (*Result, *WarmState, err
 		removedOn: diffSorted(ws.f.On(), edited.On()),
 		dcToOn:    intersectSorted(edited.On(), ws.f.DC()),
 	}
-	out, err := warmSelectCover(edited, set.Candidates, meta, ws.candPts, patch, opts)
+	out, err := selectCover(edited, set.Candidates, meta, ws.candPts, patch, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -556,7 +556,11 @@ type resumeMeta struct {
 
 // resumeEPPP recomputes the level structure of ws for the edited
 // function, touching only groups whose signatures intersect the removed
-// points or that receive new members.
+// points or that receive new members. It charges the budget for every
+// entry of the edited levels, as a cold build does: new entries when
+// they are added or emitted, survivors once their level is patched. So
+// a resume fails exactly when the edited state's Candidates exceed
+// MaxCandidates.
 func resumeEPPP(ws *WarmState, edited *bfunc.Func, opts Options) (*EPPPSet, *WarmState, *resumeMeta, error) {
 	defer opts.Stats.Phase(stats.PhaseEPPP)()
 	start := time.Now()
@@ -608,6 +612,12 @@ func resumeEPPP(ws *WarmState, edited *bfunc.Func, opts Options) (*EPPPSet, *War
 		}
 		if err := opts.ctxErr(); err != nil {
 			return nil, nil, nil, err
+		}
+		// Every incoming entry lands in the level, and was charged when
+		// it was added or emitted.
+		charged := 0
+		for _, cs := range incoming {
+			charged += len(cs)
 		}
 		r.nextIncoming = map[string][]*pcube.CEX{}
 		r.nextSeen = keySet{}
@@ -690,6 +700,9 @@ func resumeEPPP(ws *WarmState, edited *bfunc.Func, opts Options) (*EPPPSet, *War
 			for i := range g.entries {
 				g.entries[i].prevCand = g.entries[i].markCnt == 0
 			}
+		}
+		if !r.b.spend(size - charged) {
+			return nil, nil, nil, r.b.failure()
 		}
 		if size > 0 {
 			nws.levels = append(nws.levels, warmLevel{groups: outGroups})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -348,6 +349,51 @@ func TestResumeBudget(t *testing.T) {
 	d := randomDelta(rng, f, 4)
 	if _, _, err := ResumeExact(ws, d, Options{MaxCandidates: 2}); err != ErrBudget {
 		t.Fatalf("expected ErrBudget, got %v", err)
+	}
+}
+
+// TestResumeBudgetMatchesCold holds a resume to the cap a cold run of
+// the edited function hits: with MaxCandidates at the edited function's
+// cold Candidates both succeed, and one below both return ErrBudget. A
+// resume that charged only its new entries would pass the lower cap
+// and let a delta chain grow past MaxCandidates.
+func TestResumeBudgetMatchesCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 12; trial++ {
+		f := randomFunc(rng, 5+trial%2, 0.4, trial%3 == 0)
+		_, ws, err := MinimizeExactWarm(f, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := randomDelta(rng, f, 1+trial%4)
+		edited, err := ws.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, _, err := MinimizeExactWarm(edited, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := cold.Build.Candidates
+		if limit == 0 {
+			continue
+		}
+		if _, _, err := MinimizeExactWarm(edited, Options{MaxCandidates: limit}); err != nil {
+			t.Fatalf("trial %d: cold at its own count %d: %v", trial, limit, err)
+		}
+		warm, _, err := ResumeExact(ws, d, Options{MaxCandidates: limit})
+		if err != nil {
+			t.Fatalf("trial %d: resume at the cold count %d: %v", trial, limit, err)
+		}
+		if warm.Build.Candidates != limit {
+			t.Fatalf("trial %d: resume built %d candidates, cold %d", trial, warm.Build.Candidates, limit)
+		}
+		if _, _, err := MinimizeExactWarm(edited, Options{MaxCandidates: limit - 1}); !errors.Is(err, ErrBudget) {
+			t.Fatalf("trial %d: cold at cap %d returned %v, want ErrBudget", trial, limit-1, err)
+		}
+		if _, _, err := ResumeExact(ws, d, Options{MaxCandidates: limit - 1}); !errors.Is(err, ErrBudget) {
+			t.Fatalf("trial %d: resume at cap %d returned %v, want ErrBudget", trial, limit-1, err)
+		}
 	}
 }
 

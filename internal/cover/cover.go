@@ -198,8 +198,8 @@ func GreedyStats(in *Instance, rec *stats.Recorder) Result {
 // number of lazy re-evaluations. Columns with size(j) == 0 never enter
 // the heap. The selection sequence is a pure function of the instance —
 // identical to GreedyStats on an equivalent Instance — which is what
-// lets the warm engine's point-space columns select the same cover as
-// an Instance would.
+// lets core's point-space columns select the same cover as an Instance
+// would.
 //
 // An error (rather than GreedyStats's panic) is returned when the heap
 // empties with rows still uncovered, so callers that skipped a

@@ -437,12 +437,8 @@ func searchParallel(in *Instance, seed Result, budget int64, workers int, ctx co
 				s.par = par
 				s.ctx = ctx
 				defer func() {
-					if rec != nil {
-						var sh stats.Shard
-						sh.Add(stats.CtrExactBoundPrunes, s.boundPrunes)
-						sh.Add(stats.CtrExactLBPrunes, s.lbPrunes)
-						rec.Merge(&sh)
-					}
+					rec.Add(stats.CtrExactBoundPrunes, s.boundPrunes)
+					rec.Add(stats.CtrExactLBPrunes, s.lbPrunes)
 				}()
 				for {
 					idx := int(next.Add(1)) - 1

@@ -49,8 +49,6 @@ func (sppBackend) Minimize(ctx context.Context, f *bfunc.Func, opts Options) (*R
 	switch opts.Algorithm {
 	case "", "exact":
 		res, err = core.MinimizeExact(f, copts)
-	case "naive":
-		res, err = core.MinimizeNaive(f, copts)
 	case "sppk", "spp_k":
 		res, err = core.Heuristic(f, opts.K, copts)
 	default:

@@ -41,8 +41,9 @@ import (
 // by every other backend.
 type Options struct {
 	Core core.Options
-	// Algorithm is the SPP engine: "exact" (default), "naive" or
-	// "sppk".
+	// Algorithm is the SPP engine: "exact" (default) or "sppk". The
+	// paper's naive baseline is not a backend; spptables runs it
+	// through core.MinimizeNaive.
 	Algorithm string
 	// K is SPP_k's degree bound (Algorithm == "sppk" only).
 	K int

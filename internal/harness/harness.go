@@ -39,9 +39,10 @@ type Config struct {
 	// budget at all — the paper's "*" timeout semantics only covered
 	// EPPP construction time.
 	CoverMaxNodes int64
-	// CoverWorkers sets the covering-phase worker count (0 =
-	// GOMAXPROCS, 1 = serial); results are identical either way. EPPP
-	// construction is always serial.
+	// CoverWorkers sets how many root branches of the exact cover's
+	// branch and bound run at once (0 = GOMAXPROCS, 1 = serial);
+	// results are identical either way. EPPP construction, covering
+	// columns and the greedy cover are always serial.
 	CoverWorkers int
 }
 
@@ -63,7 +64,7 @@ func DefaultConfig() Config {
 func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.PerOutput, "budget", c.PerOutput, "per-output budget for EPPP construction")
 	fs.IntVar(&c.MaxCandidates, "max-candidates", c.MaxCandidates, "cap on generated pseudoproducts per output (0 = library default)")
-	fs.IntVar(&c.CoverWorkers, "cover-workers", c.CoverWorkers, "parallel workers for the covering phase (0 = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&c.CoverWorkers, "cover-workers", c.CoverWorkers, "parallel root branches of the exact cover's branch and bound (0 = GOMAXPROCS, 1 = serial)")
 	fs.Int64Var(&c.CoverMaxNodes, "cover-max-nodes", c.CoverMaxNodes, "node budget for exact covering (0 = solver default)")
 }
 

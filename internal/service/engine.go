@@ -25,8 +25,9 @@ import (
 // backend, exact_cover to the covering backends (spp, sop, and auto —
 // which races both), accept_literals to the auto race. It returns q
 // with the form and the SPP engine spelled the way the spp salt keys
-// them: no algorithm is exact, spp_k is sppk, and exact and naive
-// ignore k (keyed k=0); sppk needs k in [0, n-1].
+// them: no algorithm is exact, spp_k is sppk, and exact ignores k
+// (keyed k=0); sppk needs k in [0, n-1]. The paper's naive baseline is
+// not served: "naive" is an unknown algorithm here.
 func (s *Server) normalizeForm(q Request, n int) (Request, error) {
 	if q.Form == "" {
 		q.Form = "spp"
@@ -74,8 +75,6 @@ func (s *Server) normalizeForm(q Request, n int) (Request, error) {
 		switch q.Algorithm {
 		case "", "exact":
 			q.Algorithm, q.K = "exact", 0
-		case "naive":
-			q.K = 0
 		case "sppk", "spp_k":
 			if q.K < 0 || q.K > n-1 {
 				return Request{}, fmt.Errorf("k=%d outside [0, %d]", q.K, n-1)
@@ -149,7 +148,7 @@ func (s *Server) processForm(ctx context.Context, q Request, f, canon *bfunc.Fun
 
 // computeEngine runs one backend under its own admission slot and
 // caches the canonical-space result under its salted key. SPP runs are
-// filed in the run history under their engine (exact, naive, sppk).
+// filed in the run history under their engine (exact, sppk).
 func (s *Server) computeEngine(ctx context.Context, b engine.Backend, key fcache.Key, canon *bfunc.Func, opts engine.Options, waiters func() int64) (cacheEntry, *stats.Report, error) {
 	label := b.Name()
 	if opts.Algorithm != "" {

@@ -379,3 +379,39 @@ func TestJobInvalidAtExecutionFailsTerminally(t *testing.T) {
 		t.Fatalf("failed job lost its error: %+v", st)
 	}
 }
+
+// A naive-baseline job journaled before the server stopped serving the
+// baseline must replay to a failed terminal state carrying the
+// unknown-algorithm error, not crash the worker or run the baseline.
+func TestJobReplayNaiveFails(t *testing.T) {
+	cfg := jobsConfig(t)
+	q, _, err := jobs.Open(jobs.Options{Dir: cfg.JobsDir})
+	if err != nil {
+		t.Fatalf("seed open: %v", err)
+	}
+	j, err := q.Enqueue(jobs.PriorityBatch,
+		json.RawMessage(fmt.Sprintf(`{"n":4,"on":%s,"algorithm":"naive"}`, pointsJSON(oddParity(4)))))
+	if err != nil {
+		t.Fatalf("seed enqueue: %v", err)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatalf("seed close: %v", err)
+	}
+
+	s := New(cfg)
+	if rep := startJobs(t, s); rep.Requeued != 1 {
+		t.Fatalf("requeued = %d, want 1", rep.Requeued)
+	}
+	st := waitJob(t, s.Handler(), j.ID)
+	if st.State != string(jobs.StateFailed) {
+		t.Fatalf("state = %s, want failed", st.State)
+	}
+	if !strings.Contains(st.Error, `unknown algorithm "naive"`) {
+		t.Fatalf("failed job error = %q, want unknown algorithm", st.Error)
+	}
+	// The server still serves: the same function with the default
+	// engine computes.
+	if code, out := post(t, s.Handler(), fmt.Sprintf(`{"n":4,"on":%s}`, pointsJSON(oddParity(4)))); code != http.StatusOK {
+		t.Fatalf("minimize after replay: %d: %s", code, out)
+	}
+}

@@ -181,7 +181,8 @@ type Request struct {
 	AcceptLiterals int `json:"accept_literals,omitempty"`
 
 	// Algorithm selects the SPP engine (form "spp" only): "exact"
-	// (default), "naive", or "sppk" (the SPP_k heuristic, degree K).
+	// (default) or "sppk" (the SPP_k heuristic, degree K). The paper's
+	// naive baseline is not served; "naive" answers 400.
 	Algorithm string `json:"algorithm,omitempty"`
 	K         int    `json:"k,omitempty"`
 

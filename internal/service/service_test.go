@@ -541,7 +541,6 @@ func TestCacheKeyPin(t *testing.T) {
 		exactKey    = "4727624483e69a76429fcaed54b9265a7b2ab20c05852a3f9f7f197d11235832"
 		exactBase   = "dd8b03b5365fa550dc53bb3efae32feacf8f93b7d70b0d68b11bf2c4b334db68"
 		sppkKey     = "d9839861d13780e809cbe3ee6cf03bce8bdfb40d4a468ca986376495101de038"
-		naiveKey    = "8675965461aeaa946d106676294389094cd44748efd83e9042a14497a88f0910"
 		xcfcKey     = "058c40fe3b3fb1d0c9fa7a3328acf1dd829487951c718ae9d936eb24958af103"
 		xcfcBase    = "232cedbbd730c077cdcc1b55842789b9a9db7e4e13a8145874e6114c15757417"
 		sopKey      = "b6859a75bb058bb50e526d808e15752fbd6d694c69ea3db2464878cc7a08bf6f"
@@ -556,7 +555,6 @@ func TestCacheKeyPin(t *testing.T) {
 		{`{` + on8 + `,"form":"auto"}`, exactKey, ""},
 		{`{` + on8 + `,"algorithm":"sppk","k":1}`, sppkKey, ""},
 		{`{` + on8 + `,"algorithm":"spp_k","k":1}`, sppkKey, ""},
-		{`{` + on8 + `,"algorithm":"naive"}`, naiveKey, ""},
 		{`{` + on8 + `,"exact_cover":true,"factor_cost":true}`, xcfcKey, xcfcBase},
 		{`{` + on8 + `,"form":"sop"}`, sopKey, ""},
 	}
@@ -578,6 +576,11 @@ func TestCacheKeyPin(t *testing.T) {
 					tc.body, pass, r.Key, tc.key, r.BaseKey, tc.baseKey)
 			}
 		}
+	}
+	// The paper's naive baseline is not served, so it has no key.
+	code, out := post(t, New(testConfig()).Handler(), `{`+on8+`,"algorithm":"naive"}`)
+	if code != http.StatusBadRequest || !strings.Contains(out, `unknown algorithm \"naive\"`) {
+		t.Errorf("algorithm naive: status %d, want 400 unknown algorithm: %s", code, out)
 	}
 }
 

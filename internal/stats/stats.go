@@ -5,10 +5,9 @@
 // The layer is zero-overhead when disabled: every probe on a nil
 // *Recorder reduces to a nil check (BenchmarkStatsOverhead times the
 // same build with and without a recorder), so Options.Stats == nil
-// preserves the hot paths exactly. When enabled, counters are
-// aggregated race-safely across the worker pools — workers count into
-// per-worker Shards (plain int64s, no contention) and merge them into
-// the Recorder's atomics at the pool join points.
+// preserves the hot paths exactly. When enabled, counters are atomics,
+// so the remaining worker pools (outputs built at once, the exact
+// cover's root branches) add to them race-safely.
 //
 // Counters come in two classes. Deterministic counters describe the
 // algorithms and are byte-identical for every Workers/CoverWorkers
@@ -307,28 +306,4 @@ func (r *Recorder) Do(p Phase, fn func()) {
 	}
 	pprof.Do(context.Background(), pprof.Labels("spp-phase", p.String()),
 		func(context.Context) { fn() })
-}
-
-// Shard is a worker-local counter block: plain int64s a single worker
-// adds to without synchronization, merged into the recorder once at the
-// pool's join point. The zero value is ready to use.
-type Shard struct {
-	counts [numCounters]int64
-}
-
-// Add adds n to counter c in the shard. Not safe for concurrent use —
-// that is the point.
-func (s *Shard) Add(c Counter, n int64) { s.counts[c] += n }
-
-// Merge folds a worker shard into the recorder. No-op on a nil
-// recorder (the shard's cheap local counting is then simply discarded).
-func (r *Recorder) Merge(s *Shard) {
-	if r == nil {
-		return
-	}
-	for c, n := range s.counts {
-		if n != 0 {
-			r.counters[c].Add(n)
-		}
-	}
 }

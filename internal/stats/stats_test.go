@@ -20,9 +20,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	if !ran {
 		t.Fatal("Do did not run fn on nil recorder")
 	}
-	var s Shard
-	s.Add(CtrUnions, 3)
-	r.Merge(&s)
+	r.Add(CtrUnions, 3)
 	if got := r.Get(CtrUnions); got != 0 {
 		t.Fatalf("nil recorder Get = %d, want 0", got)
 	}
@@ -31,26 +29,21 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 }
 
-func TestAddGetMerge(t *testing.T) {
+func TestAddGet(t *testing.T) {
 	r := New()
 	r.Add(CtrCandidates, 5)
 	r.Add(CtrCandidates, 2)
-	var s1, s2 Shard
-	s1.Add(CtrCandidates, 3)
-	s1.Add(CtrUnions, 10)
-	s2.Add(CtrUnions, 1)
-	r.Merge(&s1)
-	r.Merge(&s2)
-	if got := r.Get(CtrCandidates); got != 10 {
-		t.Errorf("CtrCandidates = %d, want 10", got)
+	r.Add(CtrUnions, 11)
+	if got := r.Get(CtrCandidates); got != 7 {
+		t.Errorf("CtrCandidates = %d, want 7", got)
 	}
 	if got := r.Get(CtrUnions); got != 11 {
 		t.Errorf("CtrUnions = %d, want 11", got)
 	}
 }
 
-// Concurrent Add/Merge/Layer from many goroutines must neither race
-// (run under -race in check-race) nor lose updates.
+// Concurrent Add/Layer from many goroutines must neither race (run
+// under -race in check-race) nor lose updates.
 func TestConcurrentAccumulation(t *testing.T) {
 	r := New()
 	const workers, per = 8, 1000
@@ -59,13 +52,11 @@ func TestConcurrentAccumulation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var s Shard
 			for i := 0; i < per; i++ {
 				r.Add(CtrCandidates, 1)
-				s.Add(CtrUnions, 1)
+				r.Add(CtrUnions, 1)
 				r.Layer(3, 1, 0)
 			}
-			r.Merge(&s)
 		}()
 	}
 	wg.Wait()

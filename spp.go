@@ -135,10 +135,11 @@ type Options struct {
 	// phases are always serial. Results are identical for every worker
 	// count.
 	Workers int
-	// CoverWorkers sets the number of parallel workers for the covering
-	// phase (column construction and the exact branch and bound): 0
-	// follows Workers, 1 (or negative) means serial. Results are
-	// identical for every worker count.
+	// CoverWorkers sets how many root branches of the exact covering
+	// branch and bound (ExactCover) run at once: 0 follows Workers, 1
+	// (or negative) means serial. Covering columns and the greedy cover
+	// are always built serially. Results are identical for every worker
+	// count.
 	CoverWorkers int
 	// MaxCoverNodes bounds the exact covering branch and bound (0 = the
 	// solver default). Only meaningful with ExactCover.
@@ -325,8 +326,9 @@ func (w *WarmState) Churn(d Delta) (int, error) {
 // from Minimize's where the covering heuristic broke a tie by candidate
 // order — the literal cost is the same, and all warm results
 // (MinimizeWarm and Resume alike) are mutually byte-identical for equal
-// functions. EPPP construction is serial, as in every call;
-// Options.CoverWorkers still parallelizes covering.
+// functions. EPPP construction and the covering columns are serial, as
+// in every call; Options.CoverWorkers reaches only the exact branch and
+// bound.
 func MinimizeWarm(f *Function, opts *Options) (*Result, *WarmState, error) {
 	r, ws, err := core.MinimizeExactWarm(f.f, opts.toCore())
 	if err != nil {
