@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"strings"
 	"time"
@@ -55,6 +56,22 @@ func (k CostKind) ofFactors(fs []pcube.Factor) int {
 		return len(fs)
 	default:
 		return pcube.FactorLiterals(fs)
+	}
+}
+
+// ofMasks is of for a structure given as its factor masks: both costs
+// are functions of the structure alone, so every member of a partition
+// trie group has its group's cost.
+func (k CostKind) ofMasks(masks []uint64) int {
+	switch k {
+	case CostFactors:
+		return len(masks)
+	default:
+		total := 0
+		for _, m := range masks {
+			total += bits.OnesCount64(m)
+		}
+		return total
 	}
 }
 

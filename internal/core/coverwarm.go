@@ -191,11 +191,7 @@ func selectCover(f *bfunc.Func, candidates []*pcube.CEX, meta *resumeMeta, prevP
 		if err != nil {
 			return coverOut{}, err
 		}
-		form := Form{N: n}
-		for _, j := range kept {
-			form.Terms = append(form.Terms, pcols[j].cex)
-		}
-		return coverOut{form: form, pts: pts, time: time.Since(start), optimal: false}, nil
+		return coverOut{form: pickedForm(n, pcols, kept), pts: pts, time: time.Since(start), optimal: false}, nil
 	}
 
 	if err := in.Validate(); err != nil {
@@ -207,11 +203,41 @@ func selectCover(f *bfunc.Func, candidates []*pcube.CEX, meta *resumeMeta, prevP
 		Stats:    opts.Stats,
 		Ctx:      opts.Ctx,
 	})
-	form := Form{N: n}
-	for _, j := range res.Picked {
-		form.Terms = append(form.Terms, pcols[j].cex)
+	return coverOut{form: pickedForm(n, pcols, res.Picked), pts: pts, time: time.Since(start), optimal: res.Optimal}, nil
+}
+
+// pickedForm returns the form of the picked columns, its terms copied
+// out of the candidates (ownTerms).
+func pickedForm(n int, pcols []pcol, picked []int) Form {
+	terms := make([]*pcube.CEX, len(picked))
+	for i, j := range picked {
+		terms[i] = pcols[j].cex
 	}
-	return coverOut{form: form, pts: pts, time: time.Since(start), optimal: res.Optimal}, nil
+	return Form{N: n, Terms: ownTerms(terms)}
+}
+
+// ownTerms copies terms into one exact-size array of CEX headers and
+// one of factors. Candidates live in their build's storage, a few
+// arrays per level; a form the service caches, or a multi-output pool,
+// holds its copies instead, so it never keeps a build's arrays alive.
+func ownTerms(terms []*pcube.CEX) []*pcube.CEX {
+	if len(terms) == 0 {
+		return nil
+	}
+	nf := 0
+	for _, t := range terms {
+		nf += len(t.Factors)
+	}
+	hdrs := make([]pcube.CEX, len(terms))
+	fs := make([]pcube.Factor, 0, nf)
+	out := make([]*pcube.CEX, len(terms))
+	for i, t := range terms {
+		lo := len(fs)
+		fs = append(fs, t.Factors...)
+		hdrs[i].Init(t.N, t.Canon, fs[lo:len(fs):len(fs)])
+		out[i] = &hdrs[i]
+	}
+	return out
 }
 
 // greedyCover runs the greedy covering over point-space columns: the

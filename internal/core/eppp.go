@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/bfunc"
+	"repro/internal/bitvec"
 	"repro/internal/pcube"
 	"repro/internal/ptrie"
 	"repro/internal/stats"
@@ -73,29 +75,36 @@ type EPPPSet struct {
 // degree-(m+1) pseudocube is the union of up to 2^(m+1)−1
 // same-structure pairs, and everything about a union but its
 // complement vector follows from the pair's δ (unionMemo). So the loop
-// computes a union (pcube.UnionInto) and walks the next-level trie to
-// its group only on a group's first pair with each δ. Every pair takes
-// the discard rule from the memoized cost, derives the union's
-// complement vector with bit operations and probes the group handle
-// with it; a CEX is built only when the union is fresh there, about a
-// third of the unions on the Table 1 functions.
+// computes a union's structure (pcube.UnionMasks) and walks the
+// next-level trie to its group only on a group's first pair with each
+// δ. Every pair takes the discard rule from the memoized cost, derives
+// the union's complement vector with bit operations and probes the
+// group handle with it; a fresh union is filed as that vector alone.
 type unifier struct {
 	cost   CostKind
 	b      *budget
-	buf    []pcube.Factor
+	tries  [2]*ptrie.Trie // the level pair of BuildEPPP and the warm capture
+	buf    []uint64       // pcube.UnionMasks scratch
 	memo   unionMemo[ptrie.Group]
-	cvs    []uint64 // the group's complement vectors, in entry order
-	costs  []int    // the group's costs, in entry order
+	cvs    []uint64 // the group's complement vectors, in member order
+	marks  []int32  // per member, how many partners' unions discard it
 	unions int64    // union operations performed
 	fresh  int64    // unions fresh in their destination trie
 	walks  int64    // next-level trie walks: one per group and distinct δ
 }
 
-// unifierPool keeps unifiers, with their grown scratch and memo,
-// between builds. Grown afresh, they cost each build about 20
-// allocations, enough to make builds of 4-variable functions slower
-// than without the memo.
+// unifierPool keeps unifiers, with their grown scratch, memo and level
+// tries, between builds. Grown afresh, the scratch and memo cost each
+// build about 20 allocations, enough to make builds of 4-variable
+// functions slower than without the memo; the tries' arrays are most of
+// the bytes a build would otherwise allocate.
 var unifierPool = sync.Pool{New: func() any { return new(unifier) }}
+
+// maxPooledTrieBytes caps the level arrays a pooled unifier keeps. The
+// largest exact-cold build grows its two tries to 3.4 MB; a build near
+// the MaxCandidates cap grows them to hundreds of MB, which the pool
+// drops instead of holding between builds.
+const maxPooledTrieBytes = 16 << 20
 
 // newUnifier takes a unifier from the pool for one build.
 func newUnifier(cost CostKind, b *budget) *unifier {
@@ -105,51 +114,71 @@ func newUnifier(cost CostKind, b *budget) *unifier {
 	return u
 }
 
-// release returns u to the pool; its memo drops the build's trie handles.
+// levels returns u's two level tries, empty and over B^n. Step 2 of
+// Algorithm 2 reads two levels at a time, so they take turns: level
+// k+1 fills one while level k is read from the other, and a level's
+// trie is reset for level k+2 once its candidates are copied out.
+func (u *unifier) levels(n int) (*ptrie.Trie, *ptrie.Trie) {
+	for i, t := range u.tries {
+		if t == nil {
+			u.tries[i] = ptrie.New(n)
+		} else {
+			t.Reset(n)
+		}
+	}
+	return u.tries[0], u.tries[1]
+}
+
+// release returns u to the pool; its memo drops the build's trie
+// handles, and tries grown past maxPooledTrieBytes are dropped.
 func (u *unifier) release() {
-	u.memo.reset(0)
+	u.memo.reset()
 	u.b = nil
+	if t := u.tries; t[0] != nil && t[0].Bytes()+t[1].Bytes() > maxPooledTrieBytes {
+		u.tries = [2]*ptrie.Trie{}
+	}
 	unifierPool.Put(u)
 }
 
-// group unifies every pair es[i], es[j], i < j, of one structure
-// group, inserting each union into next. mark(k) is called once per
-// pair whose union costs no more than es[k] (the discard rule). It
-// charges the budget for every fresh union and reports false, stopping
-// early, when the budget is exhausted.
-func (u *unifier) group(es []*ptrie.Entry, next *ptrie.Trie, mark func(k int)) bool {
-	u.cvs, u.costs = u.cvs[:0], u.costs[:0]
-	for _, e := range es {
-		u.cvs = append(u.cvs, e.CEX.CompVector())
-		u.costs = append(u.costs, u.cost.of(e.CEX))
-	}
-	u.memo.reset(len(es[0].CEX.Factors) - 1)
+// group unifies every pair of members of the structure group g, filing
+// each union in next. On return u.cvs holds g's complement vectors in
+// member order and u.marks, aligned with them, how many partners'
+// unions cost no more than the member (Algorithm 2's discard rule: a
+// member is a candidate iff its count is 0). Members of one group share
+// their structure and so their cost. It charges the budget for every
+// fresh union and reports false, stopping early, when the budget is
+// exhausted.
+func (u *unifier) group(g ptrie.Group, next *ptrie.Trie) bool {
+	u.cvs = g.CompVectors(u.cvs[:0])
+	u.marks = slices.Grow(u.marks[:0], len(u.cvs))[:len(u.cvs)]
+	clear(u.marks)
+	canon, masks := g.Canon(), g.Masks()
+	cost := u.cost.ofMasks(masks)
+	u.memo.reset()
 	for i, cva := range u.cvs {
-		for j := i + 1; j < len(es); j++ {
-			// Same-group entries share a structure and differ in their
+		for j := i + 1; j < len(u.cvs); j++ {
+			// Same-group members share a structure and differ in their
 			// complement vectors, so the union always exists.
 			cvb := u.cvs[j]
 			u.unions++
 			d := cva ^ cvb
 			x := u.memo.get(d)
 			if x < 0 {
-				fs, canon, _ := pcube.UnionInto(u.buf, es[i].CEX, es[j].CEX)
-				u.buf = fs
+				ms, c := pcube.UnionMasks(u.buf, canon, masks, d)
+				u.buf = ms
 				u.walks++
-				x = u.memo.put(d, next.Group(canon, fs), canon, u.cost.ofFactors(fs), fs)
+				x = u.memo.put(d, next.Group(c, ms), u.cost.ofMasks(ms))
 			}
 			v := &u.memo.vals[x]
-			if v.cost <= u.costs[i] {
-				mark(i)
-			}
-			if v.cost <= u.costs[j] {
-				mark(j)
+			if v.cost <= cost {
+				u.marks[i]++
+				u.marks[j]++
 			}
 			cv := pcube.UnionCompVector(cva, cvb)
-			if v.next.Find(cv) != nil {
+			if v.next.Find(cv) {
 				continue
 			}
-			v.next.Add(pcube.NewCEX(es[i].CEX.N, v.canon, u.memo.factors(x, cv)))
+			v.next.Add(cv)
 			u.fresh++
 			if !u.b.spend(1) {
 				return false
@@ -157,6 +186,90 @@ func (u *unifier) group(es []*ptrie.Entry, next *ptrie.Trie, mark func(k int)) b
 		}
 	}
 	return true
+}
+
+// pointLevel files the care points of f in t as Algorithm 2's level 0:
+// one group, of structure x_0·x_1·…·x_{n−1}, whose members are the
+// points' complement vectors (pcube.PointCompVector). Care points are
+// distinct, so none needs a duplicate probe.
+func pointLevel(t *ptrie.Trie, f *bfunc.Func) {
+	care := f.Care()
+	if len(care) == 0 {
+		return
+	}
+	n := f.N()
+	var arr [64]uint64
+	masks := arr[:n]
+	for i := range masks {
+		masks[i] = bitvec.VarMask(n, i)
+	}
+	g := t.Group(0, masks)
+	for _, p := range care {
+		g.Add(pcube.PointCompVector(n, p))
+	}
+}
+
+// candStore copies a build's candidates out of its level tries into
+// storage the returned EPPPSet owns. While a level is unified, keep
+// records the members of each group that survive the discard rule;
+// flush then materializes them into one exact-size array of CEX
+// headers and one of factors, before the level's trie is reset. So a
+// set retains its candidates and nothing of the levels they came from.
+type candStore struct {
+	n      int
+	kept   []keptMember // the current level's candidates, in emission order
+	levels [][]pcube.CEX
+	count  int
+}
+
+type keptMember struct {
+	g  ptrie.Group
+	cv uint64
+}
+
+// keep records the members of g (complement vectors cvs) whose discard
+// count in marks is 0; nil marks keeps every member.
+func (s *candStore) keep(g ptrie.Group, cvs []uint64, marks []int32) {
+	for i, cv := range cvs {
+		if marks == nil || marks[i] == 0 {
+			s.kept = append(s.kept, keptMember{g, cv})
+		}
+	}
+}
+
+// flush materializes the members keep recorded since the last flush.
+func (s *candStore) flush() {
+	if len(s.kept) == 0 {
+		return
+	}
+	nf := 0
+	for _, k := range s.kept {
+		nf += len(k.g.Masks())
+	}
+	hdrs := make([]pcube.CEX, len(s.kept))
+	fs := make([]pcube.Factor, 0, nf)
+	for i, k := range s.kept {
+		lo := len(fs)
+		fs = pcube.AppendFactors(fs, k.g.Masks(), k.cv)
+		hdrs[i].Init(s.n, k.g.Canon(), fs[lo:len(fs):len(fs)])
+	}
+	s.levels = append(s.levels, hdrs)
+	s.count += len(hdrs)
+	s.kept = s.kept[:0]
+}
+
+// list returns every flushed candidate in emission order.
+func (s *candStore) list() []*pcube.CEX {
+	if s.count == 0 {
+		return nil
+	}
+	out := make([]*pcube.CEX, 0, s.count)
+	for _, hdrs := range s.levels {
+		for i := range hdrs {
+			out = append(out, &hdrs[i])
+		}
+	}
+	return out
 }
 
 // keySet deduplicates pseudoproducts held as factors by their Key
@@ -205,17 +318,14 @@ func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 	b := newBudget(opts)
 	bst := BuildStats{}
 
-	cur := ptrie.New(n)
-	for _, p := range f.Care() {
-		cur.Insert(pcube.FromPoint(n, p))
-	}
+	u := newUnifier(opts.Cost, b)
+	defer u.release()
+	cur, next := u.levels(n)
+	pointLevel(cur, f)
 	if !b.spend(cur.Len()) {
 		return nil, b.failure()
 	}
-
-	u := newUnifier(opts.Cost, b)
-	defer u.release()
-	var candidates []*pcube.CEX
+	store := candStore{n: n}
 	for level := 0; cur.Len() > 0; level++ {
 		if err := opts.ctxErr(); err != nil {
 			return nil, err
@@ -225,25 +335,23 @@ func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		if opts.Stats != nil {
 			opts.Stats.Add(stats.CtrTrieNodes, int64(cur.NumInternalNodes()))
 		}
-		next := ptrie.New(n)
+		next.Reset(n)
 		ok := true
-		cur.Groups(func(entries []*ptrie.Entry) bool {
-			ok = u.group(entries, next, func(k int) { entries[k].Mark = true })
+		cur.Groups(func(g ptrie.Group) bool {
+			if ok = u.group(g, next); ok {
+				// Retain the unmarked pseudoproducts of this group.
+				store.keep(g, u.cvs, u.marks)
+			}
 			return ok
 		})
 		if !ok {
 			return nil, b.failure()
 		}
-		// Retain the unmarked pseudoproducts of this level.
-		cur.Entries(func(e *ptrie.Entry) bool {
-			if !e.Mark {
-				candidates = append(candidates, e.CEX)
-			}
-			return true
-		})
+		store.flush()
 		bst.Candidates += cur.Len()
-		cur = next
+		cur, next = next, cur
 	}
+	candidates := store.list()
 	bst.Unions, bst.Fresh = u.unions, u.fresh
 	bst.EPPP = len(candidates)
 	bst.BuildTime = time.Since(start)
@@ -269,19 +377,26 @@ func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 	// The pair loop is the trie engine's (unifier.group), with the
 	// structure map in place of the trie: the map is probed once per
 	// group and δ, and a group tells its members apart by complement
-	// vector, so the two variants differ only in the grouping index.
+	// vector. Unlike the trie engine, every member is a CEX of its own.
 	type entry struct {
 		cex  *pcube.CEX
 		mark bool
 	}
-	type group struct{ es []*entry }
+	type group struct {
+		canon uint64
+		masks []uint64
+		es    []*entry
+	}
 	var key []byte
-	groupOf := func(level map[string]*group, fs []pcube.Factor) *group {
+	groupOf := func(level map[string]*group, canon uint64, fs []pcube.Factor) *group {
 		key = pcube.AppendKey(key[:0], fs)
 		skey := key[:8*len(fs)]
 		g := level[string(skey)]
 		if g == nil {
-			g = &group{}
+			g = &group{canon: canon, masks: make([]uint64, len(fs))}
+			for i, f := range fs {
+				g.masks[i] = f.Vars
+			}
 			level[string(skey)] = g
 		}
 		return g
@@ -300,7 +415,7 @@ func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 	cur := map[string]*group{}
 	for _, p := range care {
 		c := pcube.FromPoint(n, p)
-		g := groupOf(cur, c.Factors)
+		g := groupOf(cur, c.Canon, c.Factors)
 		g.es = append(g.es, &entry{cex: c})
 	}
 	curLen := len(care)
@@ -321,7 +436,7 @@ func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 		nextLen := 0
 		for _, g := range cur {
 			es := g.es
-			memo.reset(len(es[0].cex.Factors) - 1)
+			memo.reset()
 			for i := range es {
 				cva, ca := es[i].cex.CompVector(), opts.Cost.of(es[i].cex)
 				for j := i + 1; j < len(es); j++ {
@@ -332,7 +447,7 @@ func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 					if x < 0 {
 						fs, canon, _ := pcube.UnionInto(buf, es[i].cex, es[j].cex)
 						buf = fs
-						x = memo.put(d, groupOf(next, fs), canon, opts.Cost.ofFactors(fs), fs)
+						x = memo.put(d, groupOf(next, canon, fs), opts.Cost.ofFactors(fs))
 					}
 					v := &memo.vals[x]
 					if v.cost <= ca {
@@ -345,7 +460,8 @@ func BuildEPPPHashGrouped(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 					if has(v.next, cv) {
 						continue
 					}
-					v.next.es = append(v.next.es, &entry{cex: pcube.NewCEX(n, v.canon, memo.factors(x, cv))})
+					fs := pcube.AppendFactors(make([]pcube.Factor, 0, len(v.next.masks)), v.next.masks, cv)
+					v.next.es = append(v.next.es, &entry{cex: pcube.NewCEX(n, v.next.canon, fs)})
 					nextLen++
 					if !b.spend(1) {
 						return nil, b.failure()

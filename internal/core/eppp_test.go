@@ -11,10 +11,12 @@ import (
 	"repro/internal/ptrie"
 )
 
-// perUnionBuild is BuildEPPP with the pair loop that walks the next
-// trie for every union: pcube.UnionInto, the discard rule on the
-// scratch, then ptrie.InsertFactors. It is the reference the δ-memo
-// kernel must match in candidate order and in every BuildStats count.
+// perUnionBuild is BuildEPPP with the pair loop that unions every pair
+// of CEXs and walks the next trie for every union: pcube.UnionInto, the
+// discard rule on the scratch, then ptrie.InsertFactors. It is the
+// reference the δ-memo kernel, which derives a union's structure from δ
+// (pcube.UnionMasks), must match in candidate order and in every
+// BuildStats count.
 func perUnionBuild(f *bfunc.Func) ([]*pcube.CEX, BuildStats) {
 	n := f.N()
 	cur := ptrie.New(n)
@@ -28,29 +30,33 @@ func perUnionBuild(f *bfunc.Func) ([]*pcube.CEX, BuildStats) {
 		bst.LevelSizes = append(bst.LevelSizes, cur.Len())
 		bst.Groups = append(bst.Groups, cur.NumGroups())
 		next := ptrie.New(n)
-		cur.Groups(func(es []*ptrie.Entry) bool {
+		cur.Groups(func(g ptrie.Group) bool {
+			var es []*pcube.CEX
+			for _, cv := range g.CompVectors(nil) {
+				es = append(es, pcube.NewCEX(n, g.Canon(), pcube.AppendFactors(nil, g.Masks(), cv)))
+			}
+			mark := make([]bool, len(es))
 			for i := range es {
 				for j := i + 1; j < len(es); j++ {
-					fs, canon, _ := pcube.UnionInto(buf, es[i].CEX, es[j].CEX)
+					fs, canon, _ := pcube.UnionInto(buf, es[i], es[j])
 					buf = fs
 					bst.Unions++
 					h := pcube.FactorLiterals(fs)
-					if h <= es[i].CEX.Literals() {
-						es[i].Mark = true
+					if h <= es[i].Literals() {
+						mark[i] = true
 					}
-					if h <= es[j].CEX.Literals() {
-						es[j].Mark = true
+					if h <= es[j].Literals() {
+						mark[j] = true
 					}
-					if _, fresh := next.InsertFactors(canon, fs); fresh {
+					if next.InsertFactors(canon, fs) {
 						bst.Fresh++
 					}
 				}
 			}
-			return true
-		})
-		cur.Entries(func(e *ptrie.Entry) bool {
-			if !e.Mark {
-				cands = append(cands, e.CEX)
+			for i, c := range es {
+				if !mark[i] {
+					cands = append(cands, c)
+				}
 			}
 			return true
 		})

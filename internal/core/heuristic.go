@@ -57,9 +57,12 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 		tries[d] = ptrie.New(n)
 	}
 	total := 0
+	var fs []pcube.Factor
 	for _, pi := range qm.Primes(f) {
-		c := pcube.FromCube(n, pi)
-		if _, fresh := tries[c.Degree()].Insert(c); fresh {
+		// An implicant with i literals has i factors and degree n−i.
+		var canon uint64
+		fs, canon = pcube.AppendCube(fs[:0], n, pi)
+		if tries[n-len(fs)].InsertFactors(canon, fs) {
 			total++
 		}
 	}
@@ -90,9 +93,9 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 		}
 		d := top - i + 1
 		overBudget := false
-		tries[d].Entries(func(e *ptrie.Entry) bool {
-			e.CEX.SubPseudocubes(func(s *pcube.CEX) bool {
-				if _, fresh := tries[d-1].Insert(s); fresh {
+		tries[d].Entries(func(c *pcube.CEX) bool {
+			fs = c.SubPseudocubesInto(fs, func(canon uint64, sub []pcube.Factor) bool {
+				if tries[d-1].InsertFactors(canon, sub) {
 					bst.Fresh++
 					if !b.spend(1) {
 						overBudget = true
@@ -114,7 +117,7 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 	stop = rec.Phase(stats.PhaseAscend)
 	u := newUnifier(opts.Cost, b)
 	defer u.release()
-	var candidates []*pcube.CEX
+	store := candStore{n: n}
 	for d := 0; d < n; d++ {
 		if err := opts.ctxErr(); err != nil {
 			stop()
@@ -130,33 +133,33 @@ func Heuristic(f *bfunc.Func, k int, opts Options) (*Result, error) {
 			rec.Add(stats.CtrTrieNodes, int64(cur.NumInternalNodes()))
 		}
 		ok := true
-		cur.Groups(func(entries []*ptrie.Entry) bool {
-			ok = u.group(entries, tries[d+1], func(k int) { entries[k].Mark = true })
+		cur.Groups(func(g ptrie.Group) bool {
+			if ok = u.group(g, tries[d+1]); ok {
+				store.keep(g, u.cvs, u.marks)
+			}
 			return ok
 		})
 		if !ok {
 			stop()
 			return nil, b.failure()
 		}
-		cur.Entries(func(e *ptrie.Entry) bool {
-			if !e.Mark {
-				candidates = append(candidates, e.CEX)
-			}
-			return true
-		})
+		store.flush()
 		bst.Candidates += cur.Len()
+		tries[d] = nil // read for the last time
 	}
 	// Degree-n trie: only the constant-one pseudocube could live there,
 	// and the constant-one case returned early; nothing can be stored
 	// at degree n here, but keep the accounting honest.
 	if tries[n].Len() > 0 {
-		tries[n].Entries(func(e *ptrie.Entry) bool {
-			candidates = append(candidates, e.CEX)
+		tries[n].Groups(func(g ptrie.Group) bool {
+			store.keep(g, g.CompVectors(nil), nil)
 			return true
 		})
+		store.flush()
 		bst.Candidates += tries[n].Len()
 	}
 	stop()
+	candidates := store.list()
 	bst.Unions += u.unions
 	bst.Fresh += u.fresh
 	bst.EPPP = len(candidates)

@@ -228,5 +228,6 @@ func MinimizeMulti(m *bfunc.Multi, opts Options) (*MultiResult, error) {
 			}
 		}
 	}
+	res.Terms = ownTerms(res.Terms)
 	return res, nil
 }

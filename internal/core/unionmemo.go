@@ -1,16 +1,14 @@
 package core
 
-import "repro/internal/pcube"
-
 // unionMemo is the per-group memo of Algorithm 2's pair loop. By
 // Algorithm 1, a union of two members of one structure group owes its
 // structure, canonical mask and cost to δ = cv_a ⊕ cv_b alone, the XOR
 // of their complement vectors: α is the non-canonical variables of the
 // factors δ marks, and x_k that of its lowest.
-// So the loop computes one union per distinct δ and keeps, under δ, the
-// next-level group the union files under (of handle type H), its
-// canonical mask, its factor masks and its cost; every later pair with
-// that δ needs only its own complement vector (pcube.UnionCompVector).
+// So the loop computes one union structure per distinct δ and keeps,
+// under δ, the next-level group the union files under (of handle type
+// H) and its cost; every later pair with that δ needs only its own
+// complement vector (pcube.UnionCompVector).
 //
 // The table is open-addressed and its slots carry the epoch they were
 // written in, so reset empties it in O(1) however far it grew: level 0
@@ -22,8 +20,6 @@ type unionMemo[H any] struct {
 	slots []memoSlot
 	epoch uint32
 	vals  []memoVal[H]
-	masks []uint64 // vals[x]'s factor masks are masks[x*w : (x+1)*w]
-	w     int
 }
 
 type memoSlot struct {
@@ -34,15 +30,14 @@ type memoSlot struct {
 
 // memoVal is what every pair with one δ shares.
 type memoVal[H any] struct {
-	next  H
-	canon uint64
-	cost  int
+	next H
+	cost int
 }
 
-// reset empties the memo for a group whose unions have w factors.
-func (m *unionMemo[H]) reset(w int) {
+// reset empties the memo for the next group.
+func (m *unionMemo[H]) reset() {
 	clear(m.vals)
-	m.vals, m.masks, m.w = m.vals[:0], m.masks[:0], w
+	m.vals = m.vals[:0]
 	if m.epoch++; m.epoch == 0 {
 		clear(m.slots)
 		m.epoch = 1
@@ -73,17 +68,13 @@ func (m *unionMemo[H]) get(d uint64) int {
 }
 
 // put stores the value of δ, which get reported absent: the next-level
-// group, canonical mask and cost of a union with factors fs. It
-// returns the value's index.
-func (m *unionMemo[H]) put(d uint64, next H, canon uint64, cost int, fs []pcube.Factor) int {
+// group and the cost of the union. It returns the value's index.
+func (m *unionMemo[H]) put(d uint64, next H, cost int) int {
 	if 2*(len(m.vals)+1) > len(m.slots) {
 		m.grow()
 	}
 	x := len(m.vals)
-	m.vals = append(m.vals, memoVal[H]{next: next, canon: canon, cost: cost})
-	for _, f := range fs {
-		m.masks = append(m.masks, f.Vars)
-	}
+	m.vals = append(m.vals, memoVal[H]{next: next, cost: cost})
 	m.insert(d, int32(x))
 	return x
 }
@@ -107,14 +98,4 @@ func (m *unionMemo[H]) grow() {
 			m.insert(s.delta, s.val)
 		}
 	}
-}
-
-// factors builds the factors of the union with value x and complement
-// vector cv, in a new slice a CEX can own.
-func (m *unionMemo[H]) factors(x int, cv uint64) []pcube.Factor {
-	fs := make([]pcube.Factor, m.w)
-	for i, v := range m.masks[x*m.w : (x+1)*m.w] {
-		fs[i] = pcube.Factor{Vars: v, Comp: uint8(cv >> uint(i) & 1)}
-	}
-	return fs
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -294,8 +295,11 @@ func MinimizeExactWarm(f *bfunc.Func, opts Options) (*Result, *WarmState, error)
 }
 
 // buildEPPPWarm is the serial Algorithm 2 loop of BuildEPPP with
-// MarkCnt bookkeeping, canonical candidate emission and per-level group
-// capture.
+// discard-count bookkeeping, canonical candidate emission and per-level
+// group capture. The warm state keeps every level, each pseudoproduct
+// as a CEX of its own: a resume shares its survivors with the state it
+// patches and drops the entries an edit kills, so an entry must be
+// freed on its own (DESIGN.md ablation 15).
 func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 	defer opts.Stats.Phase(stats.PhaseEPPP)()
 	start := time.Now()
@@ -304,16 +308,13 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 	bst := BuildStats{}
 	ws := &WarmState{n: n, f: f, cost: opts.Cost}
 
-	cur := ptrie.New(n)
-	for _, p := range f.Care() {
-		cur.Insert(pcube.FromPoint(n, p))
-	}
+	u := newUnifier(opts.Cost, b)
+	defer u.release()
+	cur, next := u.levels(n)
+	pointLevel(cur, f)
 	if !b.spend(cur.Len()) {
 		return nil, nil, b.failure()
 	}
-
-	u := newUnifier(opts.Cost, b)
-	defer u.release()
 	var candidates []*pcube.CEX
 	var pts []uint64
 	for level := 0; cur.Len() > 0; level++ {
@@ -325,29 +326,31 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 		if opts.Stats != nil {
 			opts.Stats.Add(stats.CtrTrieNodes, int64(cur.NumInternalNodes()))
 		}
-		next := ptrie.New(n)
+		next.Reset(n)
 		wl := warmLevel{}
 		ok := true
-		cur.PathGroups(func(path []byte, entries []*ptrie.Entry) bool {
-			if ok = u.group(entries, next, func(k int) { entries[k].MarkCnt++ }); !ok {
+		cur.PathGroups(func(path []byte, g ptrie.Group) bool {
+			if ok = u.group(g, next); !ok {
 				return false
 			}
 			// Capture the group canonically: entries by complement
 			// vector, with point signatures for delta invalidation.
-			g := &warmGroup{path: string(path), entries: make([]warmEntry, len(entries))}
-			for i, e := range entries {
+			wg := &warmGroup{path: string(path), entries: make([]warmEntry, len(u.cvs))}
+			masks := g.Masks()
+			for i, cv := range u.cvs {
+				c := pcube.NewCEX(n, g.Canon(), pcube.AppendFactors(make([]pcube.Factor, 0, len(masks)), masks, cv))
 				var sig uint64
-				pts = e.CEX.AppendPoints(pts[:0])
+				pts = c.AppendPoints(pts[:0])
 				for _, p := range pts {
 					sig |= pointSig(p)
 				}
-				g.entries[i] = warmEntry{cex: e.CEX, sig: sig, markCnt: e.MarkCnt, prevCand: e.MarkCnt == 0}
-				g.sig |= sig
+				wg.entries[i] = warmEntry{cex: c, sig: sig, markCnt: u.marks[i], prevCand: u.marks[i] == 0}
+				wg.sig |= sig
 			}
-			sort.Slice(g.entries, func(a, b int) bool {
-				return g.entries[a].cex.CompVector() < g.entries[b].cex.CompVector()
+			slices.SortFunc(wg.entries, func(a, b warmEntry) int {
+				return cmp.Compare(a.cex.CompVector(), b.cex.CompVector())
 			})
-			wl.groups = append(wl.groups, g)
+			wl.groups = append(wl.groups, wg)
 			return true
 		})
 		if !ok {
@@ -362,7 +365,7 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 			}
 		}
 		bst.Candidates += cur.Len()
-		cur = next
+		cur, next = next, cur
 	}
 	bst.Unions, bst.Fresh = u.unions, u.fresh
 	bst.EPPP = len(candidates)
@@ -774,8 +777,10 @@ func (ws *WarmState) computeBytes() {
 			b += 64 + int64(len(g.path))
 			for i := range g.entries {
 				// entry (24 B) + CEX header (56 B, in the 64 B size
-				// class) + 16 B per factor. A CEX carries no key
-				// strings; those are built on demand.
+				// class) + 16 B per factor: every warm entry's CEX is
+				// an object of its own, captured or resumed, so that an
+				// entry a resume drops is freed with it. A CEX carries
+				// no key strings; those are built on demand.
 				b += 24 + 64 + int64(len(g.entries[i].cex.Factors))*16
 			}
 		}

@@ -43,15 +43,20 @@ type CEX struct {
 // through it; callers handing in factors transfer ownership of the
 // slice.
 func NewCEX(n int, canon uint64, factors []Factor) *CEX {
-	c := &CEX{N: n, Canon: canon, Factors: factors}
-	c.seal()
+	c := new(CEX)
+	c.Init(n, canon, factors)
 	return c
 }
 
-// seal computes the cached derived values.
-func (c *CEX) seal() {
-	c.lits = FactorLiterals(c.Factors) + 1
-	c.cvec = CompVectorOf(c.Factors)
+// Init makes *c the sealed CEX NewCEX(n, canon, factors) returns, in
+// storage the caller owns: a slab of CEX headers fills its slots with
+// Init instead of allocating a header per pseudoproduct. Like NewCEX it
+// takes ownership of factors, and c must not be re-initialized while
+// another goroutine reads it.
+func (c *CEX) Init(n int, canon uint64, factors []Factor) {
+	*c = CEX{N: n, Canon: canon, Factors: factors}
+	c.lits = FactorLiterals(factors) + 1
+	c.cvec = CompVectorOf(factors)
 }
 
 // FactorLiterals returns the literal count of a product of factors: the
@@ -72,6 +77,16 @@ func CompVectorOf(fs []Factor) uint64 {
 		v |= uint64(f.Comp) << uint(i)
 	}
 	return v
+}
+
+// AppendFactors appends to dst the factors with variable masks masks
+// and complement vector cv (factor i complemented iff bit i is set):
+// the inverse of splitting a CEX into its structure and CompVectorOf.
+func AppendFactors(dst []Factor, masks []uint64, cv uint64) []Factor {
+	for i, m := range masks {
+		dst = append(dst, Factor{Vars: m, Comp: uint8(cv >> uint(i) & 1)})
+	}
+	return dst
 }
 
 // Degree returns the pseudocube's degree m (it has 2^m points).
@@ -124,10 +139,28 @@ func FromPoint(n int, p uint64) *CEX {
 	return NewCEX(n, 0, fs)
 }
 
+// PointCompVector returns the complement vector of FromPoint(n, p)
+// without building it: factor i is x_i, complemented where p's bit i is
+// 0. Every point of B^n shares FromPoint's structure, so this vector
+// alone tells the degree-0 pseudoproducts apart.
+func PointCompVector(n int, p uint64) uint64 {
+	var v uint64
+	for i := 0; i < n; i++ {
+		v |= (1 ^ bitvec.Bit(p, n, i)) << uint(i)
+	}
+	return v
+}
+
 // FromCube converts a product of literals to its CEX: free variables are
 // canonical, each bound literal is a single-variable factor.
 func FromCube(n int, cb cube.Cube) *CEX {
-	var fs []Factor
+	fs, canon := AppendCube(nil, n, cb)
+	return NewCEX(n, canon, fs)
+}
+
+// AppendCube appends FromCube's factors to dst and returns them with
+// its canonical mask, for callers that file the cube without a CEX.
+func AppendCube(dst []Factor, n int, cb cube.Cube) ([]Factor, uint64) {
 	for i := 0; i < n; i++ {
 		m := bitvec.VarMask(n, i)
 		if cb.Care&m == 0 {
@@ -137,9 +170,9 @@ func FromCube(n int, cb cube.Cube) *CEX {
 		if cb.Val&m != 0 {
 			comp = 0
 		}
-		fs = append(fs, Factor{Vars: m, Comp: comp})
+		dst = append(dst, Factor{Vars: m, Comp: comp})
 	}
-	return NewCEX(n, bitvec.SpaceMask(n)&^cb.Care, fs)
+	return dst, bitvec.SpaceMask(n) &^ cb.Care
 }
 
 // FromPoints computes the CEX of the given point set if it is a

@@ -2,6 +2,7 @@ package pcube
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/bitvec"
 )
@@ -81,6 +82,28 @@ func UnionCompVector(a, b uint64) uint64 {
 	return v&(1<<k-1) | v>>(k+1)<<k
 }
 
+// UnionMasks is Algorithm 1 on structures alone: given the canonical
+// mask and factor masks of a structure group and the complement
+// difference d ≠ 0 of two of its members, it writes the factor masks of
+// their union into dst (reusing its backing array) and returns them
+// with the union's canonical mask. A union's structure depends on d
+// only, so every pair of the group with difference d files under it;
+// UnionCompVector gives each pair's complement vector. The masks are
+// those of UnionInto's factors for any such pair.
+func UnionMasks(dst []uint64, canon uint64, masks []uint64, d uint64) ([]uint64, uint64) {
+	k := bits.TrailingZeros64(d)
+	mk := masks[k]
+	dst = append(dst[:0], masks[:k]...)
+	for i := k + 1; i < len(masks); i++ {
+		m := masks[i]
+		if d>>uint(i)&1 != 0 {
+			m ^= mk
+		}
+		dst = append(dst, m)
+	}
+	return dst, canon | mk&^canon
+}
+
 // Alpha returns the mask of non-canonical variables whose factors differ
 // in complementation between two same-structure CEX (the paper's α), or
 // false if the structures differ.
@@ -107,8 +130,18 @@ func Alpha(a, b *CEX) (uint64, bool) {
 // The visit callback receives each sub-pseudocube; enumeration stops if
 // it returns false.
 func (c *CEX) SubPseudocubes(visit func(*CEX) bool) {
+	c.SubPseudocubesInto(nil, func(canon uint64, fs []Factor) bool {
+		return visit(NewCEX(c.N, canon, slices.Clone(fs)))
+	})
+}
+
+// SubPseudocubesInto is SubPseudocubes without a CEX per result: each
+// sub-pseudocube is written into dst's backing array as CEX-ordered
+// factors and handed to visit with its canonical mask, valid until
+// visit returns. It returns the grown scratch for the next call.
+func (c *CEX) SubPseudocubesInto(dst []Factor, visit func(canon uint64, fs []Factor) bool) []Factor {
 	if c.Degree() == 0 {
-		return
+		return dst
 	}
 	pivots := bitvec.Vars(c.Canon, c.N)
 	nsub := (1 << uint(len(pivots))) - 1
@@ -120,23 +153,27 @@ func (c *CEX) SubPseudocubes(visit func(*CEX) bool) {
 			}
 		}
 		for b := uint8(0); b <= 1; b++ {
-			if !visit(c.constrain(sMask, b)) {
-				return
+			var canon uint64
+			dst, canon = c.constrain(dst, sMask, b)
+			if !visit(canon, dst) {
+				return dst
 			}
 		}
 	}
+	return dst
 }
 
 // constrain adjoins the affine constraint parity(p & sMask) == b to the
 // pseudocube, where sMask is a non-empty subset of canonical variables,
-// and returns the CEX of the degree-(m−1) sub-pseudocube.
+// and writes the factors of the degree-(m−1) sub-pseudocube into dst,
+// returning them with its canonical mask.
 //
 // The leaving pivot ℓ is the highest-index variable of S: under the
 // leftmost-pivot RREF convention the new constraint row, fully reduced,
 // solves for ℓ in terms of the remaining canonical variables. Every
 // factor containing ℓ is rewritten by substitution (XOR with S), and a
 // new factor for ℓ is inserted in non-canonical order.
-func (c *CEX) constrain(sMask uint64, b uint8) *CEX {
+func (c *CEX) constrain(dst []Factor, sMask uint64, b uint8) ([]Factor, uint64) {
 	n := c.N
 	// Leaving variable: highest index in S = lowest set bit under the
 	// packing (x_0 most significant), i.e. the least significant bit.
@@ -144,7 +181,7 @@ func (c *CEX) constrain(sMask uint64, b uint8) *CEX {
 	l := bitvec.LowestVar(lMask, n)
 
 	newFactor := Factor{Vars: sMask, Comp: 1 ^ b}
-	fs := make([]Factor, 0, len(c.Factors)+1)
+	fs := dst[:0]
 	inserted := false
 	for _, f := range c.Factors {
 		nc := bitvec.LowestVar(f.Vars&^c.Canon, n)
@@ -162,5 +199,5 @@ func (c *CEX) constrain(sMask uint64, b uint8) *CEX {
 	if !inserted {
 		fs = append(fs, newFactor)
 	}
-	return NewCEX(n, c.Canon&^lMask, fs)
+	return fs, c.Canon &^ lMask
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -78,6 +79,14 @@ func checkUnionInto(t *testing.T, n int, off uint64, dirs []uint64, alpha, shift
 	}
 	if cv := UnionCompVector(b.CompVector(), a.CompVector()); cv != CompVectorOf(got) {
 		t.Fatalf("UnionCompVector(b, a) = %#x, union's complement vector %#x", cv, CompVectorOf(got))
+	}
+	var masks []uint64
+	for _, f := range a.Factors {
+		masks = append(masks, f.Vars)
+	}
+	ms, mcanon := UnionMasks(nil, a.Canon, masks, a.CompVector()^b.CompVector())
+	if mcanon != canon || !slices.Equal(AppendFactors(nil, ms, CompVectorOf(got)), got) {
+		t.Fatalf("UnionMasks canon=%#x masks=%#x, union %#x %v", mcanon, ms, canon, got)
 	}
 	c := a.Transform(shift & mask)
 	d := c.Transform(alpha & mask)

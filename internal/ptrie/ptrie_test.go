@@ -24,20 +24,31 @@ func randomCEX(rng *rand.Rand, n, degree int) *pcube.CEX {
 	return c
 }
 
+// memberCEX returns the CEX of the member of g with complement vector cv.
+func memberCEX(g Group, n int, cv uint64) *pcube.CEX {
+	return pcube.NewCEX(n, g.Canon(), pcube.AppendFactors(nil, g.Masks(), cv))
+}
+
+// masksOf returns the factor masks of c.
+func masksOf(c *pcube.CEX) []uint64 {
+	var ms []uint64
+	for _, f := range c.Factors {
+		ms = append(ms, f.Vars)
+	}
+	return ms
+}
+
 func TestInsertDedup(t *testing.T) {
 	tr := New(6)
 	c := pcube.FromPoint(6, 0b010101)
-	e1, fresh1 := tr.Insert(c)
-	if !fresh1 || tr.Len() != 1 {
-		t.Fatalf("first insert: fresh=%v len=%d", fresh1, tr.Len())
+	if fresh := tr.Insert(c); !fresh || tr.Len() != 1 {
+		t.Fatalf("first insert: fresh=%v len=%d", fresh, tr.Len())
 	}
-	e2, fresh2 := tr.Insert(pcube.FromPoint(6, 0b010101))
-	if fresh2 || e1 != e2 || tr.Len() != 1 {
+	if fresh := tr.Insert(pcube.FromPoint(6, 0b010101)); fresh || tr.Len() != 1 {
 		t.Fatalf("duplicate insert must dedup")
 	}
 	// Same structure, different complement vector: same group.
-	e3, fresh3 := tr.Insert(pcube.FromPoint(6, 0b111111))
-	if !fresh3 || e3 == e1 {
+	if fresh := tr.Insert(pcube.FromPoint(6, 0b111111)); !fresh {
 		t.Fatal("distinct comp vector must create a new leaf")
 	}
 	if tr.NumGroups() != 1 {
@@ -56,7 +67,7 @@ func TestProperty1GroupsEqualStructures(t *testing.T) {
 	var all []*pcube.CEX
 	for i := 0; i < 400; i++ {
 		c := randomCEX(rng, n, rng.Intn(n))
-		if _, fresh := tr.Insert(c); fresh {
+		if tr.Insert(c) {
 			all = append(all, c)
 		}
 	}
@@ -72,14 +83,15 @@ func TestProperty1GroupsEqualStructures(t *testing.T) {
 		t.Fatalf("groups=%d, distinct structures=%d", tr.NumGroups(), len(structs))
 	}
 	seen := 0
-	tr.Groups(func(es []*Entry) bool {
+	tr.Groups(func(g Group) bool {
 		seen++
-		key := es[0].CEX.StructureKey()
-		if len(es) != structs[key] {
-			t.Fatalf("group size %d, want %d", len(es), structs[key])
+		cvs := g.CompVectors(nil)
+		key := memberCEX(g, n, cvs[0]).StructureKey()
+		if len(cvs) != structs[key] {
+			t.Fatalf("group size %d, want %d", len(cvs), structs[key])
 		}
-		for _, e := range es {
-			if e.CEX.StructureKey() != key {
+		for _, cv := range cvs {
+			if memberCEX(g, n, cv).StructureKey() != key {
 				t.Fatal("mixed structures in one group")
 			}
 		}
@@ -90,6 +102,8 @@ func TestProperty1GroupsEqualStructures(t *testing.T) {
 	}
 }
 
+// TestSearch finds inserted pseudoproducts through their group handle:
+// Group.Find holds every member, and no CEX that was never inserted.
 func TestSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 6
@@ -100,15 +114,16 @@ func TestSearch(t *testing.T) {
 		tr.Insert(c)
 		members = append(members, c)
 	}
+	find := func(c *pcube.CEX) bool { return tr.Group(c.Canon, masksOf(c)).Find(c.CompVector()) }
 	for _, c := range members {
-		if tr.Search(c) == nil {
-			t.Fatalf("Search missed inserted CEX %v", c)
+		if !find(c) {
+			t.Fatalf("Find missed inserted CEX %v", c)
 		}
 	}
 	// A CEX not inserted (fresh structure) must not be found.
 	missing := pcube.FromPoint(n, 0)
 	missing = pcube.Union(missing, missing.Transform(bitvec.MaskOf(n, 0, 5)))
-	if tr.Search(missing) != nil {
+	if find(missing) {
 		// It might coincidentally be there; verify by checking equality.
 		found := false
 		for _, c := range members {
@@ -117,7 +132,7 @@ func TestSearch(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatal("Search found a CEX that was never inserted")
+			t.Fatal("Find found a CEX that was never inserted")
 		}
 	}
 }
@@ -128,7 +143,10 @@ func TestEntriesVisitAndEarlyStop(t *testing.T) {
 		tr.Insert(pcube.FromPoint(4, p))
 	}
 	count := 0
-	tr.Entries(func(*Entry) bool {
+	tr.Entries(func(c *pcube.CEX) bool {
+		if !c.Equal(pcube.FromPoint(4, uint64(count))) {
+			t.Fatalf("entry %d is %v", count, c)
+		}
 		count++
 		return true
 	})
@@ -136,7 +154,7 @@ func TestEntriesVisitAndEarlyStop(t *testing.T) {
 		t.Fatalf("visited %d entries", count)
 	}
 	count = 0
-	tr.Entries(func(*Entry) bool {
+	tr.Entries(func(*pcube.CEX) bool {
 		count++
 		return count < 3
 	})
@@ -165,9 +183,6 @@ func TestChildOrderingNCBeforeC(t *testing.T) {
 	// Path nodes: NC1,C0 | NC4 | NC5,C0,C2 | NC6,C3 | NC8,C2,C3 = 11.
 	if tr.NumInternalNodes() != 11 {
 		t.Fatalf("internal nodes = %d, want 11", tr.NumInternalNodes())
-	}
-	if tr.NumNCNodes() != 5 {
-		t.Fatalf("NC nodes = %d, want 5", tr.NumNCNodes())
 	}
 	// A same-structure variant shares the whole path.
 	tr.Insert(c.Transform(bitvec.MaskOf(n, 1, 4)))
@@ -206,11 +221,11 @@ func TestDimensionMismatchPanics(t *testing.T) {
 // member keys in stored order — for byte comparison.
 func pathGroupsDump(tr *Trie) string {
 	var sb strings.Builder
-	tr.PathGroups(func(path []byte, es []*Entry) bool {
+	tr.PathGroups(func(path []byte, g Group) bool {
 		sb.Write(path)
 		sb.WriteByte('|')
-		for _, e := range es {
-			sb.WriteString(e.CEX.Key())
+		for _, cv := range g.CompVectors(nil) {
+			sb.WriteString(memberCEX(g, tr.n, cv).Key())
 			sb.WriteByte(';')
 		}
 		sb.WriteByte('\n')
@@ -226,18 +241,15 @@ func TestInsertFactorsMatchesInsert(t *testing.T) {
 	scratch := make([]pcube.Factor, 0, n)
 	for i := 0; i < 600; i++ {
 		c := randomCEX(rng, n, rng.Intn(n))
-		e1, fresh1 := viaCEX.Insert(c)
+		fresh1 := viaCEX.Insert(c)
 		scratch = append(scratch[:0], c.Factors...)
-		e2, fresh2 := viaFactors.InsertFactors(c.Canon, scratch)
-		// The trie must have copied the scratch on a fresh insert.
+		fresh2 := viaFactors.InsertFactors(c.Canon, scratch)
+		// The trie must not keep the scratch.
 		for j := range scratch {
 			scratch[j] = pcube.Factor{Vars: ^uint64(0), Comp: 1}
 		}
 		if fresh1 != fresh2 {
 			t.Fatalf("insert %d: Insert fresh=%v, InsertFactors fresh=%v", i, fresh1, fresh2)
-		}
-		if !e1.CEX.Equal(e2.CEX) || e2.CEX.Literals() != c.Literals() || e2.CEX.CompVector() != c.CompVector() {
-			t.Fatalf("insert %d: entries differ: %v vs %v", i, e1.CEX, e2.CEX)
 		}
 	}
 	if viaCEX.Len() != viaFactors.Len() || viaCEX.NumGroups() != viaFactors.NumGroups() ||
@@ -258,10 +270,11 @@ func TestPathKeyMatchesPathGroups(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		tr.Insert(randomCEX(rng, n, rng.Intn(n)))
 	}
-	tr.PathGroups(func(path []byte, es []*Entry) bool {
-		for _, e := range es {
-			if got := PathKey(e.CEX, nil); string(got) != string(path) {
-				t.Fatalf("PathKey(%v) = %v, group path %v", e.CEX, got, path)
+	tr.PathGroups(func(path []byte, g Group) bool {
+		for _, cv := range g.CompVectors(nil) {
+			c := memberCEX(g, n, cv)
+			if got := PathKey(c, nil); string(got) != string(path) {
+				t.Fatalf("PathKey(%v) = %v, group path %v", c, got, path)
 			}
 		}
 		return true
@@ -271,15 +284,18 @@ func TestPathKeyMatchesPathGroups(t *testing.T) {
 // TestChildIndexProperty drives the bitmap child index with random
 // (kind, label) paths over the full label range of n = 64, labels 0
 // and 63 included, and checks it against the definitions it replaces:
-// children sorted NC before C and then by label, findChild equal to a
-// linear scan for every present and absent child, and PathGroups
-// visiting groups in sorted path-key order.
+// findChild finds every child created and no other (kind, label), at
+// every node, after child blocks have moved to larger ones; and
+// PathGroups visits groups in sorted path-key order — children sorted
+// NC before C, then by label.
 func TestChildIndexProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	tr := New(64)
+	// created holds every path from the root, as (kind, label) bytes.
+	created := map[string]bool{"": true}
 	want := map[string]bool{}
 	for i := 0; i < 2000; i++ {
-		nd := &tr.root
+		x := int32(0)
 		var path []byte
 		for d := 1 + rng.Intn(6); d > 0; d-- {
 			k := kind(rng.Intn(2))
@@ -290,42 +306,39 @@ func TestChildIndexProperty(t *testing.T) {
 			case 1:
 				label = 63
 			}
-			nd = tr.child(nd, k, label)
+			x = tr.child(x, k, label)
 			path = append(path, byte(k), byte(label))
+			created[string(path)] = true
 		}
-		nd.entries = append(nd.entries, &Entry{})
+		if tr.nodes[x].group == 0 {
+			tr.groups = append(tr.groups, group{head: -1, tail: -1})
+			tr.nodes[x].group = int32(len(tr.groups))
+			Group{tr, int32(len(tr.groups) - 1)}.Add(0)
+		}
 		want[string(path)] = true
 	}
-
-	var check func(nd *node)
-	check = func(nd *node) {
-		for i := 1; i < len(nd.children); i++ {
-			a, b := nd.children[i-1], nd.children[i]
-			if a.kind > b.kind || (a.kind == b.kind && a.label >= b.label) {
-				t.Fatalf("children %d (%d,%d) and %d (%d,%d) out of order", i-1, a.kind, a.label, i, b.kind, b.label)
+	if tr.NumInternalNodes() != len(created)-1 {
+		t.Fatalf("%d nodes for %d distinct paths", tr.NumInternalNodes(), len(created)-1)
+	}
+	for p := range created {
+		x := int32(0)
+		for j := 0; j < len(p); j += 2 {
+			if x = tr.findChild(x, kind(p[j]), int(p[j+1])); x < 0 {
+				t.Fatalf("findChild lost path %v at byte %d", []byte(p), j)
 			}
 		}
 		for _, k := range []kind{ncNode, cNode} {
 			for label := 0; label < 64; label++ {
-				var scan *node
-				for _, c := range nd.children {
-					if c.kind == k && c.label == label {
-						scan = c
-					}
-				}
-				if got := nd.findChild(k, label); got != scan {
-					t.Fatalf("findChild(%d, %d) = %p, linear scan %p", k, label, got, scan)
+				_, present := created[p+string([]byte{byte(k), byte(label)})]
+				if got := tr.findChild(x, k, label); (got >= 0) != present {
+					t.Fatalf("findChild(%v + (%d, %d)) = %d, created %v", []byte(p), k, label, got, present)
 				}
 			}
 		}
-		for _, c := range nd.children {
-			check(c)
-		}
 	}
-	check(&tr.root)
 
 	var paths []string
-	tr.PathGroups(func(path []byte, es []*Entry) bool {
+	tr.PathGroups(func(path []byte, g Group) bool {
 		if n := len(paths); n > 0 && bytes.Compare([]byte(paths[n-1]), path) >= 0 {
 			t.Fatalf("PathGroups visits %v after %v", path, []byte(paths[n-1]))
 		}
@@ -342,6 +355,44 @@ func TestChildIndexProperty(t *testing.T) {
 	}
 }
 
+// TestResetReusesArrays holds Reset to its contract: a reset trie
+// fills exactly like a new one, and a refill that fits the arrays the
+// trie already grew allocates nothing.
+func TestResetReusesArrays(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	n := 7
+	var cs []*pcube.CEX
+	for i := 0; i < 300; i++ {
+		cs = append(cs, randomCEX(rng, n, rng.Intn(n)))
+	}
+	reused := New(n)
+	for _, c := range cs[:200] {
+		reused.Insert(randomCEX(rng, n, rng.Intn(n)))
+		reused.Insert(c)
+	}
+	fill := func(tr *Trie) {
+		tr.Reset(n)
+		for _, c := range cs {
+			tr.InsertFactors(c.Canon, c.Factors)
+		}
+	}
+	fill(reused)
+	fresh := New(n)
+	fill(fresh)
+	if a, b := pathGroupsDump(reused), pathGroupsDump(fresh); a != b {
+		t.Fatal("a reset trie files pseudoproducts differently from a new one")
+	}
+	if reused.Len() != fresh.Len() || reused.NumGroups() != fresh.NumGroups() ||
+		reused.NumInternalNodes() != fresh.NumInternalNodes() {
+		t.Fatalf("reset trie shape %d/%d/%d, new trie %d/%d/%d",
+			reused.Len(), reused.NumGroups(), reused.NumInternalNodes(),
+			fresh.Len(), fresh.NumGroups(), fresh.NumInternalNodes())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { fill(reused) }); allocs != 0 {
+		t.Fatalf("refilling a reset trie allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestDuplicateUnionAllocFree pins the kernel's contract: a union that
 // the next-level trie has already seen — two thirds of all unions on
 // the Table 1 functions — allocates nothing.
@@ -355,12 +406,12 @@ func TestDuplicateUnionAllocFree(t *testing.T) {
 	if !ok {
 		t.Fatal("no union")
 	}
-	if _, fresh := tr.InsertFactors(canon, fs); !fresh {
+	if !tr.InsertFactors(canon, fs) {
 		t.Fatal("first insert must be fresh")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		fs, canon, _ := pcube.UnionInto(buf, a, b)
-		if _, fresh := tr.InsertFactors(canon, fs); fresh {
+		if tr.InsertFactors(canon, fs) {
 			t.Fatal("duplicate reported fresh")
 		}
 	})
@@ -370,51 +421,61 @@ func TestDuplicateUnionAllocFree(t *testing.T) {
 }
 
 // unionLevel is a level of Algorithm 2 with many duplicate unions: the
-// degree-1 pseudocubes of B^n (every pair of points), so each
-// degree-2 union below arises from three same-structure pairs.
-func unionLevel(n int) *Trie {
+// degree-1 pseudocubes of B^n (every pair of points), by structure
+// group, so each degree-2 union below arises from three same-structure
+// pairs.
+func unionLevel(n int) [][]*pcube.CEX {
 	pts := New(n)
 	for p := uint64(0); p < 1<<uint(n); p++ {
 		pts.Insert(pcube.FromPoint(n, p))
 	}
 	lvl := New(n)
 	var buf []pcube.Factor
-	pts.Groups(func(es []*Entry) bool {
-		for i := range es {
-			for j := i + 1; j < len(es); j++ {
+	pts.Groups(func(g Group) bool {
+		cvs := g.CompVectors(nil)
+		for i := range cvs {
+			for j := i + 1; j < len(cvs); j++ {
 				var canon uint64
-				buf, canon, _ = pcube.UnionInto(buf, es[i].CEX, es[j].CEX)
+				buf, canon, _ = pcube.UnionInto(buf, memberCEX(g, n, cvs[i]), memberCEX(g, n, cvs[j]))
 				lvl.InsertFactors(canon, buf)
 			}
 		}
 		return true
 	})
-	return lvl
+	var groups [][]*pcube.CEX
+	lvl.Groups(func(g Group) bool {
+		var es []*pcube.CEX
+		for _, cv := range g.CompVectors(nil) {
+			es = append(es, memberCEX(g, n, cv))
+		}
+		groups = append(groups, es)
+		return true
+	})
+	return groups
 }
 
 // BenchmarkUnionInsert measures one Algorithm 2 level step on the
-// kernel: UnionInto into scratch plus InsertFactors into a fresh trie,
+// kernel: UnionInto into scratch plus InsertFactors into a reset trie,
 // over the 2016 degree-1 pseudocubes of B^6 (31248 unions, 10416
-// fresh). allocs/op counts only the fresh pseudoproducts and the trie
-// nodes and slices they need.
+// fresh). Once the trie's arrays have grown, a step allocates nothing.
 func BenchmarkUnionInsert(b *testing.B) {
 	n := 6
 	lvl := unionLevel(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var buf []pcube.Factor
+	next := New(n)
 	for i := 0; i < b.N; i++ {
-		next := New(n)
-		lvl.Groups(func(es []*Entry) bool {
+		next.Reset(n)
+		for _, es := range lvl {
 			for x := range es {
 				for y := x + 1; y < len(es); y++ {
 					var canon uint64
-					buf, canon, _ = pcube.UnionInto(buf, es[x].CEX, es[y].CEX)
+					buf, canon, _ = pcube.UnionInto(buf, es[x], es[y])
 					next.InsertFactors(canon, buf)
 				}
 			}
-			return true
-		})
+		}
 		if next.Len() != 10416 {
 			b.Fatalf("next level has %d pseudoproducts, want 10416", next.Len())
 		}
