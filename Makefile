@@ -26,10 +26,13 @@ lint:
 # The serving hot path (coalescing group, sharded cache, concurrent
 # batch pool) is correctness-critical under concurrency: run its
 # packages under -race explicitly even if the full-suite invocation
-# ever gets narrowed.
+# ever gets narrowed. Concurrent resumes from one warm snapshot borrow
+# level tries from the pool that cold builds use too: run those tests
+# ten times over.
 check-race:
 	go vet ./...
 	go test -race ./internal/fcache ./internal/service
+	go test -race -count=10 -run 'TestResumeConcurrent' ./internal/core
 	go test -race ./...
 
 # Per-PR working artifacts (REVIEW.md, and ISSUE.md outside a PR

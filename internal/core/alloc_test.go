@@ -190,3 +190,57 @@ func BenchmarkBuildEPPP(b *testing.B) {
 		}
 	})
 }
+
+// TestResumeAllocCeiling is the warm path's load-independent gate: the
+// mean allocations of a resume over 10 seeded single swaps of each
+// edit-loop base, each resumed from the base and then reversed by a
+// chained second resume (160 resumes). A resume prices its retraction
+// unions from the group's structure and δ, files its fold-ins in a
+// pooled unifier's level tries and enumerates point signatures without
+// allocating, so it allocates for the groups it patches, the entries
+// it creates and its covering lists: 4,452 times, down from 9,668 when
+// every union was a CEX and fold-ins were filed by key string. The
+// ceiling sits about 10% above. The count is the fewest of a few runs,
+// like TestBuildEPPPAllocCeiling's, because the tries come from a
+// sync.Pool.
+func TestResumeAllocCeiling(t *testing.T) {
+	const ceiling = 4900
+	cases := editLoopResumes(t, 10)
+	resumes := uint64(0)
+	allocs := fewestAllocs(3, func() {
+		resumes = 0
+		resumeSwaps(t, cases, func(*Result, *WarmState) { resumes++ })
+	})
+	mean := allocs / resumes
+	t.Logf("%d resumes: %d allocations each", resumes, mean)
+	if mean > ceiling {
+		t.Errorf("a resume allocates %d times, ceiling %d", mean, ceiling)
+	}
+}
+
+// BenchmarkResumeExact times ResumeExact over the resumes of
+// TestResumeDigestsPinned, with allocations reported: an even operation
+// resumes one single swap of an edit-loop base from the base, the odd
+// one after it resumes the reverse edit from the state it returned. So
+// every per-op figure is per resume.
+func BenchmarkResumeExact(b *testing.B) {
+	cases := editLoopResumes(b, 40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ws *WarmState
+	var d Delta
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			j := i / 2
+			c := &cases[j%len(cases)]
+			ws, d = c.ws, c.deltas[j/len(cases)%len(c.deltas)]
+		} else {
+			d = d.reverse()
+		}
+		_, nws, err := ResumeExact(ws, d, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws = nws
+	}
+}

@@ -83,7 +83,7 @@ type EPPPSet struct {
 type unifier struct {
 	cost   CostKind
 	b      *budget
-	tries  [2]*ptrie.Trie // the level pair of BuildEPPP and the warm capture
+	tries  [2]*ptrie.Trie // the level pair of BuildEPPP, the warm capture and a resume
 	buf    []uint64       // pcube.UnionMasks scratch
 	memo   unionMemo[ptrie.Group]
 	cvs    []uint64 // the group's complement vectors, in member order
@@ -188,23 +188,22 @@ func (u *unifier) group(g ptrie.Group, next *ptrie.Trie) bool {
 	return true
 }
 
-// pointLevel files the care points of f in t as Algorithm 2's level 0:
-// one group, of structure x_0·x_1·…·x_{n−1}, whose members are the
-// points' complement vectors (pcube.PointCompVector). Care points are
-// distinct, so none needs a duplicate probe.
-func pointLevel(t *ptrie.Trie, f *bfunc.Func) {
-	care := f.Care()
-	if len(care) == 0 {
+// pointLevel files the points pts of B^n in t as Algorithm 2's level
+// 0: one group, of structure x_0·x_1·…·x_{n−1}, whose members are the
+// points' complement vectors (pcube.PointCompVector). A build files the
+// care points and a resume the points an edit adds to them; either way
+// they are distinct, so none needs a duplicate probe.
+func pointLevel(t *ptrie.Trie, n int, pts []uint64) {
+	if len(pts) == 0 {
 		return
 	}
-	n := f.N()
 	var arr [64]uint64
 	masks := arr[:n]
 	for i := range masks {
 		masks[i] = bitvec.VarMask(n, i)
 	}
 	g := t.Group(0, masks)
-	for _, p := range care {
+	for _, p := range pts {
 		g.Add(pcube.PointCompVector(n, p))
 	}
 }
@@ -272,30 +271,6 @@ func (s *candStore) list() []*pcube.CEX {
 	return out
 }
 
-// keySet deduplicates pseudoproducts held as factors by their Key
-// bytes, for the engines that group without a partition trie. The
-// probe reuses one buffer, so a repeat costs no allocation; only a new
-// key is materialized as a string.
-type keySet struct {
-	seen map[string]bool
-	buf  []byte
-}
-
-// add reports whether fs is new to the set and, if so, returns its Key,
-// whose first 8·len(fs) bytes are its StructureKey.
-func (s *keySet) add(fs []pcube.Factor) (string, bool) {
-	s.buf = pcube.AppendKey(s.buf[:0], fs)
-	if s.seen[string(s.buf)] {
-		return "", false
-	}
-	if s.seen == nil {
-		s.seen = map[string]bool{}
-	}
-	k := string(s.buf)
-	s.seen[k] = true
-	return k, true
-}
-
 // BuildEPPP constructs the extended prime pseudoproduct set of f with
 // the paper's Algorithm 2 (steps 1 and 2): degree-0 pseudoproducts (the
 // care minterms) are inserted in a partition trie; at each step all
@@ -321,7 +296,7 @@ func BuildEPPP(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 	u := newUnifier(opts.Cost, b)
 	defer u.release()
 	cur, next := u.levels(n)
-	pointLevel(cur, f)
+	pointLevel(cur, n, f.Care())
 	if !b.spend(cur.Len()) {
 		return nil, b.failure()
 	}

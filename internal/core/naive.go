@@ -31,7 +31,7 @@ func BuildEPPPNaive(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 	var seen keySet
 	for _, p := range f.Care() {
 		c := pcube.FromPoint(n, p)
-		if _, fresh := seen.add(c.Factors); fresh {
+		if seen.add(c.Factors) {
 			cur = append(cur, &entry{cex: c})
 		}
 	}
@@ -69,7 +69,7 @@ func BuildEPPPNaive(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 				if h <= opts.Cost.of(cur[j].cex) {
 					cur[j].mark = true
 				}
-				if _, fresh := nextSeen.add(fs); fresh {
+				if nextSeen.add(fs) {
 					next = append(next, &entry{cex: pcube.NewCEX(n, canon, slices.Clone(fs))})
 					bst.Fresh++
 					if !b.spend(1) {
@@ -99,4 +99,26 @@ func BuildEPPPNaive(f *bfunc.Func, opts Options) (*EPPPSet, error) {
 	bst.BuildTime = time.Since(start)
 	recordBuild(opts.Stats, &bst)
 	return &EPPPSet{N: n, Candidates: candidates, Stats: bst}, nil
+}
+
+// keySet deduplicates pseudoproducts held as factors by their Key
+// bytes, for the baseline, which groups without a partition trie. The
+// probe reuses one buffer, so a repeat costs no allocation; only a new
+// key is materialized as a string.
+type keySet struct {
+	seen map[string]bool
+	buf  []byte
+}
+
+// add reports whether fs is new to the set, and records it.
+func (s *keySet) add(fs []pcube.Factor) bool {
+	s.buf = pcube.AppendKey(s.buf[:0], fs)
+	if s.seen[string(s.buf)] {
+		return false
+	}
+	if s.seen == nil {
+		s.seen = map[string]bool{}
+	}
+	s.seen[string(s.buf)] = true
+	return true
 }

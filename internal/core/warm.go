@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -38,6 +39,13 @@ import (
 //     (partners that discard me), so a dying partner's contribution can
 //     be retracted and a new partner's added without re-unioning the
 //     whole group.
+//
+// A resume unions on the cold build's kernel. A union's structure and
+// cost follow from its group's structure and the pair's complement
+// difference δ (Algorithm 1), so a retraction prices its union without
+// building it, and a fold-in files its union in the next level's
+// partition trie as a complement vector. The trie then hands the next
+// level's new members back grouped by structure, in path order.
 //
 // Byte-identity of the patched result requires a candidate order that
 // is itself history-independent, so the warm engines emit candidates in
@@ -118,6 +126,19 @@ type warmEntry struct {
 // confirmed with exact Contains checks.
 func pointSig(p uint64) uint64 {
 	return 1 << ((p * 0x9E3779B97F4A7C15) >> 58)
+}
+
+// pointSigOf returns the OR of pointSig over the points of c, walked in
+// Gray-code order from affineOf's offset and rows, and the grown basis
+// scratch for the next call.
+func pointSigOf(c *pcube.CEX, basis []uint64) (uint64, []uint64) {
+	p, basis := affineOf(c, basis[:0])
+	sig := pointSig(p)
+	for i := uint64(1); i < 1<<uint(len(basis)); i++ {
+		p ^= basis[bits.TrailingZeros64(i)]
+		sig |= pointSig(p)
+	}
+	return sig, basis
 }
 
 // Delta is an edit script against a warm state's function. Points move
@@ -311,12 +332,12 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 	u := newUnifier(opts.Cost, b)
 	defer u.release()
 	cur, next := u.levels(n)
-	pointLevel(cur, f)
+	pointLevel(cur, n, f.Care())
 	if !b.spend(cur.Len()) {
 		return nil, nil, b.failure()
 	}
 	var candidates []*pcube.CEX
-	var pts []uint64
+	var basis []uint64
 	for level := 0; cur.Len() > 0; level++ {
 		if err := opts.ctxErr(); err != nil {
 			return nil, nil, err
@@ -340,10 +361,7 @@ func buildEPPPWarm(f *bfunc.Func, opts Options) (*EPPPSet, *WarmState, error) {
 			for i, cv := range u.cvs {
 				c := pcube.NewCEX(n, g.Canon(), pcube.AppendFactors(make([]pcube.Factor, 0, len(masks)), masks, cv))
 				var sig uint64
-				pts = c.AppendPoints(pts[:0])
-				for _, p := range pts {
-					sig |= pointSig(p)
-				}
+				sig, basis = pointSigOf(c, basis)
 				wg.entries[i] = warmEntry{cex: c, sig: sig, markCnt: u.marks[i], prevCand: u.marks[i] == 0}
 				wg.sig |= sig
 			}
@@ -416,61 +434,27 @@ func ResumeExact(ws *WarmState, d Delta, opts Options) (*Result, *WarmState, err
 		CoverOptimal: out.optimal}, nws, nil
 }
 
-// resumer carries the per-resume state threaded through group patching.
+// resumer carries the per-resume state threaded through group
+// patching. Its unions are the cold pair loop's (unifier.group): a
+// union's structure and cost follow from its group's structure and the
+// pair's complement difference δ (pcube.UnionMasks, CostKind.ofMasks),
+// and its complement vector from the pair's (pcube.UnionCompVector). So
+// a retraction, which needs only the cost, builds no factors, and a
+// fold-in files its union in the next level's trie as the vector alone.
+// The two level tries and the scratch come from a pooled unifier.
 type resumer struct {
 	n          int
-	opts       Options
+	cost       CostKind
 	b          *budget
 	bst        *BuildStats
+	u          *unifier
 	removed    []uint64 // care points that left, sorted
 	removedSig uint64
-	// next-level accumulation: fresh unions keyed by structure path,
-	// deduped by full CEX key. Every fresh union contains an added care
-	// point, so it can never collide with a surviving old entry.
-	nextIncoming map[string][]*pcube.CEX
-	nextSeen     keySet
-	unionBuf     []pcube.Factor // pcube.UnionInto scratch
-	pathBuf      []byte
-	ptsBuf       []uint64
-	overBudget   bool
-}
-
-func (r *resumer) sigOf(c *pcube.CEX) uint64 {
-	r.ptsBuf = c.AppendPoints(r.ptsBuf[:0])
-	var sig uint64
-	for _, p := range r.ptsBuf {
-		sig |= pointSig(p)
-	}
-	return sig
-}
-
-// union computes the union of two same-group entries into the
-// resumer's scratch and returns its factors, canonical mask and cost.
-func (r *resumer) union(a, b *pcube.CEX) ([]pcube.Factor, uint64, int) {
-	fs, canon, _ := pcube.UnionInto(r.unionBuf, a, b)
-	r.unionBuf = fs
-	r.bst.Unions++
-	return fs, canon, r.opts.Cost.ofFactors(fs)
-}
-
-// emit routes a union, given as scratch factors, to its next-level
-// structure group; only a union not seen before at that level is
-// copied into a CEX. Reports false when the generation budget is
-// exhausted.
-func (r *resumer) emit(canon uint64, fs []pcube.Factor) bool {
-	if _, fresh := r.nextSeen.add(fs); !fresh {
-		return true
-	}
-	u := pcube.NewCEX(r.n, canon, slices.Clone(fs))
-	r.pathBuf = ptrie.PathKey(u, r.pathBuf[:0])
-	path := string(r.pathBuf)
-	r.nextIncoming[path] = append(r.nextIncoming[path], u)
-	r.bst.Fresh++
-	if !r.b.spend(1) {
-		r.overBudget = true
-		return false
-	}
-	return true
+	next       *ptrie.Trie // the next level's new entries
+	masks      []uint64    // a patched old group's factor masks
+	dead       []warmEntry // a patched group's entries that die
+	basis      []uint64    // pointSigOf scratch
+	overBudget bool
 }
 
 // dies reports whether entry e contains a removed care point, using the
@@ -487,53 +471,73 @@ func (r *resumer) dies(e *warmEntry) bool {
 	return false
 }
 
-// patchGroup rebuilds one dirty group: drops entries that die, retracts
-// their mark contributions from survivors, then folds the new members
-// in one at a time — unioning each against the current entries exactly
-// once per unordered pair, updating both sides' mark counts and
-// emitting every union to the next level. Returns nil when the group
-// empties. g may have no entries (a group that exists only after the
-// edit).
-func (r *resumer) patchGroup(g *warmGroup, news []*pcube.CEX) *warmGroup {
+// unionCost returns the structure (canonical mask, and factor masks in
+// the unifier's scratch) and the cost of the union of two members of
+// the group with canonical mask canon and factor masks masks whose
+// complement vectors differ by d, and counts the union.
+func (r *resumer) unionCost(canon uint64, masks []uint64, d uint64) (uint64, []uint64, int) {
+	ms, c := pcube.UnionMasks(r.u.buf, canon, masks, d)
+	r.u.buf = ms
+	r.bst.Unions++
+	return c, ms, r.cost.ofMasks(ms)
+}
+
+// patchGroup rebuilds one dirty group, of canonical mask canon and
+// factor masks masks, whose new members have the complement vectors
+// news: it drops entries that die, retracts their mark contributions
+// from survivors, then folds the new members in one at a time —
+// unioning each against the current entries exactly once per unordered
+// pair, updating both sides' mark counts and filing every union in the
+// next level's trie. Members of a group share its structure and so its
+// cost. Returns nil when the group empties. g may have no entries (a
+// group that exists only after the edit).
+func (r *resumer) patchGroup(g *warmGroup, canon uint64, masks, news []uint64) *warmGroup {
+	cost := r.cost.ofMasks(masks)
 	entries := make([]warmEntry, 0, len(g.entries)+len(news))
-	var dead []warmEntry
+	r.dead = r.dead[:0]
 	for _, e := range g.entries {
 		if r.dies(&e) {
-			dead = append(dead, e)
+			r.dead = append(r.dead, e)
 		} else {
 			entries = append(entries, e)
 		}
 	}
-	for _, d := range dead {
+	for _, d := range r.dead {
 		for i := range entries {
-			if _, _, h := r.union(entries[i].cex, d.cex); h <= r.opts.Cost.of(entries[i].cex) {
+			if _, _, h := r.unionCost(canon, masks, entries[i].cex.CompVector()^d.cex.CompVector()); h <= cost {
 				entries[i].markCnt--
 			}
 		}
 	}
-	for _, x := range news {
-		xe := warmEntry{cex: x, sig: r.sigOf(x)}
-		hx := r.opts.Cost.of(x)
+	for _, cv := range news {
+		x := pcube.NewCEX(r.n, canon, pcube.AppendFactors(make([]pcube.Factor, 0, len(masks)), masks, cv))
+		xe := warmEntry{cex: x}
+		xe.sig, r.basis = pointSigOf(x, r.basis)
 		for i := range entries {
-			fs, canon, h := r.union(entries[i].cex, x)
-			if h <= r.opts.Cost.of(entries[i].cex) {
+			cve := entries[i].cex.CompVector()
+			c, ms, h := r.unionCost(canon, masks, cve^cv)
+			if h <= cost {
 				entries[i].markCnt++
-			}
-			if h <= hx {
 				xe.markCnt++
 			}
-			if !r.emit(canon, fs) {
+			// Every union of a new member contains an added care point,
+			// so it can never collide with a surviving old entry.
+			ug, ucv := r.next.Group(c, ms), pcube.UnionCompVector(cve, cv)
+			if ug.Find(ucv) {
+				continue
+			}
+			ug.Add(ucv)
+			r.bst.Fresh++
+			if !r.b.spend(1) {
+				r.overBudget = true
 				return nil
 			}
 		}
 		// Insert in canonical (complement vector) position.
-		cv := x.CompVector()
 		at := sort.Search(len(entries), func(i int) bool {
 			return entries[i].cex.CompVector() > cv
 		})
-		entries = append(entries, warmEntry{})
-		copy(entries[at+1:], entries[at:])
-		entries[at] = xe
+		entries = slices.Insert(entries, at, xe)
 	}
 	if len(entries) == 0 {
 		return nil
@@ -543,6 +547,17 @@ func (r *resumer) patchGroup(g *warmGroup, news []*pcube.CEX) *warmGroup {
 		ng.sig |= entries[i].sig
 	}
 	return ng
+}
+
+// patchOld is patchGroup for an old group that receives no new
+// members; its structure is read off its first entry.
+func (r *resumer) patchOld(g *warmGroup) *warmGroup {
+	c := g.entries[0].cex
+	r.masks = r.masks[:0]
+	for _, f := range c.Factors {
+		r.masks = append(r.masks, f.Vars)
+	}
+	return r.patchGroup(g, c.Canon, r.masks, nil)
 }
 
 // resumeMeta is the per-candidate bookkeeping resumeEPPP hands the
@@ -561,7 +576,7 @@ type resumeMeta struct {
 // function, touching only groups whose signatures intersect the removed
 // points or that receive new members. It charges the budget for every
 // entry of the edited levels, as a cold build does: new entries when
-// they are added or emitted, survivors once their level is patched. So
+// they are added or filed, survivors once their level is patched. So
 // a resume fails exactly when the edited state's Candidates exceed
 // MaxCandidates.
 func resumeEPPP(ws *WarmState, edited *bfunc.Func, opts Options) (*EPPPSet, *WarmState, *resumeMeta, error) {
@@ -571,7 +586,7 @@ func resumeEPPP(ws *WarmState, edited *bfunc.Func, opts Options) (*EPPPSet, *War
 	bst := BuildStats{}
 	r := &resumer{
 		n:       n,
-		opts:    opts,
+		cost:    opts.Cost,
 		b:       newBudget(opts),
 		bst:     &bst,
 		removed: diffSorted(ws.f.Care(), edited.Care()),
@@ -585,24 +600,25 @@ func resumeEPPP(ws *WarmState, edited *bfunc.Func, opts Options) (*EPPPSet, *War
 	}
 
 	nws := &WarmState{n: n, f: edited, cost: ws.cost}
-	var candidates []*pcube.CEX
-	meta := &resumeMeta{}
+	// A small edit changes a small share of the candidates, so the
+	// previous generation's count sizes this one's lists.
+	oldCands := ws.cands
+	candidates := make([]*pcube.CEX, 0, len(oldCands))
+	meta := &resumeMeta{sigs: make([]uint64, 0, len(oldCands)), oldIdx: make([]int32, 0, len(oldCands))}
 	// Cursor into the previous generation's candidate list for the
 	// monotone survivor merge in the emission loop below. Surviving
 	// candidates keep their relative order (levels ascending, groups by
 	// unchanged path, entries by unchanged complement vector), so each
 	// prevCand entry matches at or after the cursor; the skipped
 	// positions are candidates that died or got marked.
-	oldCands := ws.cands
 	cursor := 0
 
-	// incoming: new entries for the current level, keyed by path.
-	incoming := map[string][]*pcube.CEX{}
-	for _, p := range added {
-		c := pcube.FromPoint(n, p)
-		r.pathBuf = ptrie.PathKey(c, r.pathBuf[:0])
-		incoming[string(r.pathBuf)] = append(incoming[string(r.pathBuf)], c)
-	}
+	// cur holds the current level's new entries, filed by structure like
+	// a cold build's level; the added points are level 0's.
+	r.u = newUnifier(opts.Cost, r.b)
+	defer r.u.release()
+	cur, next := r.u.levels(n)
+	pointLevel(cur, n, added)
 	bst.Fresh += int64(len(added))
 
 	for lev := 0; ; lev++ {
@@ -610,63 +626,59 @@ func resumeEPPP(ws *WarmState, edited *bfunc.Func, opts Options) (*EPPPSet, *War
 		if lev < len(ws.levels) {
 			old = ws.levels[lev].groups
 		}
-		if len(old) == 0 && len(incoming) == 0 {
+		if len(old) == 0 && cur.Len() == 0 {
 			break
 		}
 		if err := opts.ctxErr(); err != nil {
 			return nil, nil, nil, err
 		}
-		// Every incoming entry lands in the level, and was charged when
-		// it was added or emitted.
-		charged := 0
-		for _, cs := range incoming {
-			charged += len(cs)
-		}
-		r.nextIncoming = map[string][]*pcube.CEX{}
-		r.nextSeen = keySet{}
+		// Every new entry lands in the level, and was charged when it was
+		// added or filed.
+		charged := cur.Len()
+		next.Reset(n)
+		r.next = next
 
-		// New-group paths in canonical order, merged against the (path
-		// sorted) old groups below.
-		paths := make([]string, 0, len(incoming))
-		for p := range incoming {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-
-		outGroups := make([]*warmGroup, 0, len(old)+len(incoming))
+		outGroups := make([]*warmGroup, 0, len(old)+cur.NumGroups())
 		var owned []*warmGroup // groups patchGroup built: this generation may write to them
-		pi := 0
 		appendGroup := func(g *warmGroup) {
 			if g != nil {
 				outGroups = append(outGroups, g)
 				owned = append(owned, g)
 			}
 		}
-		for _, g := range old {
-			for pi < len(paths) && paths[pi] < g.path {
-				appendGroup(r.patchGroup(&warmGroup{path: paths[pi]}, incoming[paths[pi]]))
-				pi++
+		// oldUpTo passes on the old groups whose paths sort before path
+		// (all that remain for a nil path): a clean group is shared with
+		// the previous generation, its unions at the next level already
+		// in the old snapshot; a dirty one is patched.
+		oi := 0
+		oldUpTo := func(path []byte) {
+			for ; oi < len(old) && (path == nil || old[oi].path < string(path)); oi++ {
+				if g := old[oi]; g.sig&r.removedSig == 0 {
+					outGroups = append(outGroups, g)
+				} else {
+					appendGroup(r.patchOld(g))
+				}
 			}
-			var news []*pcube.CEX
-			if pi < len(paths) && paths[pi] == g.path {
-				news = incoming[paths[pi]]
-				pi++
-			}
-			if len(news) == 0 && g.sig&r.removedSig == 0 {
-				// Clean: shared with the previous generation, unions at
-				// the next level already present in the old snapshot.
-				outGroups = append(outGroups, g)
-				continue
-			}
-			appendGroup(r.patchGroup(g, news))
 		}
-		for pi < len(paths) {
-			appendGroup(r.patchGroup(&warmGroup{path: paths[pi]}, incoming[paths[pi]]))
-			pi++
-		}
+		// The new entries' groups in path order, the order of the old
+		// groups, merged against them.
+		cur.PathGroups(func(path []byte, ng ptrie.Group) bool {
+			oldUpTo(path)
+			var g *warmGroup
+			if oi < len(old) && old[oi].path == string(path) {
+				g = old[oi]
+				oi++
+			} else {
+				g = &warmGroup{path: string(path)}
+			}
+			r.u.cvs = ng.CompVectors(r.u.cvs[:0])
+			appendGroup(r.patchGroup(g, ng.Canon(), ng.Masks(), r.u.cvs))
+			return !r.overBudget
+		})
 		if r.overBudget {
 			return nil, nil, nil, r.b.failure()
 		}
+		oldUpTo(nil)
 
 		size := 0
 		for _, g := range outGroups {
@@ -713,7 +725,7 @@ func resumeEPPP(ws *WarmState, edited *bfunc.Func, opts Options) (*EPPPSet, *War
 			bst.Groups = append(bst.Groups, len(outGroups))
 			bst.Candidates += size
 		}
-		incoming = r.nextIncoming
+		cur, next = next, cur
 	}
 	bst.EPPP = len(candidates)
 	bst.BuildTime = time.Since(start)
@@ -774,15 +786,14 @@ func (ws *WarmState) computeBytes() {
 	b += int64(len(ws.f.On())+len(ws.f.DC())) * 8
 	for _, wl := range ws.levels {
 		for _, g := range wl.groups {
-			b += 64 + int64(len(g.path))
-			for i := range g.entries {
-				// entry (24 B) + CEX header (56 B, in the 64 B size
-				// class) + 16 B per factor: every warm entry's CEX is
-				// an object of its own, captured or resumed, so that an
-				// entry a resume drops is freed with it. A CEX carries
-				// no key strings; those are built on demand.
-				b += 24 + 64 + int64(len(g.entries[i].cex.Factors))*16
-			}
+			// Per entry: the entry (24 B) + its CEX header (56 B, in the
+			// 64 B size class) + 16 B per factor, which every entry of a
+			// group has as many of. Every warm entry's CEX is an object of
+			// its own, captured or resumed, so that an entry a resume
+			// drops is freed with it. A CEX carries no key strings; those
+			// are built on demand.
+			perEntry := 24 + 64 + int64(len(g.entries[0].cex.Factors))*16
+			b += 64 + int64(len(g.path)) + int64(len(g.entries))*perEntry
 		}
 	}
 	b += int64(len(ws.cands)) * 8

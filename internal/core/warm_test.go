@@ -495,7 +495,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			}
 		}
 		fn := bfunc.NewDC(n, on, dc)
-		_, ws, err := MinimizeExactWarm(fn, Options{})
+		base, ws, err := MinimizeExactWarm(fn, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,26 +546,43 @@ func FuzzDeltaEquivalence(f *testing.F) {
 		if err := warm.Form.Verify(edited); err != nil {
 			t.Fatal(err)
 		}
-		// Structural identity of the two snapshots.
-		if len(nws.levels) != len(cws.levels) {
-			t.Fatalf("levels: warm %d cold %d", len(nws.levels), len(cws.levels))
+		// Structural identity of the two snapshots: every entry's
+		// expression, discard count, point signature and candidate bit,
+		// the covered-ON lists, and the charged bytes.
+		requireWarmEqual(t, nws, cws)
+		if nws.Bytes() != cws.Bytes() {
+			t.Fatalf("bytes: warm %d cold %d", nws.Bytes(), cws.Bytes())
 		}
-		for li := range nws.levels {
-			g, w := nws.levels[li].groups, cws.levels[li].groups
-			if len(g) != len(w) {
-				t.Fatalf("level %d groups: warm %d cold %d", li, len(g), len(w))
-			}
-			for gi := range g {
-				if g[gi].path != w[gi].path || len(g[gi].entries) != len(w[gi].entries) {
-					t.Fatalf("level %d group %d shape mismatch", li, gi)
-				}
-				for ei := range g[gi].entries {
-					if !g[gi].entries[ei].cex.Equal(w[gi].entries[ei].cex) ||
-						g[gi].entries[ei].markCnt != w[gi].entries[ei].markCnt {
-						t.Fatalf("level %d group %d entry %d mismatch", li, gi, ei)
-					}
-				}
-			}
+		// The reverse edit, resumed from the resumed state, lands on the
+		// cold run of the original function.
+		back, bws, err := ResumeExact(nws, deltaBetween(edited, fn), Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if back.Form.String() != base.Form.String() {
+			t.Fatalf("reverse form mismatch:\nwarm %s\ncold %s", back.Form, base.Form)
+		}
+		requireWarmEqual(t, bws, ws)
 	})
+}
+
+// deltaBetween returns the edit that turns from into to, two functions
+// over the same B^n.
+func deltaBetween(from, to *bfunc.Func) Delta {
+	var d Delta
+	for p := uint64(0); p < 1<<uint(from.N()); p++ {
+		switch {
+		case from.IsOn(p) && !to.IsOn(p):
+			d.RemoveOn = append(d.RemoveOn, p)
+		case !from.IsOn(p) && to.IsOn(p):
+			d.AddOn = append(d.AddOn, p)
+		}
+		switch {
+		case from.IsDC(p) && !to.IsDC(p) && !to.IsOn(p):
+			d.RemoveDC = append(d.RemoveDC, p)
+		case !from.IsDC(p) && to.IsDC(p):
+			d.AddDC = append(d.AddDC, p)
+		}
+	}
+	return d
 }

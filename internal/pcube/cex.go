@@ -249,23 +249,6 @@ func (c *CEX) Points() []uint64 {
 	return pts
 }
 
-// AppendPoints appends the pseudocube's 2^m points to dst and returns
-// the extended slice. Like Points the order is unspecified; unlike
-// Points the caller controls the allocation, which matters on paths
-// that enumerate the points of many pseudocubes in a loop (the warm
-// engine's point-signature pass).
-func (c *CEX) AppendPoints(dst []uint64) []uint64 {
-	off, basis := c.Affine()
-	base := len(dst)
-	dst = append(dst, off)
-	for _, r := range basis.Rows() {
-		for i, n := base, len(dst); i < n; i++ {
-			dst = append(dst, dst[i]^r)
-		}
-	}
-	return dst
-}
-
 // SortedPoints returns the points sorted ascending: the rows of the
 // canonical matrix.
 func (c *CEX) SortedPoints() []uint64 {

@@ -333,10 +333,15 @@ func (t *Trie) visitGroups(x int32, visit func(Group) bool) bool {
 // sequence from the root. Children are sorted NC-before-C then by label
 // and a parent's key is a proper prefix of its descendants', so
 // lexicographic byte order of path keys equals DFS order; equal
-// structures stored in different tries get equal path keys. The path
-// slice is reused between visits — callers that retain it must copy.
+// structures stored in different tries get equal path keys. So the
+// warm resume can merge the groups an edit creates, read from a trie of
+// its own, into the path order of the groups it keeps. The path slice
+// is reused between visits — callers that retain it must copy.
 func (t *Trie) PathGroups(visit func(path []byte, g Group) bool) {
-	t.visitPathGroups(0, make([]byte, 0, 2*t.n), visit)
+	// A degree-k structure's path has a node per factor and per
+	// canonical variable of each factor, at most (n−k)(k+1) ≤ ((n+1)/2)²
+	// nodes of two bytes each, so the walk never regrows its path.
+	t.visitPathGroups(0, make([]byte, 0, (t.n+1)*(t.n+1)/2+2), visit)
 }
 
 func (t *Trie) visitPathGroups(x int32, path []byte, visit func([]byte, Group) bool) bool {
@@ -360,26 +365,6 @@ func (t *Trie) visitPathGroups(x int32, path []byte, visit func([]byte, Group) b
 		}
 	}
 	return true
-}
-
-// PathKey computes, without a trie, the path key a trie would file c
-// under: the (kind, label) byte sequence PathGroups reports for c's
-// structure group. Two CEX have equal path keys iff they have equal
-// structure, and string comparison of path keys orders structures the
-// way PathGroups visits them — which is what lets the warm delta
-// engine splice groups that appear only after an edit into the DFS
-// position a cold build would have given them.
-func PathKey(c *pcube.CEX, dst []byte) []byte {
-	n := c.N
-	for _, f := range c.Factors {
-		dst = append(dst, byte(ncNode), byte(bitvec.LowestVar(f.Vars&^c.Canon, n)))
-		for m := f.Vars & c.Canon; m != 0; {
-			v := bitvec.LowestVar(m, n)
-			m &^= bitvec.VarMask(n, v)
-			dst = append(dst, byte(cNode), byte(v))
-		}
-	}
-	return dst
 }
 
 // Entries visits every stored pseudoproduct, groups in DFS order and

@@ -263,24 +263,6 @@ func TestInsertFactorsMatchesInsert(t *testing.T) {
 	}
 }
 
-func TestPathKeyMatchesPathGroups(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	n := 8
-	tr := New(n)
-	for i := 0; i < 300; i++ {
-		tr.Insert(randomCEX(rng, n, rng.Intn(n)))
-	}
-	tr.PathGroups(func(path []byte, g Group) bool {
-		for _, cv := range g.CompVectors(nil) {
-			c := memberCEX(g, n, cv)
-			if got := PathKey(c, nil); string(got) != string(path) {
-				t.Fatalf("PathKey(%v) = %v, group path %v", c, got, path)
-			}
-		}
-		return true
-	})
-}
-
 // TestChildIndexProperty drives the bitmap child index with random
 // (kind, label) paths over the full label range of n = 64, labels 0
 // and 63 included, and checks it against the definitions it replaces:
