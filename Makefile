@@ -58,7 +58,8 @@ docs-check:
 	sh scripts/check_links.sh
 
 # End-to-end smoke of the HTTP service: cold vs cached latency (>=10x),
-# batching, /statsz counters, graceful SIGTERM drain + stats flush.
+# batching, /statsz counters, graceful SIGTERM drain + stats flush, and
+# a delta round trip on a second, -warm-cache server.
 server-smoke:
 	sh scripts/server_smoke.sh
 

@@ -13,10 +13,13 @@
 //	    localhost:8080/v1/minimize          # with -warm-cache
 //	curl -s localhost:8080/statsz
 //
-// Minimization bounds share flag names with spptables (-budget,
-// -cover-workers, ...). On SIGINT/SIGTERM the server drains in-flight
-// requests (refusing new ones with 503) and flushes a final
-// spp-stats-run/v1 report of the recent runs to -stats.
+// Minimization bounds share flag names with spptables
+// (-max-candidates, -cover-workers, -cover-max-nodes). There is no
+// -budget: each compute is bounded by its request deadline
+// (-default-timeout, capped by -max-timeout) or, for an async job, by
+// -job-timeout. On SIGINT/SIGTERM the server drains in-flight requests
+// (refusing new ones with 503) and flushes a final spp-stats-run/v1
+// report of the recent runs to -stats.
 package main
 
 import (

@@ -39,6 +39,7 @@ func main() {
 	)
 	cfg := harness.DefaultConfig()
 	cfg.BindFlags(flag.CommandLine)
+	flag.DurationVar(&cfg.PerOutput, "budget", cfg.PerOutput, "per-output budget for EPPP construction")
 	flag.DurationVar(&cfg.NaiveBudget, "naive-budget", cfg.NaiveBudget, "per-output budget for the naive [5] baseline")
 	flag.Parse()
 

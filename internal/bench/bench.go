@@ -13,14 +13,12 @@
 //     with. newtpla2 is generated from scattered minterms to reproduce
 //     its historical "SPP equals SP" worst-case behaviour.
 //
-// Real .pla files, when available, can be loaded with LoadPLA and used
-// with the same harness.
+// Real .pla files, when available, are minimized by sppmin directly
+// (sppmin design.pla).
 package bench
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"sort"
 
 	"repro/internal/bfunc"
@@ -88,19 +86,4 @@ func MustLoad(name string) *bfunc.Multi {
 		panic(err)
 	}
 	return m
-}
-
-// LoadPLA reads an external Espresso-format PLA benchmark, so the real
-// MCNC files drop into the harness when present.
-func LoadPLA(path string) (*bfunc.Multi, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return parse(f, path)
-}
-
-func parse(r io.Reader, name string) (*bfunc.Multi, error) {
-	return bfunc.ParsePLA(r, name)
 }

@@ -26,8 +26,8 @@ type sppBackend struct{}
 func (sppBackend) Name() string     { return "spp" }
 func (sppBackend) SupportsDC() bool { return true }
 
-// Salt is the SPP option tag: the service keys every SPP result, warm
-// state and warm pointer by it. Do not reformat; journaled keys and
+// Salt is the SPP option tag: the service keys every SPP result and
+// warm state by it. Do not reformat; journaled keys and
 // base_keys depend on it.
 func (sppBackend) Salt(opts Options) string {
 	alg := opts.Algorithm

@@ -39,8 +39,8 @@ type Key [32]byte
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // ParseKey decodes the 64-hex-digit form produced by Key.String. It is
-// how serving layers turn a client-supplied base key (an opaque token
-// from an earlier response) back into a cache key.
+// how serving layers turn a key they handed out (a journaled key, or
+// the key part of a client's base_key) back into a cache key.
 func ParseKey(s string) (Key, error) {
 	var k Key
 	if hex.DecodedLen(len(s)) != len(k) {
@@ -64,22 +64,13 @@ func (k Key) Derive(tag string) Key {
 	return out
 }
 
-// WarmStateKey derives the cache slot of the shared canonical-space
-// warm state: one heavy snapshot per (canonical function, option tag),
-// no matter how many permuted-equivalent client bases point at it.
-// canonical must be a key from Canonicalize (or a Derive-free KeyOf of
-// an already-canonical function).
+// WarmStateKey derives the cache slot of a shared canonical-space warm
+// state: one heavy snapshot per (function, option tag), no matter how
+// many permuted-equivalent clients chain deltas on it. canonical is the
+// Derive-free key of the state's own function: a key from Canonicalize,
+// or KeyOf a function already in the state's variable order.
 func WarmStateKey(canonical Key, tag string) Key {
 	return canonical.Derive("warmstate;" + tag)
-}
-
-// WarmPointerKey derives the cache slot of a per-client warm pointer
-// entry: keyed by the client's exact (request-space) function key, it
-// carries the client's permutation plus a WarmStateKey reference to the
-// shared canonical snapshot. The "warm;" vs "warmstate;" tag prefixes
-// keep the two keyspaces disjoint for every tag.
-func WarmPointerKey(exact Key, tag string) Key {
-	return exact.Derive("warm;" + tag)
 }
 
 // tieBreakWork bounds the work spent enumerating permutations inside

@@ -368,27 +368,20 @@ func TestKeyDerive(t *testing.T) {
 	}
 }
 
-// The shared-warm-state and per-client-pointer keyspaces must stay
-// disjoint for every tag — a pointer entry colliding with a state entry
-// would hand a client another client's permutation bookkeeping.
+// The warm-state keyspace must stay disjoint from the canonical
+// entries' for every tag: a state key equal to a result key would let
+// a warm state overwrite a canonical result of the same function.
 func TestWarmKeyspacesDisjoint(t *testing.T) {
 	f := bfunc.New(3, []uint64{1, 2, 4})
 	k, _, _ := Canonicalize(f)
 	for _, tag := range []string{"", "alg=exact;k=2", "state;x"} {
-		sk, pk := WarmStateKey(k, tag), WarmPointerKey(k, tag)
-		if sk == pk {
-			t.Errorf("tag %q: state and pointer keys collide", tag)
+		sk := WarmStateKey(k, tag)
+		if sk == k || sk == k.Derive(tag) {
+			t.Errorf("tag %q: warm state key equals a result key", tag)
 		}
-		if sk == k || pk == k {
-			t.Errorf("tag %q: warm key equals base key", tag)
+		if sk != WarmStateKey(k, tag) {
+			t.Errorf("tag %q: warm state key not deterministic", tag)
 		}
-		if sk != WarmStateKey(k, tag) || pk != WarmPointerKey(k, tag) {
-			t.Errorf("tag %q: warm keys not deterministic", tag)
-		}
-	}
-	// A crafted tag must not alias one keyspace into the other.
-	if WarmPointerKey(k, "state;x") == WarmStateKey(k, "x") {
-		t.Error("pointer tag aliases into the state keyspace")
 	}
 }
 

@@ -25,7 +25,8 @@ import (
 // paper's two-day timeout (exceeded budgets are reported as the paper's
 // "*" entries).
 type Config struct {
-	// PerOutput bounds each single-output EPPP construction.
+	// PerOutput bounds each single-output EPPP construction (spptables
+	// binds it as -budget; the service ignores it).
 	PerOutput time.Duration
 	// NaiveBudget bounds each run of the [5] baseline (Table 2 only;
 	// spptables binds it as -naive-budget).
@@ -57,12 +58,13 @@ func DefaultConfig() Config {
 }
 
 // BindFlags registers the config's minimization bounds on fs under the
-// flag names the tools share (-budget, -cover-workers, ...), so
-// cmd/spptables and cmd/sppserve parse identical knobs. Call on a
-// config seeded with DefaultConfig (or other desired defaults) before
+// flag names the tools share (-max-candidates, -cover-workers,
+// -cover-max-nodes), so cmd/spptables and cmd/sppserve parse identical
+// knobs. The time budgets are spptables' own flags: a server compute is
+// bounded by its request or job deadline instead. Call on a config
+// seeded with DefaultConfig (or other desired defaults) before
 // fs.Parse.
 func (c *Config) BindFlags(fs *flag.FlagSet) {
-	fs.DurationVar(&c.PerOutput, "budget", c.PerOutput, "per-output budget for EPPP construction")
 	fs.IntVar(&c.MaxCandidates, "max-candidates", c.MaxCandidates, "cap on generated pseudoproducts per output (0 = library default)")
 	fs.IntVar(&c.CoverWorkers, "cover-workers", c.CoverWorkers, "parallel root branches of the exact cover's branch and bound (0 = GOMAXPROCS, 1 = serial)")
 	fs.Int64Var(&c.CoverMaxNodes, "cover-max-nodes", c.CoverMaxNodes, "node budget for exact covering (0 = solver default)")

@@ -111,11 +111,6 @@ func (c *CEX) CompVector() uint64 {
 	return CompVectorOf(c.Factors)
 }
 
-// NCVar returns the non-canonical variable index of factor i.
-func (c *CEX) NCVar(i int) int {
-	return bitvec.LowestVar(c.Factors[i].Vars&^c.Canon, c.N)
-}
-
 // Contains reports whether point p belongs to the pseudocube.
 func (c *CEX) Contains(p uint64) bool {
 	for _, f := range c.Factors {

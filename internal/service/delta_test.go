@@ -1,14 +1,19 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bfunc"
 	"repro/internal/bitvec"
 	"repro/internal/core"
+	"repro/internal/fcache"
 )
 
 func warmConfig() Config {
@@ -60,10 +65,16 @@ func TestDeltaBadRequests(t *testing.T) {
 		t.Fatal("warm server must advertise base_key on a computed response")
 	}
 
+	// The token is the state key, a dot, and one hex byte per variable.
+	key, perm := base[:64], base[65:]
 	cases := []struct {
 		name, body string
 	}{
 		{"malformed key", `{"base":"zz","add":[0]}`},
+		{"non-hex permutation", fmt.Sprintf(`{"base":"%s.%s","add":[0]}`, key, strings.Repeat("z", len(perm)))},
+		{"permutation too short", fmt.Sprintf(`{"base":"%s.%s","add":[0]}`, key, perm[2:])},
+		{"repeated variable", fmt.Sprintf(`{"base":"%s.%s","add":[0]}`, key, strings.Repeat("00", 5))},
+		{"bare state key", fmt.Sprintf(`{"base":%q,"add":[0]}`, key)},
 		{"function source too", fmt.Sprintf(`{"base":%q,"n":5,"on":[1],"add":[0]}`, base)},
 		{"no_cache", fmt.Sprintf(`{"base":%q,"add":[0],"no_cache":true}`, base)},
 		{"wrong algorithm", fmt.Sprintf(`{"base":%q,"add":[0],"algorithm":"naive"}`, base)},
@@ -267,8 +278,8 @@ func TestWarmOffNoBaseKey(t *testing.T) {
 // TestDeltaCanonicalSharing: the warm snapshot is stored once in
 // canonical space and shared across permuted-equivalent bases. A client
 // submitting a permuted version of an already-solved function must get
-// a base_key minted from the canonical snapshot without any engine run,
-// and a delta against that minted key must resume warm.
+// a base_key naming the canonical snapshot without any engine run, and
+// a delta against that key must resume warm.
 func TestDeltaCanonicalSharing(t *testing.T) {
 	s := New(warmConfig())
 	h := s.Handler()
@@ -299,14 +310,14 @@ func TestDeltaCanonicalSharing(t *testing.T) {
 		t.Fatal("permuted-equivalent request missed the canonical cache")
 	}
 	if pr.BaseKey == "" {
-		t.Fatal("canonical snapshot hit must mint a base_key for the permuted client")
+		t.Fatal("canonical snapshot hit must advertise a base_key to the permuted client")
 	}
 	if pr.BaseKey == seedKey {
-		t.Fatal("minted base_key must be per-client, not the seed client's key")
+		t.Fatal("base_key must carry the permuted client's order, not the seed client's")
 	}
 
-	// Delta against the minted key: warm resume through the shared
-	// canonical snapshot, no cold run.
+	// Delta against the permuted client's key: warm resume through the
+	// shared canonical snapshot, no cold run.
 	// One-point edit: churn 1/5 stays under the 0.25 dirty limit (the
 	// care set here is just the five ON points).
 	code, body = post(t, h, fmt.Sprintf(`{"base":%q,"add":[0]}`, pr.BaseKey))
@@ -339,6 +350,92 @@ func TestDeltaCanonicalSharing(t *testing.T) {
 	}
 	if sz.Served != sz.CacheHits+sz.CacheMisses+sz.CoalesceWaiters {
 		t.Fatalf("statsz invariant broken: %+v", sz)
+	}
+}
+
+// TestDeltaPermutedClientsCoalesce: two permuted-equivalent clients
+// post the equivalent edit at once. Their deltas resolve on the same
+// warm state key, so one resume serves both, and each answer carries
+// its own client's base_key and variable order.
+func TestDeltaPermutedClientsCoalesce(t *testing.T) {
+	s := New(warmConfig())
+	h := s.Handler()
+
+	// Asymmetric function so the permutation genuinely moves points.
+	on := []uint64{0b0001, 0b0011, 0b0111, 0b1111, 0b1000}
+	perm := []int{3, 2, 1, 0}
+	pon := make([]uint64, len(on))
+	for i, p := range on {
+		pon[i] = bitvec.PermutePoint(p, 4, perm)
+	}
+	bases := make([]string, 2)
+	for i, pts := range [][]uint64{on, pon} {
+		code, body := post(t, h, fmt.Sprintf(`{"n":4,"on":%s}`, pointsJSON(pts)))
+		if code != 200 {
+			t.Fatalf("seed %d: status %d\n%s", i, code, body)
+		}
+		if bases[i] = decodeResp(t, body).BaseKey; bases[i] == "" {
+			t.Fatalf("seed %d advertised no base_key", i)
+		}
+	}
+	// One added point (churn 1/5) in each client's own variables.
+	adds := []uint64{0b0010, bitvec.PermutePoint(0b0010, 4, perm)}
+
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	s.testHookAfterAcquire = func(ctx context.Context) {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+	}
+	resps := make([]Response, 2)
+	var wg sync.WaitGroup
+	send := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, body := post(t, h, fmt.Sprintf(`{"base":%q,"add":[%d]}`, bases[i], adds[i]))
+			if err := json.Unmarshal([]byte(body), &resps[i]); code != 200 || err != nil {
+				t.Errorf("client %d delta: status %d (%v)\n%s", i, code, err, body)
+			}
+		}()
+	}
+	send(0)
+	for i := 0; len(s.slots) == 0 && i < 5000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	// The second client joins the first one's flight: the edited
+	// function's warm state key, in the shared state's variables.
+	skey, permA, err := parseBaseKey(bases[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := s.cache.Get(skey)
+	edited, err := st.warm.Apply(core.Delta{AddOn: []uint64{bitvec.PermutePoint(adds[0], 4, permA)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(1)
+	waitForWaiters(t, s, fcache.WarmStateKey(fcache.KeyOf(edited), st.tag), 1)
+	release()
+	wg.Wait()
+
+	if resps[0].Coalesced == resps[1].Coalesced {
+		t.Errorf("coalesced = %v/%v, want exactly one answer coalesced", resps[0].Coalesced, resps[1].Coalesced)
+	}
+	if resps[0].BaseKey == "" || resps[0].BaseKey == resps[1].BaseKey {
+		t.Errorf("base_keys %q and %q, want one of each client's own", resps[0].BaseKey, resps[1].BaseKey)
+	}
+	for i, pts := range [][]uint64{on, pon} {
+		if resps[i].Delta != "warm" {
+			t.Errorf("client %d: delta = %q, want warm", i, resps[i].Delta)
+		}
+		verifyForm(t, 4, resps[i].Form, bfunc.New(4, append(slices.Clone(pts), adds[i])))
+	}
+	if sz := statszOf(t, h); sz.DeltaWarm != 1 || sz.CoalesceWaiters != 1 {
+		t.Errorf("delta_warm = %d, coalesce_waiters = %d, want one resume and one waiter", sz.DeltaWarm, sz.CoalesceWaiters)
 	}
 }
 

@@ -97,6 +97,10 @@ func (s *Server) engineOptions(ctx context.Context, q Request) engine.Options {
 		K:         q.K,
 		Target:    q.AcceptLiterals,
 	}
+	// A server compute is bounded by its request or job deadline alone:
+	// the table harness's per-output budget would cut a job off long
+	// before its JobTimeout.
+	opts.Core.MaxDuration = 0
 	opts.Core.Ctx = ctx
 	opts.Core.CoverExact = q.ExactCover
 	if q.FactorCost {
@@ -119,14 +123,13 @@ func (s *Server) processForm(ctx context.Context, q Request, f, canon *bfunc.Fun
 	key := canonKey.Derive(salt)
 	fl := flight{key: key, valid: func(e cacheEntry) bool { return e.canon.Equal(canon) }}
 	// Warm-enabled exact runs retain one resumable engine state per
-	// canonical class plus a thin per-client pointer under the
-	// exact-function key, advertised as base_key for delta requests.
+	// canonical class, which every client's base_key names.
 	warm := s.cfg.WarmCache && q.Algorithm == "exact"
-	var warmKey fcache.Key
+	var skey fcache.Key
 	if warm {
-		warmKey = fcache.WarmPointerKey(fcache.KeyOf(f), salt)
+		skey = fcache.WarmStateKey(canonKey, salt)
 		fl.compute = func(waiters func() int64) (cacheEntry, *stats.Report, error) {
-			return s.computeWarm(ctx, key, warmKey, f, canon, perm, salt, opts, waiters)
+			return s.computeWarm(ctx, key, skey, canon, salt, opts, waiters)
 		}
 	} else {
 		fl.compute = func(waiters func() int64) (cacheEntry, *stats.Report, error) {
@@ -140,8 +143,12 @@ func (s *Server) processForm(ctx context.Context, q Request, f, canon *bfunc.Fun
 	}
 	resp := render(q, e, fcache.InversePerm(perm), oc, rep)
 	resp.Key = key.String()
-	if warm && (oc == outcomeComputed || s.keepsBaseKey(e, warmKey, f, canon, perm, salt)) {
-		resp.BaseKey = warmKey.String()
+	// The base_key is advertised only while its state is resident, so a
+	// delta on it resumes; reading the cache here writes nothing.
+	if warm {
+		if st, ok := s.cache.Get(skey); ok && holdsState(st, canon) {
+			resp.BaseKey = baseToken(skey, perm)
+		}
 	}
 	return resp
 }

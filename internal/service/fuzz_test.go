@@ -30,6 +30,9 @@ func FuzzMinimizeEnvelope(f *testing.F) {
 	}
 	base := decodeResp(f, body).BaseKey
 	for _, seed := range []string{
+		fmt.Sprintf(`{"base":%q,"remove":[7]}`, base),
+		fmt.Sprintf(`{"base":%q,"remove":[7]}`, flipPermByte(base)),
+		fmt.Sprintf(`{"base":%q,"remove":[7]}`, base[:64]),
 		`{"n":3,"on":[1,2,4,7]}`,
 		`{"n":4,"on":[1,3,5],"dc":[7],"timeout_ms":50,"stats":true}`,
 		`{"bench":"adr4","output":1}`,
@@ -81,6 +84,14 @@ func FuzzJobsEnvelope(f *testing.F) {
 	})
 	h := s.Handler()
 
+	code, body := post(f, h, `{"n":3,"on":[1,2,4,7]}`)
+	if code != http.StatusOK {
+		f.Fatalf("seed request: status %d: %s", code, body)
+	}
+	base := decodeResp(f, body).BaseKey
+	for _, tok := range []string{base, flipPermByte(base), base[:64]} {
+		f.Add(fmt.Sprintf(`{"base":%q,"add":[0],"remove":[1]}`, tok), "", "20")
+	}
 	f.Add(`{"priority":"interactive","n":3,"on":[1,2,4,7]}`, "", "20")
 	f.Add(`{"requests":[{"n":3,"on":[1,2]},{"n":4,"on":[3]}]}`, "", "")
 	f.Add(`{"n":3,"on":[1,2,4,7],"form":"nope"}`, "", "")
@@ -126,4 +137,12 @@ func FuzzJobsEnvelope(f *testing.F) {
 		}
 		poll(id)
 	})
+}
+
+// flipPermByte returns a base_key with its last permutation byte
+// changed: the low bit of its last hex digit flipped.
+func flipPermByte(tok string) string {
+	b := []byte(tok)
+	b[len(b)-1] ^= 1
+	return string(b)
 }

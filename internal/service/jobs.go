@@ -393,7 +393,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 				"delta jobs support form \"spp\", not %q: resubmit the full function", env.Request.Form)})
 			return
 		}
-		if _, err := fcache.ParseKey(env.Base); err != nil {
+		if _, _, err := parseBaseKey(env.Base); err != nil {
 			writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
 			return
 		}

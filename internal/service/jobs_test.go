@@ -415,3 +415,88 @@ func TestJobReplayNaiveFails(t *testing.T) {
 		t.Fatalf("minimize after replay: %d: %s", code, out)
 	}
 }
+
+// submitJob posts one job and returns its accepted status.
+func submitJob(t *testing.T, h http.Handler, body string) JobStatus {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit %s: status %d: %s", body, w.Code, w.Body.String())
+	}
+	return decodeJobStatus(t, w.Body.String())
+}
+
+// doneResponse waits for job id and returns its embedded response,
+// failing unless the job ended done.
+func doneResponse(t *testing.T, h http.Handler, id string) Response {
+	t.Helper()
+	final := waitJob(t, h, id)
+	if final.State != string(jobs.StateDone) {
+		t.Fatalf("job %s: state = %s (error %q), want done", id, final.State, final.Error)
+	}
+	var resp Response
+	if err := json.Unmarshal(final.Result, &resp); err != nil {
+		t.Fatalf("job %s: result not a Response: %v", id, err)
+	}
+	return resp
+}
+
+// A job is bounded by its job deadline alone. The harness's per-output
+// time budget (spptables' -budget) must not reach it: a job whose EPPP
+// build outlasts Core.PerOutput still ends done.
+func TestJobOutlastsPerOutputBudget(t *testing.T) {
+	cfg := jobsConfig(t)
+	cfg.Core.PerOutput = time.Microsecond
+	s := New(cfg)
+	startJobs(t, s)
+	h := s.Handler()
+
+	resp := doneResponse(t, h, submitJob(t, h, `{"bench":"adr4","output":0,"stats":true}`).ID)
+	if resp.Literals != 20 {
+		t.Errorf("adr4(0): %d literals, want 20", resp.Literals)
+	}
+	var build float64
+	if resp.Stats != nil {
+		for _, p := range resp.Stats.Phases {
+			if p.Phase == "eppp" {
+				build = p.Seconds
+			}
+		}
+	}
+	if build <= cfg.Core.PerOutput.Seconds() {
+		t.Errorf("EPPP build took %gs, not longer than the %v per-output budget", build, cfg.Core.PerOutput)
+	}
+}
+
+// A delta job on a real base_key resumes warm, and a second delta job
+// chains on the base_key the first one returned.
+func TestDeltaJobOnBaseKey(t *testing.T) {
+	cfg := jobsConfig(t)
+	cfg.WarmCache = true
+	s := New(cfg)
+	startJobs(t, s)
+	h := s.Handler()
+
+	code, body := post(t, h, fmt.Sprintf(`{"n":5,"on":%s}`, pointsJSON(oddParity(5))))
+	if code != http.StatusOK {
+		t.Fatalf("seed: status %d\n%s", code, body)
+	}
+	base := decodeResp(t, body).BaseKey
+	if base == "" {
+		t.Fatal("seed advertised no base_key")
+	}
+
+	r := doneResponse(t, h, submitJob(t, h, fmt.Sprintf(`{"base":%q,"add":[0],"remove":[1]}`, base)).ID)
+	if r.Delta != "warm" || r.BaseKey == "" {
+		t.Fatalf("delta job: delta %q base_key %q, want a warm resume with its own base_key", r.Delta, r.BaseKey)
+	}
+	verifyForm(t, 5, r.Form, editedParity(5, []uint64{0}, []uint64{1}))
+
+	r = doneResponse(t, h, submitJob(t, h, fmt.Sprintf(`{"base":%q,"remove":[0]}`, r.BaseKey)).ID)
+	if r.Delta != "warm" {
+		t.Fatalf("chained delta job: delta %q, want warm", r.Delta)
+	}
+	verifyForm(t, 5, r.Form, editedParity(5, nil, []uint64{1}))
+}

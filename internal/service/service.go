@@ -39,6 +39,7 @@ package service
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -64,9 +65,11 @@ import (
 // Config tunes the server. The zero value gets sensible defaults from
 // New.
 type Config struct {
-	// Core bounds each minimization (budgets, worker counts), shared
-	// with the table harness so sppserve and spptables read the same
-	// flags.
+	// Core bounds each minimization (candidate cap, exact-cover nodes
+	// and workers), shared with the table harness so sppserve and
+	// spptables read the same flags. Its PerOutput time budget is not
+	// applied: a compute is bounded by its request or job deadline
+	// alone.
 	Core harness.Config
 	// MaxConcurrent is the admission-gate width: how many engine runs
 	// may occupy the pipeline at once. Cache hits and coalesced waiters
@@ -100,8 +103,8 @@ type Config struct {
 	// included, and evicted LRU-first past the budget). Default 256 MiB.
 	CacheBytes int64
 	// WarmCache retains a warm engine state alongside every exact
-	// result, keyed by the exact (request-space) function, enabling the
-	// delta request path. Exact computes then run the warm engine —
+	// result, one per canonical function, enabling the delta request
+	// path. Exact computes then run the warm engine —
 	// same cost, canonical candidate order, serial EPPP build — so that
 	// full and delta results are mutually byte-identical. Off by
 	// default.
@@ -190,11 +193,11 @@ type Request struct {
 	FactorCost bool `json:"factor_cost,omitempty"`
 
 	// Base, when set, makes this a delta request: the function is the
-	// base entry's function (identified by a base_key from an earlier
-	// response) edited by Add/Remove/DcAdd/DcRemove, minimized by
-	// patching the retained warm state. No other function source may be
-	// set. Requires Config.WarmCache; an unknown or evicted base yields
-	// 409 with code "cold_run_required".
+	// one a base_key from an earlier response names, edited by
+	// Add/Remove/DcAdd/DcRemove, minimized by patching the retained warm
+	// state. No other function source may be set. Requires
+	// Config.WarmCache; an unknown or evicted base yields 409 with code
+	// "cold_run_required".
 	Base     string   `json:"base,omitempty"`
 	Add      []uint64 `json:"add,omitempty"`
 	Remove   []uint64 `json:"remove,omitempty"`
@@ -251,10 +254,13 @@ type Response struct {
 	// served without computing).
 	Coalesced bool   `json:"coalesced,omitempty"`
 	Key       string `json:"key,omitempty"`
-	// BaseKey is the token delta requests chain on: the warm-state
-	// cache key of this response's exact function. Present when the
-	// server retains warm state for it; it may be evicted later, in
-	// which case a delta against it returns 409 "cold_run_required".
+	// BaseKey is the opaque token delta requests chain on. It names the
+	// shared warm state of this response's function and carries the
+	// client's variable order: the state's 64-hex cache key, a dot, and
+	// one hex byte per client variable giving the state variable it maps
+	// to. Present when the server holds that state; the state may be
+	// evicted later (and never survives a restart), in which case a
+	// delta against the token returns 409 "cold_run_required".
 	BaseKey string `json:"base_key,omitempty"`
 	// Delta reports how a delta request was satisfied: "warm" (patched
 	// resume), "cold" (fallback full run), or "trivial" (edit emptied
@@ -391,30 +397,22 @@ type Statsz struct {
 	Runs                *stats.RunReport `json:"runs"`
 }
 
-// cacheEntry is one result-cache value, living in one of three
-// disjoint key spaces of the same LRU:
+// cacheEntry is one result-cache value, living in one of two disjoint
+// key spaces of the same LRU:
 //
 //   - canonical entries (key = canonical key ⊕ backend salt): canon is
 //     kept for an Equal check on hit, so even a SHA-256 collision
-//     cannot serve a wrong form; every warm field is nil/zero.
-//   - warm state entries (key = fcache.WarmStateKey of the canonical
-//     function): warm is the resumable engine state, form/eppp/
-//     coverOptimal the canonical-space result it produced. One heavy
-//     snapshot per canonical class — every permuted-equivalent client
-//     shares it, so a fleet of equivalent functions charges
-//     -cache-bytes once.
-//   - warm pointer entries (key = fcache.WarmPointerKey of the exact
-//     request-space function — the base_key clients chain deltas on):
-//     fn is the submitter's request-space function, perm its map into
-//     the canonical space the form and warm state live in, and warmRef
-//     the state entry's key (hasWarmRef set). warm itself is nil —
-//     pointers are thin.
+//     cannot serve a wrong form; warm is nil and tag empty.
+//   - warm state entries (key = fcache.WarmStateKey of the state's
+//     function and its spp salt, tag): warm is the resumable engine
+//     state, form/eppp/coverOptimal the result it produced, in the
+//     state's own variable order. One heavy snapshot per canonical
+//     class: every permuted-equivalent client shares it, so a fleet of
+//     equivalent functions charges -cache-bytes once.
 //
-// Pointer entries are keyed by the exact function — not the canonical
-// class — because delta edits arrive in the client's variable order and
-// permuted-equivalent clients must not chain on each other's keys; the
-// per-client permutation lives in the pointer and is applied at the
-// edges, while the snapshot behind it is shared.
+// Nothing per client is stored. A client's base_key names a state entry
+// and carries the client's permutation into the state's variables
+// (baseToken), which processDelta applies at the edges.
 type cacheEntry struct {
 	canon *bfunc.Func
 	form  engine.Form
@@ -423,12 +421,8 @@ type cacheEntry struct {
 	eppp         int
 	coverOptimal bool
 
-	fn         *bfunc.Func
-	perm       []int
-	warm       *core.WarmState
-	tag        string
-	warmRef    fcache.Key
-	hasWarmRef bool
+	warm *core.WarmState
+	tag  string
 }
 
 // entryWeight estimates an entry's resident footprint for the
@@ -439,10 +433,6 @@ func entryWeight(e cacheEntry) int64 {
 	if e.canon != nil {
 		w += int64(len(e.canon.On())+len(e.canon.DC())) * 8
 	}
-	if e.fn != nil {
-		w += int64(len(e.fn.On())+len(e.fn.DC())) * 8
-	}
-	w += int64(len(e.perm)) * 8
 	if e.form != nil {
 		w += e.form.Bytes()
 	}
@@ -931,9 +921,6 @@ type flight struct {
 	// never serves a wrong form.
 	key   fcache.Key
 	valid func(cacheEntry) bool
-	// mint, when set, serves a cache miss from state already resident
-	// under another key, before any flight starts; it counts as a hit.
-	mint func() (cacheEntry, bool)
 	// compute runs the engines under its own admission slot and
 	// populates the cache. waiters, non-nil only for a flight leader,
 	// reports how many coalesced requests ride on the run.
@@ -958,11 +945,6 @@ func (s *Server) resolve(ctx context.Context, fl flight, noCache bool) (cacheEnt
 	}
 	if e, ok := s.cache.GetIf(fl.key, fl.valid); ok {
 		return e, nil, outcomeHit, nil
-	}
-	if fl.mint != nil {
-		if e, ok := fl.mint(); ok {
-			return e, nil, outcomeHit, nil
-		}
 	}
 	var rep *stats.Report
 	e, oc, err := s.flights.Do(ctx, fl.key, func(waiters func() int64) (cacheEntry, error) {
@@ -1064,10 +1046,9 @@ func (s *Server) run(ctx context.Context, label string, waiters func() int64, fn
 // run: the warm engine (core.MinimizeExactWarm — the spp backend's
 // cost, in canonical candidate order with a serial EPPP build, so full
 // and delta results are mutually byte-identical). It caches the result
-// under key like any backend run, the resumable state once per
-// canonical class under its warm state key, and a thin pointer for
-// this client under warmKey, the base_key its deltas chain on.
-func (s *Server) computeWarm(ctx context.Context, key, warmKey fcache.Key, f, canon *bfunc.Func, perm []int, tag string, opts engine.Options, waiters func() int64) (cacheEntry, *stats.Report, error) {
+// under key like any backend run, and the resumable state once per
+// canonical class under skey, the state every client's base_key names.
+func (s *Server) computeWarm(ctx context.Context, key, skey fcache.Key, canon *bfunc.Func, tag string, opts engine.Options, waiters func() int64) (cacheEntry, *stats.Report, error) {
 	var res *core.Result
 	var ws *core.WarmState
 	rep, err := s.run(ctx, "exact", waiters, func(rec *stats.Recorder) (err error) {
@@ -1078,66 +1059,83 @@ func (s *Server) computeWarm(ctx context.Context, key, warmKey fcache.Key, f, ca
 	if err != nil {
 		return cacheEntry{}, nil, err
 	}
-	e := cacheEntry{
-		canon:        canon,
+	e := sppEntry(res, nil, "")
+	e.canon = canon
+	s.cache.Put(key, e)
+	s.cache.Put(skey, sppEntry(res, ws, tag))
+	return e, rep, nil
+}
+
+// sppEntry is the cache entry of a warm engine run's exact SPP result.
+// A warm state entry also holds ws, the resumable state that produced
+// it, and tag, its spp salt; a canonical entry passes nil and "".
+func sppEntry(res *core.Result, ws *core.WarmState, tag string) cacheEntry {
+	return cacheEntry{
 		form:         engine.SPPForm{F: res.Form},
 		kind:         "spp",
 		eppp:         res.Build.EPPP,
 		coverOptimal: res.CoverOptimal,
-	}
-	s.cache.Put(key, e)
-	skey := fcache.WarmStateKey(fcache.KeyOf(canon), tag)
-	s.cache.Put(skey, warmStateEntry(e, ws, tag))
-	s.cache.Put(warmKey, warmPointer(e, f, perm, tag, skey))
-	return e, rep, nil
-}
-
-// keepsBaseKey reports whether a served exact SPP answer of f may
-// advertise warmKey as its base_key: the client's own pointer is
-// resident, or is minted on the spot from the shared canonical warm
-// state of its class. Permuted-equivalent clients thus chain deltas
-// without ever computing cold themselves.
-func (s *Server) keepsBaseKey(e cacheEntry, warmKey fcache.Key, f, canon *bfunc.Func, perm []int, tag string) bool {
-	if pe, ok := s.cache.Get(warmKey); ok && pe.hasWarmRef && pe.fn.Equal(f) {
-		return true
-	}
-	skey := fcache.WarmStateKey(fcache.KeyOf(canon), tag)
-	se, ok := s.cache.Get(skey)
-	if !ok || se.warm == nil || !se.warm.Function().Equal(canon) {
-		return false
-	}
-	s.cache.Put(warmKey, warmPointer(e, f, perm, tag, skey))
-	return true
-}
-
-// warmStateEntry is the cache entry holding a resumable warm state and
-// the canonical-space result it produced.
-func warmStateEntry(res cacheEntry, ws *core.WarmState, tag string) cacheEntry {
-	return cacheEntry{
-		form:         res.form,
-		kind:         res.kind,
-		eppp:         res.eppp,
-		coverOptimal: res.coverOptimal,
 		warm:         ws,
 		tag:          tag,
 	}
 }
 
-// warmPointer is the thin pointer entry a client chains deltas on: its
-// request-space function fn, perm into the canonical space of the warm
-// state at state, and that state's result.
-func warmPointer(res cacheEntry, fn *bfunc.Func, perm []int, tag string, state fcache.Key) cacheEntry {
-	return cacheEntry{
-		form:         res.form,
-		kind:         res.kind,
-		eppp:         res.eppp,
-		coverOptimal: res.coverOptimal,
-		fn:           fn,
-		perm:         perm,
-		tag:          tag,
-		warmRef:      state,
-		hasWarmRef:   true,
+// holdsState reports whether e is a warm state entry whose function is
+// fn.
+func holdsState(e cacheEntry, fn *bfunc.Func) bool {
+	return e.warm != nil && e.warm.Function().Equal(fn)
+}
+
+// baseToken spells the base_key of the warm state at skey for a client
+// whose variable i is the state's variable perm[i]: the key in hex, a
+// dot, and perm as one hex byte per client variable.
+func baseToken(skey fcache.Key, perm []int) string {
+	const digits = "0123456789abcdef"
+	b := make([]byte, 0, 2*len(skey)+1+2*len(perm))
+	b = hex.AppendEncode(b, skey[:])
+	b = append(b, '.')
+	for _, v := range perm {
+		b = append(b, digits[v>>4], digits[v&15])
 	}
+	return string(b)
+}
+
+// parseBaseKey reads a base_key for both of its entry points, delta
+// requests and the delta job submit check. Only a key part that is not
+// 64 hex digits is an error. perm is nil when the permutation part is
+// not hex; processDelta checks it against the state's width once the
+// state is found.
+func parseBaseKey(tok string) (fcache.Key, []int, error) {
+	keyPart, permPart, _ := strings.Cut(tok, ".")
+	key, err := fcache.ParseKey(keyPart)
+	if err != nil {
+		return fcache.Key{}, nil, err
+	}
+	raw, err := hex.DecodeString(permPart)
+	if err != nil {
+		return key, nil, nil
+	}
+	perm := make([]int, len(raw))
+	for i, v := range raw {
+		perm[i] = int(v)
+	}
+	return key, perm, nil
+}
+
+// isPerm reports whether perm is a permutation of the variables
+// 0..n-1 (n ≤ 64).
+func isPerm(perm []int, n int) bool {
+	if len(perm) != n {
+		return false
+	}
+	var seen uint64
+	for _, v := range perm {
+		if v >= n || seen&(1<<uint(v)) != 0 {
+			return false
+		}
+		seen |= 1 << uint(v)
+	}
+	return true
 }
 
 // acquireSlot takes one admission-gate slot, honoring the context while
@@ -1210,13 +1208,16 @@ func (s *Server) recordRun(rec *stats.Recorder, name string, waiters func() int6
 	return rep
 }
 
-// processDelta serves a delta request: resolve the base warm entry,
-// validate and translate the edit into the base's canonical space, and
-// either serve trivially (ON-set emptied), fall back to a cold run
-// (churn above DeltaMaxDirty, with the fallback re-entering process as
-// an explicit-minterm request), or resume the warm state — through the
-// same resolve as full requests, keyed by the edited function's own
-// warm pointer key so identical concurrent deltas coalesce.
+// processDelta serves a delta request: read the base_key, find the
+// warm state it names, translate the edit through the client's
+// permutation into the state's variables, and either serve trivially
+// (ON-set emptied), fall back to a cold run (churn above DeltaMaxDirty,
+// with the fallback re-entering process as an explicit-minterm
+// request), or resume the warm state — through the same resolve as
+// full requests, keyed by the edited function's warm state key, so a
+// resident state is a cache hit and equivalent concurrent deltas
+// coalesce whichever permuted-equivalent clients send them. Each answer
+// is rendered in its own client's variable order.
 func (s *Server) processDelta(ctx context.Context, q Request) Response {
 	coldRequired := func(why string) Response {
 		s.bump(&s.ctr.deltaBaseMiss)
@@ -1248,39 +1249,31 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 	if !s.cfg.WarmCache {
 		return coldRequired("warm cache disabled")
 	}
-	bkey, err := fcache.ParseKey(q.Base)
+	skey, perm, err := parseBaseKey(q.Base)
 	if err != nil {
 		return badRequest(err)
 	}
 	// Plain Get, not GetIf: a canonical key passed as base must not
 	// evict the (perfectly valid) canonical entry it points at. Only
-	// spp runs leave warm pointers, so a base implies the spp backend.
-	base, ok := s.cache.Get(bkey)
+	// spp runs leave warm states, so a base implies the spp backend.
+	st, ok := s.cache.Get(skey)
 	spp, enabled := s.registry.Get("spp")
-	if !ok || !enabled || !base.hasWarmRef || base.fn == nil {
+	if !ok || !enabled || st.warm == nil {
 		return coldRequired("unknown or evicted base key")
 	}
 	// A resume is an exact SPP run under the request's options, salted
 	// like the full request that would compute the same result.
 	opts := s.engineOptions(ctx, Request{Algorithm: "exact", ExactCover: q.ExactCover, FactorCost: q.FactorCost})
-	if tag := spp.Salt(opts); tag != base.tag {
-		return badRequest(fmt.Errorf("delta options (%s) differ from the base entry's (%s)", tag, base.tag))
-	}
-	// The pointer names the shared canonical-space snapshot; both can be
-	// evicted independently, and a stale/collided state must never be
-	// resumed — the Equal check pins it to this base's canonical
-	// function before any edit math trusts it.
-	st, ok := s.cache.Get(base.warmRef)
-	if !ok || st.warm == nil {
-		return coldRequired("warm state evicted")
-	}
-	canonBase := permuteFunc(base.fn, base.perm)
-	if !st.warm.Function().Equal(canonBase) {
-		return coldRequired("warm state does not match the base function")
+	if tag := spp.Salt(opts); tag != st.tag {
+		return badRequest(fmt.Errorf("delta options (%s) differ from the base state's (%s)", tag, st.tag))
 	}
 	warm := st.warm
+	base := warm.Function()
+	n := base.N()
+	if !isPerm(perm, n) {
+		return badRequest(fmt.Errorf("base_key carries no permutation of %d variables: resend the base_key as served", n))
+	}
 
-	n := base.fn.N()
 	limit := uint64(1) << uint(n)
 	mapPts := func(pts []uint64) ([]uint64, error) {
 		if len(pts) == 0 {
@@ -1291,7 +1284,7 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 			if p >= limit {
 				return nil, fmt.Errorf("delta point %d outside B^%d", p, n)
 			}
-			out[i] = bitvec.PermutePoint(p, n, base.perm)
+			out[i] = bitvec.PermutePoint(p, n, perm)
 		}
 		return out, nil
 	}
@@ -1307,7 +1300,7 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 	if mapErr != nil {
 		return badRequest(mapErr)
 	}
-	editedCanon, err := warm.Apply(cd)
+	edited, err := warm.Apply(cd)
 	if err != nil {
 		return badRequest(err)
 	}
@@ -1315,7 +1308,7 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 	// An edit that empties the ON-set is the constant-0 function: serve
 	// it without entering the engine (and without caching — there is no
 	// warm state to retain for it, and nothing to chain a delta on).
-	if editedCanon.OnCount() == 0 {
+	if edited.OnCount() == 0 {
 		s.bump(&s.ctr.deltaTrivial)
 		return Response{
 			Form:         "0",
@@ -1326,37 +1319,30 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 		}
 	}
 
-	// The edited function in the client's (request) variable space: the
-	// base entry's perm maps request→canonical, so invert it.
-	inv := fcache.InversePerm(base.perm)
-	invPts := func(pts []uint64) []uint64 {
-		out := make([]uint64, len(pts))
-		for i, p := range pts {
-			out[i] = bitvec.PermutePoint(p, n, inv)
-		}
-		return out
-	}
-	edited := bfunc.NewDC(n, invPts(editedCanon.On()), invPts(editedCanon.DC()))
-
 	churn, err := warm.Churn(cd)
 	if err != nil {
 		return badRequest(err)
 	}
-	care := len(base.fn.On()) + len(base.fn.DC())
-	if care < 1 {
-		care = 1
-	}
+	care := max(len(base.On())+len(base.DC()), 1)
 	if float64(churn)/float64(care) > s.cfg.DeltaMaxDirty {
 		// Too dirty to patch profitably: rerun cold on the edited
-		// function. Warm entries only exist for functions small enough
-		// to respell as explicit minterms, which resolveFunction caps
-		// at n ≤ 30.
+		// function, spelled in the client's variables. Warm states only
+		// exist for functions small enough to respell as explicit
+		// minterms, which resolveFunction caps at n ≤ 30.
 		if n > 30 {
 			return coldRequired("edit too large to patch and function too wide to respell")
 		}
 		s.bump(&s.ctr.deltaCold)
+		inv := fcache.InversePerm(perm)
+		invPts := func(pts []uint64) []uint64 {
+			out := make([]uint64, len(pts))
+			for i, p := range pts {
+				out[i] = bitvec.PermutePoint(p, n, inv)
+			}
+			return out
+		}
 		resp := s.process(ctx, Request{
-			N: n, On: edited.On(), Dc: edited.DC(),
+			N: n, On: invPts(edited.On()), Dc: invPts(edited.DC()),
 			ExactCover: q.ExactCover, FactorCost: q.FactorCost,
 			TimeoutMS: q.TimeoutMS, Stats: q.Stats,
 		})
@@ -1364,43 +1350,28 @@ func (s *Server) processDelta(ctx context.Context, q Request) Response {
 		return resp
 	}
 
-	wkey := fcache.WarmPointerKey(fcache.KeyOf(edited), base.tag)
+	ekey := fcache.WarmStateKey(fcache.KeyOf(edited), st.tag)
 	e, rep, oc, err := s.resolve(ctx, flight{
-		key:   wkey,
-		valid: func(e cacheEntry) bool { return e.hasWarmRef && e.fn != nil && e.fn.Equal(edited) },
-		// No pointer for this client's edited function, but a
-		// permuted-equivalent client (or an equivalent chain) may have
-		// left the shared canonical snapshot of the same edit: mint a
-		// thin pointer at this client's key and serve without resuming.
-		mint: func() (cacheEntry, bool) {
-			skey := fcache.WarmStateKey(fcache.KeyOf(editedCanon), base.tag)
-			se, ok := s.cache.Get(skey)
-			if !ok || se.warm == nil || !se.warm.Function().Equal(editedCanon) {
-				return cacheEntry{}, false
-			}
-			e := warmPointer(se, edited, base.perm, base.tag, skey)
-			s.cache.Put(wkey, e)
-			return e, true
-		},
+		key:   ekey,
+		valid: func(e cacheEntry) bool { return holdsState(e, edited) },
 		compute: func(waiters func() int64) (cacheEntry, *stats.Report, error) {
-			return s.computeDelta(ctx, base, warm, cd, edited, editedCanon, wkey, opts, waiters)
+			return s.computeDelta(ctx, warm, cd, ekey, st.tag, opts, waiters)
 		},
 	}, false)
 	if err != nil {
 		return failure(ctx, err, oc)
 	}
-	resp := render(q, e, fcache.InversePerm(e.perm), oc, rep)
-	resp.BaseKey = wkey.String()
+	resp := render(q, e, fcache.InversePerm(perm), oc, rep)
+	resp.BaseKey = baseToken(ekey, perm)
 	resp.Delta = "warm"
 	return resp
 }
 
 // computeDelta resumes the base warm state under the translated delta —
 // holding an admission slot like any engine run — and stores the
-// resumed state at the edited function's canonical warm-state key plus
-// a thin pointer entry at wkey for this client to chain on. Each
-// successful resume counts once in delta_warm.
-func (s *Server) computeDelta(ctx context.Context, base cacheEntry, warm *core.WarmState, cd core.Delta, edited, editedCanon *bfunc.Func, wkey fcache.Key, opts engine.Options, waiters func() int64) (cacheEntry, *stats.Report, error) {
+// resumed state at skey, the warm state key of the edited function.
+// Each successful resume counts once in delta_warm.
+func (s *Server) computeDelta(ctx context.Context, warm *core.WarmState, cd core.Delta, skey fcache.Key, tag string, opts engine.Options, waiters func() int64) (cacheEntry, *stats.Report, error) {
 	var res *core.Result
 	var nws *core.WarmState
 	rep, err := s.run(ctx, "delta", waiters, func(rec *stats.Recorder) (err error) {
@@ -1411,20 +1382,9 @@ func (s *Server) computeDelta(ctx context.Context, base cacheEntry, warm *core.W
 	if err != nil {
 		return cacheEntry{}, nil, err
 	}
-	s.statsMu.Lock()
-	s.ctr.deltaWarm++
-	s.statsMu.Unlock()
-
-	r := cacheEntry{
-		form:         engine.SPPForm{F: res.Form},
-		kind:         "spp",
-		eppp:         res.Build.EPPP,
-		coverOptimal: res.CoverOptimal,
-	}
-	skey := fcache.WarmStateKey(fcache.KeyOf(editedCanon), base.tag)
-	s.cache.Put(skey, warmStateEntry(r, nws, base.tag))
-	e := warmPointer(r, edited, base.perm, base.tag, skey)
-	s.cache.Put(wkey, e)
+	s.bump(&s.ctr.deltaWarm)
+	e := sppEntry(res, nws, tag)
+	s.cache.Put(skey, e)
 	return e, rep, nil
 }
 
@@ -1480,20 +1440,6 @@ func pickOutput(m *bfunc.Multi, idx int) (*bfunc.Func, error) {
 		return nil, fmt.Errorf("output %d outside [0, %d)", idx, m.NOutputs())
 	}
 	return m.Output(idx), nil
-}
-
-// permuteFunc maps a request-space function into canonical space under
-// perm (perm[i] is the canonical variable for request variable i).
-func permuteFunc(f *bfunc.Func, perm []int) *bfunc.Func {
-	n := f.N()
-	mapAll := func(pts []uint64) []uint64 {
-		out := make([]uint64, len(pts))
-		for i, p := range pts {
-			out[i] = bitvec.PermutePoint(p, n, perm)
-		}
-		return out
-	}
-	return bfunc.NewDC(n, mapAll(f.On()), mapAll(f.DC()))
 }
 
 func statusFor(err error) int {

@@ -537,12 +537,12 @@ func TestMinimizeStatsInResponse(t *testing.T) {
 func TestCacheKeyPin(t *testing.T) {
 	const (
 		parity3Key  = "8ae26ed5d4b1521fdf7ff7b18b66148f8db8eb97efda6d76a3f52f9ce6091ce9"
-		parity3Base = "2944a7c6dfb3c2e3f5ca61b04ad16ed72be2e8a4a2a1b0b942ace84ea9effc43"
+		parity3Base = "50d0e03296a35b1e2e05a2e417d790ccd8bb1f7e74113f3775e35b36d71c2641.000102"
 		exactKey    = "4727624483e69a76429fcaed54b9265a7b2ab20c05852a3f9f7f197d11235832"
-		exactBase   = "dd8b03b5365fa550dc53bb3efae32feacf8f93b7d70b0d68b11bf2c4b334db68"
+		exactBase   = "8bc94082a7ca03df6a85ae6716734809767af2633f9b32229bf7c2c62c9149d5.00010203"
 		sppkKey     = "d9839861d13780e809cbe3ee6cf03bce8bdfb40d4a468ca986376495101de038"
 		xcfcKey     = "058c40fe3b3fb1d0c9fa7a3328acf1dd829487951c718ae9d936eb24958af103"
-		xcfcBase    = "232cedbbd730c077cdcc1b55842789b9a9db7e4e13a8145874e6114c15757417"
+		xcfcBase    = "2501afef55a5c3a5b8f616c96661da5d0b8bf5bb55e117931e409b89edd80a7d.00010203"
 		sopKey      = "b6859a75bb058bb50e526d808e15752fbd6d694c69ea3db2464878cc7a08bf6f"
 	)
 	const on8 = `"n":4,"on":[1,2,4,7,8,11,13,14]`

@@ -11,7 +11,12 @@
 #      hit the cache;
 #   5. GET /statsz and check the cache-hit counters and run reports;
 #   6. SIGTERM the server and check the graceful drain + final
-#      spp-stats-run/v1 flush.
+#      spp-stats-run/v1 flush;
+#   7. start a second server with -warm-cache and run a delta round
+#      trip: a seed request returns a base_key, a delta on it resumes
+#      warm, the same delta again is a cache hit, a delta on the
+#      returned key resumes warm, a bad permutation answers 400 and an
+#      unknown 64-hex key answers 409 cold_run_required.
 #
 # Stdlib tools only: the JSON assertions use grep/sed on Go's
 # field-ordered encoding.
@@ -113,5 +118,49 @@ fi
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
 grep -q '"spp-stats-run/v1"' "$workdir/final.json" || fail "final stats flush missing"
+
+echo "server-smoke: delta round trip on a -warm-cache server"
+"$workdir/sppserve" -addr 127.0.0.1:0 -warm-cache \
+	>"$workdir/server.out" 2>"$workdir/server.err" &
+server_pid=$!
+addr=""
+for _ in $(seq 1 50); do
+	addr=$(sed -n 's/^sppserve: listening on //p' "$workdir/server.out")
+	[ -n "$addr" ] && break
+	kill -0 "$server_pid" 2>/dev/null || fail "warm server exited at startup"
+	sleep 0.1
+done
+[ -n "$addr" ] || fail "warm server never reported its address"
+
+# post BODY FILE: POST BODY to /v1/minimize, save the response in FILE
+# and print the HTTP status.
+post() {
+	curl -sS -o "$2" -w '%{http_code}' -d "$1" "http://$addr/v1/minimize"
+}
+# Five-variable odd parity: a one-point edit is 1/16 of its care set,
+# well under the -delta-max-dirty default, so deltas resume warm.
+[ "$(post '{"n":5,"on":[1,2,4,7,8,11,13,14,16,19,21,22,25,26,28,31]}' "$workdir/seed.json")" = 200 ] ||
+	fail "warm seed request"
+base=$(jsonfield base_key <"$workdir/seed.json")
+[ -n "$base" ] || fail "warm seed returned no base_key"
+delta="{\"base\":\"$base\",\"add\":[0],\"remove\":[1]}"
+[ "$(post "$delta" "$workdir/delta.json")" = 200 ] || fail "delta request"
+grep -q '"delta": *"warm"' "$workdir/delta.json" || fail "delta did not resume warm"
+[ "$(post "$delta" "$workdir/delta2.json")" = 200 ] || fail "repeated delta request"
+grep -q '"cached": *true' "$workdir/delta2.json" || fail "repeated delta missed the cache"
+next=$(jsonfield base_key <"$workdir/delta.json")
+[ -n "$next" ] && [ "$next" != "$base" ] || fail "delta returned no base_key of its own"
+[ "$(post "{\"base\":\"$next\",\"remove\":[0]}" "$workdir/chain.json")" = 200 ] ||
+	fail "chained delta request"
+grep -q '"delta": *"warm"' "$workdir/chain.json" || fail "chained delta did not resume warm"
+[ "$(post "{\"base\":\"${base%%.*}.0000000000\",\"add\":[0]}" "$workdir/badperm.json")" = 400 ] ||
+	fail "bad permutation not answered 400"
+unknown=0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef
+[ "$(post "{\"base\":\"$unknown\",\"add\":[0]}" "$workdir/unknown.json")" = 409 ] ||
+	fail "unknown base key not answered 409"
+grep -q '"code": *"cold_run_required"' "$workdir/unknown.json" || fail "409 without cold_run_required"
+kill -TERM "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
 
 echo "server-smoke: PASS"
